@@ -10,15 +10,15 @@ import math
 
 import numpy as np
 
-from gencast import DecoderState, encode, gf_add, gf_inv, gf_mul, random_payloads
+from gencast import DecoderState, encode, random_payloads
 from gencast.galois import GF16, GF256
 from gencast.rlnc import CodedPacket
 
 print("GF(256) arithmetic with the 0x11D reduction polynomial:")
-print(f"  0x57 + 0x83 = {gf_add(0x57, 0x83):#x} (XOR)")
-print(f"  0x02 * 0x80 = {gf_mul(0x02, 0x80):#x}")
-print(f"  inv(0x53)   = {gf_inv(0x53):#x}, check: 0x53 * inv = "
-      f"{gf_mul(0x53, gf_inv(0x53))}")
+print(f"  0x57 + 0x83 = {GF256.add(0x57, 0x83):#x} (XOR)")
+print(f"  0x02 * 0x80 = {GF256.mul(0x02, 0x80):#x}")
+print(f"  inv(0x53)   = {GF256.inv(0x53):#x}, check: 0x53 * inv = "
+      f"{GF256.mul(0x53, GF256.inv(0x53))}")
 
 rng = np.random.default_rng(99)
 payloads = random_payloads(5, 12, rng)

@@ -9,7 +9,7 @@ hypergraph-coloring view of the problem, a GF(2^m) codec, and a Monte-Carlo
 protocol simulator with a CSV benchmark harness.
 """
 
-from .galois import GF16, GF256, Field, get_field, gf_add, gf_inv, gf_mul
+from .galois import GF16, GF256, Field, get_field
 from .hypergraph import (
     Coloring,
     Hypergraph,
@@ -31,7 +31,6 @@ from .partition import (
     blind_partition,
     heuristic_partition,
     heuristic_partition_with_trace,
-    idnc_reference_partition,
     optimal_partition,
 )
 from .rlnc import CodedPacket, DecoderState, encode, random_payloads
@@ -40,6 +39,7 @@ from .sfm import (
     Partition,
     StateFeedbackMatrix,
     apdd_upper_bound,
+    generation_counts,
     is_irreducible,
     load_sfm,
     parse_sfm,

@@ -3,29 +3,21 @@
 An experiment spec (JSON document or built-in name) expands into a grid of
 simulation cells over (scheduler, gamma, N).  Each cell is one Monte-Carlo
 run; outputs are a per-trial CSV and an aggregate CSV with documented,
-stable schemas.  Two non-simulation experiments ride the same harness:
-oracle_gap compares the greedy partitioner against the exact solver on
-random instances, and coloring_check cross-validates the coloring/partition
-equivalence on random hypergraphs.
+stable schemas.  run_oracle_gap, behind ``gencast oracle-gap``, compares the
+greedy partitioner against the exact solver on seeded random instances.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
-from .hypergraph import (
-    Coloring,
-    coloring_to_partition,
-    hypergraph_to_sfm,
-    is_valid_coloring,
-    random_hypergraph,
-)
-from .partition import InstanceTooLargeError, PartitionerConfig, heuristic_partition, optimal_partition
+from .partition import PartitionerConfig, heuristic_partition, optimal_partition
 from .sim import ChannelModel, SimConfig, run_experiment, systematic_phase
-from .sfm import validate_partition
 
 __all__ = [
     "ExperimentSpec",
@@ -35,12 +27,13 @@ __all__ = [
     "named_spec",
     "run_simulation_sweep",
     "run_oracle_gap",
-    "run_coloring_check",
+    "write_csv",
     "TRIAL_COLUMNS",
     "AGGREGATE_COLUMNS",
+    "ORACLE_GAP_COLUMNS",
 ]
 
-EXPERIMENT_NAMES = ("fig3_U", "fig3_D", "tradeoff", "oracle_gap", "coloring_check")
+EXPERIMENT_NAMES = ("fig3_U", "fig3_D", "tradeoff")
 
 TRIAL_COLUMNS = ["trial", "scheduler", "gamma", "N", "M", "U", "D",
                  "total_rank", "apdd_bound", "empty_demand"]
@@ -48,6 +41,9 @@ AGGREGATE_COLUMNS = ["scheduler", "gamma", "N", "trials", "n_demand",
                      "mean_M", "std_M", "mean_U", "std_U", "ci95_U",
                      "mean_D", "std_D", "ci95_D",
                      "mean_total_rank", "mean_apdd_bound"]
+ORACLE_GAP_COLUMNS = ["instance_seed", "M_heur", "M_opt", "nodes_explored"]
+# element type of each sweep list of a spec
+_GRID_TYPES = {"gammas": int, "receivers": int, "schedulers": str}
 
 
 class SpecError(ValueError):
@@ -61,22 +57,23 @@ class ExperimentSpec:
     gammas: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
     receivers: tuple[int, ...] = (20,)
     schedulers: tuple[str, ...] = ("feedback_rr", "blind_rr")
-    # oracle_gap / coloring_check knobs
-    instances: int = 300
-    check_gammas: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_NAMES:
             raise SpecError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}"
             )
-        if not self.gammas:
-            raise SpecError("gamma sweep list must be nonempty")
-        if not self.receivers:
-            raise SpecError("receiver sweep list must be nonempty")
-        bad = [s for s in self.schedulers if s not in ("feedback_rr", "blind_rr")]
-        if bad:
-            raise SpecError(f"unknown schedulers: {bad}")
+        for key in _GRID_TYPES:
+            if not getattr(self, key):
+                raise SpecError(f"'{key}' sweep list must be nonempty")
+        self.cells()  # SimConfig rejects a bad cell before any cell runs
+
+    def cells(self):
+        """SimConfig of every (N, gamma, scheduler) cell, in run order."""
+        return [replace(self.config, gamma=gamma, n_receivers=n_receivers, scheduler=scheduler)
+                for n_receivers in self.receivers
+                for gamma in self.gammas
+                for scheduler in self.schedulers]
 
 
 def named_spec(name: str, **config_overrides) -> ExperimentSpec:
@@ -93,14 +90,6 @@ def named_spec(name: str, **config_overrides) -> ExperimentSpec:
         spec = ExperimentSpec(experiment=name, config=cfg,
                               gammas=tuple(range(1, 11)), receivers=(5, 20),
                               schedulers=("feedback_rr",))
-    elif name == "oracle_gap":
-        cfg = SimConfig(n_packets=8, n_receivers=6, gamma=2, erasure_prob=0.5)
-        spec = ExperimentSpec(experiment=name, config=cfg, gammas=(2,),
-                              receivers=(6,), schedulers=("feedback_rr",), instances=300)
-    elif name == "coloring_check":
-        cfg = SimConfig(n_packets=10, n_receivers=5, erasure_prob=0.4)
-        spec = ExperimentSpec(experiment=name, config=cfg, gammas=(1, 2, 3),
-                              receivers=(5,), schedulers=("feedback_rr",), instances=200)
     else:
         raise SpecError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     if config_overrides:
@@ -109,12 +98,12 @@ def named_spec(name: str, **config_overrides) -> ExperimentSpec:
 
 
 _CONFIG_KEYS = {f.name for f in fields(SimConfig)}
-_SPEC_KEYS = {"experiment", "config", "gammas", "receivers", "schedulers",
-              "instances", "check_gammas"}
+_SPEC_KEYS = {"experiment", "config", "gammas", "receivers", "schedulers"}
 
 
 def load_spec(doc) -> ExperimentSpec:
-    """Build a spec from a parsed JSON document, validating keys and types."""
+    """Build a spec from a parsed JSON document, validating keys, types and
+    every cell of the grid."""
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     unknown = sorted(set(doc) - _SPEC_KEYS)
@@ -128,29 +117,37 @@ def load_spec(doc) -> ExperimentSpec:
     unknown = sorted(set(cfg_doc) - _CONFIG_KEYS)
     if unknown:
         raise SpecError(f"unknown config keys: {unknown}; allowed: {sorted(_CONFIG_KEYS)}")
+    grid = {key: doc[key] for key in _GRID_TYPES if key in doc}
+    for key, value in grid.items():
+        kind = _GRID_TYPES[key]
+        # type() rather than isinstance(): JSON true/false must not pass as ints
+        if not isinstance(value, list) or any(type(v) is not kind for v in value):
+            raise SpecError(
+                f"'{key}' must be a JSON list of {kind.__name__} values, got {value!r}")
     base = named_spec(doc["experiment"])
     try:
-        cfg = replace(base.config, **cfg_doc)
-        spec = replace(
-            base,
-            config=cfg,
-            gammas=tuple(doc.get("gammas", base.gammas)),
-            receivers=tuple(doc.get("receivers", base.receivers)),
-            schedulers=tuple(doc.get("schedulers", base.schedulers)),
-            instances=int(doc.get("instances", base.instances)),
-            check_gammas=tuple(doc.get("check_gammas", base.check_gammas)),
-        )
+        return replace(base, config=replace(base.config, **cfg_doc),
+                       **{key: tuple(value) for key, value in grid.items()})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid spec value: {exc}") from exc
-    return spec
 
 
-def _write_csv(path, columns, rows):
+def write_csv(path, columns, rows):
+    """Write rows as CSV to the file at path (creating its directory), or to
+    stdout when path is None."""
+    if path is None:
+        _write_rows(sys.stdout, columns, rows)
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        _write_rows(fh, columns, rows)
+
+
+def _write_rows(fh, columns, rows):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def _fmt(value):
@@ -169,23 +166,17 @@ def run_simulation_sweep(spec: ExperimentSpec, out_dir, workers: int = 1):
     Cells share the master seed, so the heuristic and blind cells of one
     (gamma, N) point see identical feedback matrices trial for trial.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trial_rows = []
     agg_rows = []
-    for n_receivers in spec.receivers:
-        for gamma in spec.gammas:
-            for scheduler in spec.schedulers:
-                cfg = replace(spec.config, gamma=gamma, n_receivers=n_receivers,
-                              scheduler=scheduler)
-                rows, agg = run_experiment(cfg, workers=workers)
-                trial_rows.extend(rows)
-                agg_rows.append({"scheduler": scheduler, "gamma": gamma,
-                                 "N": n_receivers, **agg})
-    _write_csv(out / "per_trial.csv", TRIAL_COLUMNS, trial_rows)
-    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, agg_rows)
+    for cfg in spec.cells():
+        rows, agg = run_experiment(cfg, workers=workers)
+        trial_rows.extend(rows)
+        agg_rows.append({"scheduler": cfg.scheduler, "gamma": cfg.gamma,
+                         "N": cfg.n_receivers, **agg})
+    write_csv(out / "per_trial.csv", TRIAL_COLUMNS, trial_rows)
+    write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, agg_rows)
     return agg_rows
 
 
@@ -210,13 +201,10 @@ def headline_gaps(agg_rows):
     return gaps
 
 
-def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed,
-                   max_packets: int = 12):
+def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
     """Greedy-vs-exact generation counts on seeded random instances."""
-    if n_packets > max_packets:
-        raise InstanceTooLargeError(
-            f"K={n_packets} exceeds the exact-search cap of {max_packets} packets"
-        )
+    if count < 1:
+        raise ValueError(f"need at least one instance, got count={count}")
     channel = ChannelModel(erasure_prob)
     rows = []
     for i in range(count):
@@ -224,41 +212,11 @@ def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed,
         rng = np.random.default_rng(np.random.SeedSequence(instance_seed))
         sfm = systematic_phase(n_packets, n_receivers, channel, rng)
         heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
-        opt = optimal_partition(sfm, gamma, max_packets=max_packets)
+        opt = optimal_partition(sfm, gamma)
         rows.append({
             "instance_seed": f"{seed}:{i}",
             "M_heur": heur.n_generations,
             "M_opt": opt.min_generations,
             "nodes_explored": opt.nodes_explored,
-        })
-    return rows
-
-
-def run_coloring_check(n_vertices, n_edges, edge_prob, gammas, count, seed):
-    """Random-instance equivalence check between the coloring validity test
-    and the rank-cap partition test under the conversion maps."""
-    rows = []
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        h = random_hypergraph(n_vertices, n_edges, edge_prob, rng)
-        sfm = hypergraph_to_sfm(h)
-        mismatches = 0
-        checked = 0
-        for gamma in gammas:
-            n_colors = int(rng.integers(1, n_vertices + 1))
-            assignment = tuple(int(c) for c in rng.integers(0, n_colors, size=n_vertices))
-            coloring = Coloring(assignment)
-            part = coloring_to_partition(coloring)
-            coloring_ok = is_valid_coloring(h, coloring, gamma).valid
-            partition_ok = not validate_partition(sfm, part, gamma).rank_violations
-            checked += 1
-            if coloring_ok != partition_ok:
-                mismatches += 1
-        rows.append({
-            "instance_seed": f"{seed}:{i}",
-            "n_vertices": n_vertices,
-            "n_edges": h.n_edges,
-            "checked": checked,
-            "mismatches": mismatches,
         })
     return rows

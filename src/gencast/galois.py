@@ -87,14 +87,3 @@ def get_field(q: int) -> Field:
 GF256 = get_field(256)
 GF16 = get_field(16)
 
-
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
-def gf_mul(a: int, b: int, field: Field = GF256) -> int:
-    return field.mul(a, b)
-
-
-def gf_inv(a: int, field: Field = GF256) -> int:
-    return field.inv(a)

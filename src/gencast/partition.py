@@ -9,9 +9,11 @@ Three producers share the Partition output type:
   packet (which raises the rank by exactly one) when no rank-preserving
   packet exists.  Generations close only when full, so the output is
   irreducible: nothing can move to an earlier generation for free.
+  At gamma_cap = 1 every generation is instantly decodable, which makes the
+  greedy output the IDNC reference partition.
 * blind_partition - consecutive equal-size chunks, the no-feedback baseline.
-* optimal_partition - exact exponential search for the minimum generation
-  count, used as a verification oracle on small instances.
+* optimal_partition - exact branch-and-bound search for the minimum
+  generation count, used as a verification oracle on small instances.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "heuristic_partition",
     "heuristic_partition_with_trace",
     "blind_partition",
-    "idnc_reference_partition",
     "optimal_partition",
 ]
 
@@ -38,13 +39,10 @@ __all__ = [
 @dataclass(frozen=True)
 class PartitionerConfig:
     gamma_cap: int
-    tie_break: str = "lowest-packet-index"
 
     def __post_init__(self):
         if self.gamma_cap < 1:
             raise ValueError(f"gamma_cap must be >= 1, got {self.gamma_cap}")
-        if self.tie_break != "lowest-packet-index":
-            raise ValueError(f"unknown tie_break rule: {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +111,6 @@ def heuristic_partition_with_trace(sfm, cfg):
     return Partition(tuple(generations), gamma_cap=gamma), tuple(traces)
 
 
-def idnc_reference_partition(sfm) -> Partition:
-    """Rank-cap-1 partition: every generation is instantly decodable."""
-    return heuristic_partition(sfm, PartitionerConfig(gamma_cap=1))
-
-
 def blind_partition(n_packets: int, n_generations: int) -> Partition:
     """Split packets 0..K-1 into M consecutive chunks, sizes differing by <= 1.
 
@@ -137,9 +130,8 @@ def blind_partition(n_packets: int, n_generations: int) -> Partition:
     return Partition(tuple(gens), gamma_cap=None)
 
 
-def optimal_partition(sfm, gamma: int, *, max_packets: int = 12,
-                      strategy: str = "branch_and_bound") -> OracleResult:
-    """Exact minimum generation count by exhaustive assignment search.
+def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult:
+    """Exact minimum generation count by branch-and-bound assignment search.
 
     Packets are assigned in index order; a packet may only open generation j
     when generation j-1 already exists, which kills the color-relabeling
@@ -149,8 +141,6 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12,
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if strategy not in ("branch_and_bound", "iterative_deepening"):
-        raise ValueError(f"unknown strategy: {strategy!r}")
     if sfm.n_packets > max_packets:
         raise InstanceTooLargeError(
             f"K={sfm.n_packets} exceeds the exact-search cap of {max_packets} packets"
@@ -168,66 +158,34 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12,
     if best_m > lower_bound:
         cols = [wants[:, k].astype(np.int64) for k in range(K)]
         assign = [-1] * K
+        gen_counts = []
 
-        if strategy == "branch_and_bound":
-            gen_counts = []
-
-            def search(k):
-                nonlocal best_m, best_assign, nodes
-                if len(gen_counts) >= best_m:
-                    return
-                if k == K:
-                    best_m = len(gen_counts)
-                    best_assign = assign.copy()
-                    return
-                for j, c in enumerate(gen_counts):
-                    nodes += 1
-                    cand = c + cols[k]
-                    if int(cand.max()) <= gamma:
-                        gen_counts[j] = cand
-                        assign[k] = j
-                        search(k + 1)
-                        gen_counts[j] = c
-                        if best_m == lower_bound:
-                            return
-                if len(gen_counts) + 1 < best_m:
-                    nodes += 1
-                    gen_counts.append(cols[k].copy())
-                    assign[k] = len(gen_counts) - 1
+        def search(k):
+            nonlocal best_m, best_assign, nodes
+            if len(gen_counts) >= best_m:
+                return
+            if k == K:
+                best_m = len(gen_counts)
+                best_assign = assign.copy()
+                return
+            for j, c in enumerate(gen_counts):
+                nodes += 1
+                cand = c + cols[k]
+                if int(cand.max()) <= gamma:
+                    gen_counts[j] = cand
+                    assign[k] = j
                     search(k + 1)
-                    gen_counts.pop()
+                    gen_counts[j] = c
+                    if best_m == lower_bound:
+                        return
+            if len(gen_counts) + 1 < best_m:
+                nodes += 1
+                gen_counts.append(cols[k].copy())
+                assign[k] = len(gen_counts) - 1
+                search(k + 1)
+                gen_counts.pop()
 
-            search(0)
-        else:
-            # iterative deepening: first M in [lower_bound, heuristic M) that
-            # admits a feasible assignment
-            def feasible(k, gen_counts, cap_m):
-                nonlocal nodes
-                if k == K:
-                    return True
-                for j, c in enumerate(gen_counts):
-                    nodes += 1
-                    cand = c + cols[k]
-                    if int(cand.max()) <= gamma:
-                        gen_counts[j] = cand
-                        assign[k] = j
-                        if feasible(k + 1, gen_counts, cap_m):
-                            return True
-                        gen_counts[j] = c
-                if len(gen_counts) < cap_m:
-                    nodes += 1
-                    gen_counts.append(cols[k].copy())
-                    assign[k] = len(gen_counts) - 1
-                    if feasible(k + 1, gen_counts, cap_m):
-                        return True
-                    gen_counts.pop()
-                return False
-
-            for m_try in range(lower_bound, best_m):
-                if feasible(0, [], m_try):
-                    best_m = m_try
-                    best_assign = assign.copy()
-                    break
+        search(0)
 
     if best_assign is None:
         witness = Partition(incumbent.generations, gamma_cap=gamma)

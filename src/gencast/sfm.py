@@ -6,12 +6,16 @@ missed packet k in the systematic phase and still wants it.  A partition
 groups the K packets into disjoint generations; the rank of a generation is
 the largest number of its packets wanted by any single receiver, which is the
 number of coded packets that receiver needs to decode the generation.
+
+Every metric of a partition derives from one N x M count matrix,
+generation_counts: rank is its column max, total rank the sum of ranks, and
+the delay bound the sum of r(r+1)/2 over ranks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +24,8 @@ __all__ = [
     "Generation",
     "Partition",
     "PartitionReport",
+    "generation_counts",
+    "generation_ranks",
     "rank",
     "popularity",
     "validate_partition",
@@ -65,10 +71,6 @@ class StateFeedbackMatrix:
     def popularity_vector(self):
         """Per-packet demand counts (column sums)."""
         return self.wants.sum(axis=0, dtype=np.int64)
-
-    def row_support(self, n):
-        """Packet ids receiver n still wants."""
-        return np.flatnonzero(self.wants[n])
 
     def __eq__(self, other):
         if not isinstance(other, StateFeedbackMatrix):
@@ -142,22 +144,56 @@ class PartitionReport:
         return self.cover_ok and not self.rank_violations
 
 
-def _check_ids(sfm, g):
-    bad = [i for i in g.packet_ids if not 0 <= i < sfm.n_packets]
-    if bad:
-        raise ValueError(f"packet ids out of range for K={sfm.n_packets}: {bad}")
+def _cover_and_counts(sfm, p):
+    """Cover violations of p, plus the want counts of its in-range packet ids."""
+    n_packets = sfm.n_packets
+    seen, out_of_range, duplicated, rows, cols = set(), [], [], [], []
+    for m, g in enumerate(p.generations):
+        for i in g.packet_ids:
+            if not 0 <= i < n_packets:
+                out_of_range.append(i)
+                continue
+            if i in seen:
+                duplicated.append(i)
+            seen.add(i)
+            rows.append(i)
+            cols.append(m)
+    missing = [i for i in range(n_packets) if i not in seen]
+    membership = np.zeros((n_packets, p.n_generations), dtype=np.int64)
+    membership[rows, cols] = 1
+    report = PartitionReport(out_of_range=tuple(out_of_range), duplicated=tuple(duplicated),
+                             missing=tuple(missing))
+    return report, sfm.wants @ membership
+
+
+def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
+    """N x M int64 matrix: entry (n, m) is how many packets of generation m
+    receiver n still wants.
+
+    Every partition metric derives from it: a generation's rank is its
+    column max.  Raises ValueError unless p disjointly covers packets 0..K-1.
+    """
+    report, counts = _cover_and_counts(sfm, p)
+    if not report.cover_ok:
+        raise ValueError(
+            "partition does not disjointly cover the packet block: "
+            f"duplicated={report.duplicated} missing={report.missing} "
+            f"out_of_range={report.out_of_range}"
+        )
+    return counts
+
+
+def generation_ranks(sfm, p: Partition) -> list[int]:
+    """Rank of every generation of p, in partition order."""
+    return generation_counts(sfm, p).max(axis=0).tolist()
 
 
 def rank(sfm: StateFeedbackMatrix, g: Generation) -> int:
     """Largest number of packets in g wanted by any one receiver."""
-    _check_ids(sfm, g)
-    if not g.packet_ids:
-        return 0
-    return int(sfm.wants[:, list(g.packet_ids)].sum(axis=1).max())
-
-
-def generation_ranks(sfm, p: Partition):
-    return [rank(sfm, g) for g in p.generations]
+    # g plus every packet outside it is a cover, so the count matrix applies;
+    # an out-of-range id in g fails its cover check
+    rest = Generation(tuple(k for k in range(sfm.n_packets) if k not in g.packet_ids))
+    return generation_ranks(sfm, Partition((g, rest)))[0]
 
 
 def popularity(sfm: StateFeedbackMatrix, k: int) -> int:
@@ -169,47 +205,15 @@ def popularity(sfm: StateFeedbackMatrix, k: int) -> int:
 
 def validate_partition(sfm, p: Partition, gamma: int) -> PartitionReport:
     """Check that p disjointly covers all K packets and respects the rank cap."""
-    seen = set()
-    duplicated = []
-    out_of_range = []
-    for g in p.generations:
-        for i in g.packet_ids:
-            if not 0 <= i < sfm.n_packets:
-                out_of_range.append(i)
-            elif i in seen:
-                duplicated.append(i)
-            else:
-                seen.add(i)
-    missing = [i for i in range(sfm.n_packets) if i not in seen]
-    rank_violations = []
-    for m, g in enumerate(p.generations):
-        ids = [i for i in g.packet_ids if 0 <= i < sfm.n_packets]
-        if ids:
-            r = int(sfm.wants[:, ids].sum(axis=1).max())
-            if r > gamma:
-                rank_violations.append((m, r))
-    return PartitionReport(
-        out_of_range=tuple(out_of_range),
-        duplicated=tuple(duplicated),
-        missing=tuple(missing),
-        rank_violations=tuple(rank_violations),
-    )
-
-
-def _require_cover(sfm, p):
-    report = validate_partition(sfm, p, gamma=sfm.n_packets)
-    if not report.cover_ok:
-        raise ValueError(
-            "partition does not disjointly cover the packet block: "
-            f"duplicated={report.duplicated} missing={report.missing} "
-            f"out_of_range={report.out_of_range}"
-        )
+    report, counts = _cover_and_counts(sfm, p)
+    ranks = counts.max(axis=0).tolist()
+    violations = tuple((m, r) for m, r in enumerate(ranks) if r > gamma)
+    return replace(report, rank_violations=violations)
 
 
 def total_rank(sfm, p: Partition) -> int:
     """Sum of generation ranks: erasure-free coded-phase transmission count."""
-    _require_cover(sfm, p)
-    return sum(rank(sfm, g) for g in p.generations)
+    return sum(generation_ranks(sfm, p))
 
 
 def apdd_upper_bound(sfm, p: Partition) -> int:
@@ -217,27 +221,20 @@ def apdd_upper_bound(sfm, p: Partition) -> int:
 
     Each term is a triangular number, so the bound is an exact integer.
     """
-    _require_cover(sfm, p)
     return sum(r * (r + 1) // 2 for r in generation_ranks(sfm, p))
 
 
 def is_irreducible(sfm, p: Partition) -> bool:
     """True iff no packet can move to any earlier generation without raising
     that generation's rank."""
-    _require_cover(sfm, p)
-    wants = sfm.wants
-    counts = []  # per-receiver want counts inside each generation
-    for g in p.generations:
-        ids = list(g.packet_ids)
-        counts.append(wants[:, ids].sum(axis=1) if ids else np.zeros(sfm.n_receivers, np.int64))
-    for n, c in enumerate(counts[:-1]):
-        base = int(c.max()) if len(c) else 0
-        # new rank per candidate packet if it were appended to generation n
-        new_ranks = (c[:, None] + wants).max(axis=0)
-        for m in range(n + 1, len(counts)):
-            for k in p.generations[m].packet_ids:
-                if int(new_ranks[k]) <= base:
-                    return False
+    counts = generation_counts(sfm, p)
+    ranks = counts.max(axis=0)
+    for n in range(p.n_generations - 1):
+        # rank generation n would have with each packet appended
+        new_ranks = (counts[:, n, None] + sfm.wants).max(axis=0)
+        later = [k for g in p.generations[n + 1:] for k in g.packet_ids]
+        if (new_ranks[later] <= ranks[n]).any():
+            return False
     return True
 
 

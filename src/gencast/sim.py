@@ -35,8 +35,8 @@ from .sfm import (
     Partition,
     StateFeedbackMatrix,
     apdd_upper_bound,
+    generation_counts,
     total_rank,
-    validate_partition,
 )
 
 __all__ = [
@@ -141,9 +141,7 @@ def apdd(result: TrialResult) -> Fraction:
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     """Run coded rounds until every wanted (receiver, packet) pair decodes."""
-    report = validate_partition(sfm, partition, gamma=sfm.n_packets)
-    if not report.cover_ok:
-        raise ValueError("partition does not disjointly cover the packet block")
+    counts = generation_counts(sfm, partition)
     field = get_field(cfg.field_order)
     wants = sfm.wants
     n = sfm.n_receivers
@@ -164,17 +162,12 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     states = {}
     pending = []  # per generation: receivers that still need it
     for m, ids in enumerate(gen_ids):
-        waiting = set()
-        for r in range(n):
-            unknown = [k for k in ids if wants[r, k]]
-            if unknown:
-                states[(r, m)] = DecoderState(m, ids, unknown, field)
-                waiting.add(r)
+        waiting = set(np.flatnonzero(counts[:, m]).tolist())
+        for r in waiting:
+            states[(r, m)] = DecoderState(m, ids, [k for k in ids if wants[r, k]], field)
         pending.append(waiting)
 
-    initial_rank = [
-        int(wants[:, ids].sum(axis=1).max()) if ids else 0 for ids in gen_ids
-    ]
+    initial_rank = counts.max(axis=0).tolist()
     erasure_p = None
     if cfg.coded_phase_erasures:
         erasure_p = np.full(n, cfg.erasure_prob)

@@ -155,6 +155,27 @@ class TestSimulateCommand:
                          (out_dir / "aggregate.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("grid, needle", [
+        ({"gammas": "12"}, "gammas"),
+        ({"gammas": [1, True]}, "gammas"),
+        ({"gammas": [1, 2.0]}, "gammas"),
+        ({"receivers": 20}, "receivers"),
+        ({"schedulers": ["feedback_rr", 1]}, "schedulers"),
+        ({"schedulers": ["round_robin"]}, "scheduler"),
+        ({"gammas": [1, 25]}, "gamma=25"),
+    ], ids=["gammas-string", "gammas-bool", "gammas-float", "receivers-scalar",
+            "schedulers-non-string", "schedulers-unknown", "gamma-above-k"])
+    def test_bad_grid_rejected_before_any_cell_runs(self, capsys, tmp_path, grid, needle):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"experiment": "fig3_U",
+                                         "config": {"trials": 2}, **grid}))
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and needle in err
+        assert not out_dir.exists()
+
     def test_named_experiment_with_trial_override(self, capsys, tmp_path):
         out_dir = tmp_path / "r"
         code, out, _ = run_cli(capsys, "simulate", "--experiment", "tradeoff",
@@ -185,6 +206,13 @@ class TestOracleGapCommand:
         code, _, err = run_cli(capsys, "oracle-gap", "--packets", "20", "--count", "1")
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_count_refused(self, capsys, count):
+        code, out, err = run_cli(capsys, "oracle-gap", "--packets", "5", "--count", count)
+        assert code == 1
+        assert err.startswith("error: ") and "count" in err
+        assert out == ""
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("GENCAST_SEED", "77")

@@ -8,7 +8,6 @@ from gencast import (
     blind_partition,
     heuristic_partition,
     heuristic_partition_with_trace,
-    idnc_reference_partition,
     is_irreducible,
     optimal_partition,
     rank,
@@ -115,21 +114,27 @@ class TestHeuristic:
 
 
 class TestIdncReference:
+    """The greedy partitioner at cap 1 is the IDNC reference partition."""
+
+    @staticmethod
+    def idnc(sfm):
+        return heuristic_partition(sfm, PartitionerConfig(gamma_cap=1))
+
     def test_all_zero(self):
         sfm = StateFeedbackMatrix(np.zeros((2, 4), dtype=int))
-        assert idnc_reference_partition(sfm).n_generations == 1
+        assert self.idnc(sfm).n_generations == 1
 
     def test_conflict_forces_split(self):
-        assert idnc_reference_partition(StateFeedbackMatrix([[1, 1]])).n_generations == 2
+        assert self.idnc(StateFeedbackMatrix([[1, 1]])).n_generations == 2
 
     def test_disjoint_wants_coexist(self):
-        assert idnc_reference_partition(StateFeedbackMatrix([[1, 0], [0, 1]])).n_generations == 1
+        assert self.idnc(StateFeedbackMatrix([[1, 0], [0, 1]])).n_generations == 1
 
     def test_instantly_decodable(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             sfm = random_sfm(rng, 5, 10, 0.4)
-            p = idnc_reference_partition(sfm)
+            p = self.idnc(sfm)
             assert all(rank(sfm, g) <= 1 for g in p.generations)
 
 
@@ -183,15 +188,6 @@ class TestOracle:
             assert validate_partition(sfm, res.witness, gamma).valid
             assert res.witness.n_generations == res.min_generations
             assert res.min_generations == brute_force_min_partition(sfm, gamma)
-
-    def test_strategies_agree(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            sfm = random_sfm(rng, 4, 7, 0.5)
-            for gamma in (1, 2):
-                bb = optimal_partition(sfm, gamma)
-                it = optimal_partition(sfm, gamma, strategy="iterative_deepening")
-                assert bb.min_generations == it.min_generations
 
     def test_heuristic_never_beats_oracle(self):
         rng = np.random.default_rng(14)

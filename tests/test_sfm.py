@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gencast import (
     Generation,
     Partition,
+    PartitionerConfig,
     StateFeedbackMatrix,
     apdd_upper_bound,
+    generation_counts,
+    heuristic_partition,
     is_irreducible,
     parse_sfm,
     partition_from_json,
@@ -15,7 +21,7 @@ from gencast import (
     total_rank,
     validate_partition,
 )
-from gencast.sfm import SfmParseError, format_sfm
+from gencast.sfm import SfmParseError, format_sfm, generation_ranks
 
 from conftest import random_sfm
 
@@ -218,3 +224,78 @@ class TestTextFormats:
 
         doc = json.loads(partition_to_json(Partition(gens([1, 0]), gamma_cap=3)))
         assert doc == {"gamma": 3, "generations": [[1, 0]]}
+
+
+# --- properties of the count matrix on arbitrary SFMs and covers ----------
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def sfms(draw):
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 10)))
+    return StateFeedbackMatrix(draw(arrays(np.uint8, shape, elements=st.integers(0, 1))))
+
+
+@st.composite
+def covers(draw):
+    """An SFM plus a disjoint cover: each packet gets a generation label, in
+    a random order within its generation; unused labels stay as empty
+    generations."""
+    sfm = draw(sfms())
+    k = sfm.n_packets
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    order = draw(st.permutations(range(k)))
+    groups = [[i for i in order if labels[i] == m] for m in range(max(labels) + 1)]
+    return sfm, Partition(gens(*groups))
+
+
+def brute_force_counts(sfm, p):
+    return [[sum(int(sfm.wants[n, k]) for k in g.packet_ids) for g in p.generations]
+            for n in range(sfm.n_receivers)]
+
+
+@PROPERTY_SETTINGS
+@given(covers(), st.integers(0, 10))
+def test_metrics_agree_with_brute_force_counts(cover, gamma):
+    sfm, p = cover
+    expected = brute_force_counts(sfm, p)
+    counts = generation_counts(sfm, p)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
+    ranks = [max(row[m] for row in expected) for m in range(p.n_generations)]
+    assert generation_ranks(sfm, p) == ranks
+    assert [rank(sfm, g) for g in p.generations] == ranks
+    assert total_rank(sfm, p) == sum(ranks)
+    assert apdd_upper_bound(sfm, p) == sum(r * (r + 1) // 2 for r in ranks)
+    report = validate_partition(sfm, p, gamma)
+    assert report.cover_ok
+    assert report.rank_violations == tuple((m, r) for m, r in enumerate(ranks) if r > gamma)
+
+
+@PROPERTY_SETTINGS
+@given(covers(), st.sampled_from(["duplicated", "missing", "out_of_range"]), st.data())
+def test_non_covers_rejected(cover, fault, data):
+    sfm, p = cover
+    groups = [list(g.packet_ids) for g in p.generations if g.packet_ids]
+    if fault == "duplicated":
+        groups.append([data.draw(st.integers(0, sfm.n_packets - 1))])
+    elif fault == "missing":
+        victim = data.draw(st.sampled_from(groups))
+        victim.pop(data.draw(st.integers(0, len(victim) - 1)))
+    else:
+        data.draw(st.sampled_from(groups)).append(data.draw(st.integers(sfm.n_packets, 99)))
+    broken = Partition(gens(*groups))
+    with pytest.raises(ValueError, match="does not disjointly cover"):
+        generation_counts(sfm, broken)
+    report = validate_partition(sfm, broken, sfm.n_packets)
+    assert not report.cover_ok
+    assert getattr(report, fault)
+
+
+@PROPERTY_SETTINGS
+@given(sfms(), st.integers(1, 10))
+def test_heuristic_partition_valid_and_irreducible(sfm, gamma):
+    p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+    assert validate_partition(sfm, p, gamma).valid
+    assert is_irreducible(sfm, p)
