@@ -33,7 +33,7 @@ from .partition import (
     heuristic_partition_with_trace,
     optimal_partition,
 )
-from .rlnc import CodedPacket, DecoderState, encode, random_payloads
+from .rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
 from .sfm import (
     Generation,
     Partition,

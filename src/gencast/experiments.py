@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -97,7 +98,10 @@ def named_spec(name: str, **config_overrides) -> ExperimentSpec:
     return spec
 
 
-_CONFIG_KEYS = {f.name for f in fields(SimConfig)}
+# SimConfig fields a spec may override; every cell takes gamma, n_receivers and
+# scheduler from the sweep lists, which would overwrite a config value
+_CONFIG_TYPES = {key: kind for key, kind in get_type_hints(SimConfig).items()
+                 if key not in ("gamma", "n_receivers", "scheduler")}
 _SPEC_KEYS = {"experiment", "config", "gammas", "receivers", "schedulers"}
 
 
@@ -114,9 +118,16 @@ def load_spec(doc) -> ExperimentSpec:
     cfg_doc = doc.get("config", {})
     if not isinstance(cfg_doc, dict):
         raise SpecError("'config' must be an object of SimConfig overrides")
-    unknown = sorted(set(cfg_doc) - _CONFIG_KEYS)
+    unknown = sorted(set(cfg_doc) - _CONFIG_TYPES.keys())
     if unknown:
-        raise SpecError(f"unknown config keys: {unknown}; allowed: {sorted(_CONFIG_KEYS)}")
+        raise SpecError(f"config keys {unknown} are not allowed; allowed: "
+                        f"{sorted(_CONFIG_TYPES)}; gamma, n_receivers and scheduler come "
+                        "from the 'gammas', 'receivers' and 'schedulers' lists")
+    for key, value in cfg_doc.items():
+        kind = _CONFIG_TYPES[key]
+        # a float field also takes an int; type() keeps JSON true/false out of int fields
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise SpecError(f"config '{key}' must be a JSON {kind.__name__}, got {value!r}")
     grid = {key: doc[key] for key in _GRID_TYPES if key in doc}
     for key, value in grid.items():
         kind = _GRID_TYPES[key]

@@ -5,8 +5,9 @@ field (zero included) plus the matching linear combination of the source
 payloads.  Each receiver keeps one DecoderState per generation it wants
 packets from; absorbing a coded packet substitutes the payloads the receiver
 already holds, projects the coefficients onto the remaining unknowns, and
-row-reduces the result into a reduced-echelon system.  Decoding completes
-when the system reaches full rank.
+reduces the result against an echelon basis indexed by pivot column: the
+first column with no stored row becomes the new pivot.  Back-substitution
+happens only in solve(), once the basis reaches full rank.
 
 DecoderState also runs payload-free ("abstract" packets with payload=None),
 tracking rank only; the rank trajectory is identical to the payload-carrying
@@ -21,7 +22,7 @@ import numpy as np
 
 from .galois import GF256, Field
 
-__all__ = ["CodedPacket", "DecoderState", "encode", "random_payloads"]
+__all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "random_payloads"]
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,11 @@ class CodedPacket:
     generation_id: int
     coefficients: np.ndarray  # one per generation packet, generation-local order
     payload: np.ndarray | None  # None for abstract (rank-only) packets
+
+
+def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
+    """n coding coefficients drawn i.i.d. uniform over the field, zero included."""
+    return rng.integers(0, field.q, size=n, dtype=np.uint8)
 
 
 def encode(generation_payloads, rng, field: Field = GF256, generation_id: int = 0) -> CodedPacket:
@@ -39,7 +45,7 @@ def encode(generation_payloads, rng, field: Field = GF256, generation_id: int = 
     lengths = {len(p) for p in generation_payloads}
     if len(lengths) != 1:
         raise ValueError(f"payload lengths differ within the generation: {sorted(lengths)}")
-    coeffs = rng.integers(0, field.q, size=n, dtype=np.uint8)
+    coeffs = random_coefficients(n, rng, field)
     payload = np.zeros(lengths.pop(), dtype=np.uint8)
     for c, src in zip(coeffs, generation_payloads):
         c = int(c)
@@ -57,7 +63,9 @@ class DecoderState:
     """Per (receiver, generation) incremental Gaussian elimination.
 
     generation_ids fixes the generation-local coefficient order; wanted_ids
-    are the packets this receiver still needs from the generation.
+    are the packets this receiver still needs from the generation.  Unknown j
+    (in generation order) owns _basis[j], the stored row whose pivot is
+    column j, or None; a stored row is zero before its pivot and 1 at it.
     """
 
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256):
@@ -71,16 +79,21 @@ class DecoderState:
         self._col_of = pos
         self.unknown_ids = tuple(sorted(wanted, key=pos.__getitem__))
         self._unknown_cols = [pos[i] for i in self.unknown_ids]
-        self._known_ids = [i for i in self.generation_ids if i not in set(self.unknown_ids)]
+        unknown = set(wanted)
+        self._known_ids = [i for i in self.generation_ids if i not in unknown]
         self.field = field
         self.rank = 0
-        self._rows = []  # reduced coefficient rows (lists of ints, pivot normalized to 1)
-        self._pivots = []  # pivot column per row, strictly increasing
-        self._payload_rows = []  # np arrays, parallel to _rows; empty in abstract use
+        self._basis = [None] * len(self.unknown_ids)  # coefficient rows (lists of ints)
+        self._payloads = [None] * len(self.unknown_ids)  # payload of each stored row
+
+    @property
+    def needed(self):
+        """Innovative packets still missing before the state decodes."""
+        return len(self.unknown_ids) - self.rank
 
     @property
     def decoded(self):
-        return self.rank == len(self.unknown_ids)
+        return self.needed == 0
 
     def absorb(self, pkt: CodedPacket, known_payloads=None) -> bool:
         """Fold a coded packet into the system; True iff the rank increased."""
@@ -112,48 +125,45 @@ class DecoderState:
                     residual ^= field.mul_vec(c, np.asarray(known_payloads[pid], dtype=np.uint8))
 
         mul = field.mul
-        # eliminate against the stored rows
-        for row, piv, prow in zip(self._rows, self._pivots, self._payload_rows):
-            f = vec[piv]
-            if f:
-                vec = [v ^ mul(f, r) for v, r in zip(vec, row)]
-                if residual is not None and prow is not None:
-                    residual = residual ^ field.mul_vec(f, prow)
-
-        pivot = next((j for j, v in enumerate(vec) if v), -1)
-        if pivot < 0:
+        # column order; vec is reduced in place, so each column is read after
+        # the eliminations of the columns before it
+        for pivot, f in enumerate(vec):
+            if not f:
+                continue
+            row = self._basis[pivot]
+            if row is None:
+                break  # the first nonzero column without a stored row
+            vec[pivot:] = [v ^ mul(f, r) for v, r in zip(vec[pivot:], row[pivot:])]
+            if residual is not None and self._payloads[pivot] is not None:
+                residual ^= field.mul_vec(f, self._payloads[pivot])
+        else:
             return False  # linearly dependent
 
         fi = field.inv(vec[pivot])
         if fi != 1:
-            vec = [mul(fi, v) for v in vec]
+            vec[pivot:] = [mul(fi, v) for v in vec[pivot:]]
             if residual is not None:
                 residual = field.mul_vec(fi, residual)
-        # clear the new pivot column in the existing rows (keeps the system
-        # fully reduced so solve() can read answers off directly)
-        for i, row in enumerate(self._rows):
-            f = row[pivot]
-            if f:
-                self._rows[i] = [a ^ mul(f, b) for a, b in zip(row, vec)]
-                if residual is not None and self._payload_rows[i] is not None:
-                    self._payload_rows[i] = self._payload_rows[i] ^ field.mul_vec(f, residual)
-
-        at = next((i for i, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
-        self._rows.insert(at, vec)
-        self._pivots.insert(at, pivot)
-        self._payload_rows.insert(at, residual)
+        self._basis[pivot] = vec
+        self._payloads[pivot] = residual
         self.rank += 1
         return True
 
     def solve(self):
-        """Recovered payloads keyed by packet id; requires full rank."""
+        """Recovered payloads keyed by packet id; requires full rank.
+
+        Back-substitutes through the echelon basis from the last pivot up.
+        """
         if not self.decoded:
             raise RuntimeError(
                 f"cannot solve at rank {self.rank} with {len(self.unknown_ids)} unknowns"
             )
-        out = {}
-        for piv, prow in zip(self._pivots, self._payload_rows):
-            if prow is None:
-                raise RuntimeError("state was advanced without payloads; nothing to solve")
-            out[self.unknown_ids[piv]] = prow
-        return out
+        if any(prow is None for prow in self._payloads):
+            raise RuntimeError("state was advanced without payloads; nothing to solve")
+        sol = list(self._payloads)  # starts as the stored rows: never update in place
+        for j in reversed(range(len(sol))):
+            row = self._basis[j]
+            for c in range(j + 1, len(sol)):
+                if row[c]:
+                    sol[j] = sol[j] ^ self.field.mul_vec(row[c], sol[c])
+        return dict(zip(self.unknown_ids, sol))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .galois import get_field
 from .partition import PartitionerConfig, blind_partition, heuristic_partition
-from .rlnc import CodedPacket, DecoderState, encode, random_payloads
+from .rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
 from .sfm import (
     Partition,
     StateFeedbackMatrix,
@@ -56,26 +56,17 @@ SCHEDULERS = ("feedback_rr", "blind_rr")
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Per-receiver i.i.d. Bernoulli erasures; scalar prob applies to all."""
+    """I.i.d. Bernoulli erasures, one probability for every receiver and slot."""
 
-    erasure_prob: float | tuple[float, ...]
+    erasure_prob: float
 
     def __post_init__(self):
-        probs = self.erasure_prob
-        flat = probs if isinstance(probs, tuple) else (probs,)
-        for p in flat:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"erasure probability must be in [0, 1), got {p}")
+        if not 0.0 <= self.erasure_prob < 1.0:
+            raise ValueError(f"erasure probability must be in [0, 1), got {self.erasure_prob}")
 
-    def probs(self, n_receivers: int) -> np.ndarray:
-        if isinstance(self.erasure_prob, tuple):
-            if len(self.erasure_prob) != n_receivers:
-                raise ValueError(
-                    f"{len(self.erasure_prob)} per-receiver probabilities for "
-                    f"{n_receivers} receivers"
-                )
-            return np.asarray(self.erasure_prob, dtype=float)
-        return np.full(n_receivers, float(self.erasure_prob))
+    def erased(self, rng, shape) -> np.ndarray:
+        """Boolean erasure pattern: True where the copy is lost."""
+        return rng.random(shape) < self.erasure_prob
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,7 @@ class SimConfig:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}")
-        if not 0.0 <= self.erasure_prob < 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1), got {self.erasure_prob}")
+        ChannelModel(self.erasure_prob)  # rejects a probability outside [0, 1)
         if self.payload_len < 1:
             raise ValueError(f"need payload_len >= 1, got {self.payload_len}")
         get_field(self.field_order)  # rejects unsupported orders
@@ -113,22 +103,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    sfm: StateFeedbackMatrix
-    partition: Partition
     completion_time: int  # U
     decode_times: dict  # (receiver, packet) -> coded-phase time index
     delay: Fraction  # D
     empty_demand: bool
 
-    @property
-    def n_generations(self):
-        return self.partition.n_generations
-
 
 def systematic_phase(n_packets, n_receivers, channel: ChannelModel, rng) -> StateFeedbackMatrix:
     """Broadcast each packet once; an entry is 1 iff that copy was erased."""
-    p = channel.probs(n_receivers)
-    misses = rng.random((n_receivers, n_packets)) < p[:, None]
+    misses = channel.erased(rng, (n_receivers, n_packets))
     return StateFeedbackMatrix(misses.astype(np.uint8))
 
 
@@ -140,7 +123,10 @@ def apdd(result: TrialResult) -> Fraction:
 
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
-    """Run coded rounds until every wanted (receiver, packet) pair decodes."""
+    """Run coded rounds until every wanted (receiver, packet) pair decodes.
+
+    With payloads, each decode is solved and checked against the sources.
+    """
     counts = generation_counts(sfm, partition)
     field = get_field(cfg.field_order)
     wants = sfm.wants
@@ -148,34 +134,28 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
 
     # both decode modes consume this draw, keeping their streams aligned
     payload_seed = int(rng.integers(0, 2**63))
-    payloads = None
-    known = None
+    payloads = known = None
     if not cfg.abstract_decode:
-        payload_rng = np.random.default_rng(payload_seed)
-        payloads = random_payloads(sfm.n_packets, cfg.payload_len, payload_rng, field)
-        known = [
-            {k: payloads[k] for k in range(sfm.n_packets) if not wants[r, k]}
-            for r in range(n)
-        ]
+        payloads = random_payloads(sfm.n_packets, cfg.payload_len,
+                                   np.random.default_rng(payload_seed), field)
+        # what each receiver already holds from the systematic phase
+        known = [{k: payloads[k] for k in range(sfm.n_packets) if not wants[r, k]}
+                 for r in range(n)]
 
     gen_ids = [list(g.packet_ids) for g in partition.generations]
-    states = {}
-    pending = []  # per generation: receivers that still need it
-    for m, ids in enumerate(gen_ids):
-        waiting = set(np.flatnonzero(counts[:, m]).tolist())
-        for r in waiting:
-            states[(r, m)] = DecoderState(m, ids, [k for k in ids if wants[r, k]], field)
-        pending.append(waiting)
-
+    # per generation: the decoder of every receiver still missing it, by receiver
+    pending = [
+        {r: DecoderState(m, ids, [k for k in ids if wants[r, k]], field)
+         for r in np.flatnonzero(counts[:, m]).tolist()}
+        for m, ids in enumerate(gen_ids)
+    ]
     initial_rank = counts.max(axis=0).tolist()
-    erasure_p = None
-    if cfg.coded_phase_erasures:
-        erasure_p = np.full(n, cfg.erasure_prob)
+    channel = ChannelModel(cfg.erasure_prob) if cfg.coded_phase_erasures else None
 
     decode_times = {}
     t = 0
     round_no = 1
-    remaining = sum(len(w) for w in pending)
+    remaining = sum(map(len, pending))
     while remaining:
         quotas = []
         for m, ids in enumerate(gen_ids):
@@ -186,10 +166,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
             elif round_no == 1 or cfg.strict_paper_rounds:
                 quota = initial_rank[m]
             else:
-                quota = max(
-                    len(states[(r, m)].unknown_ids) - states[(r, m)].rank
-                    for r in pending[m]
-                )
+                quota = max(state.needed for state in pending[m].values())
             quotas.append(quota)
 
         for m, quota in enumerate(quotas):
@@ -197,25 +174,22 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
             for _ in range(quota):
                 t += 1
                 if payloads is None:
-                    coeffs = rng.integers(0, field.q, size=len(ids), dtype=np.uint8)
-                    pkt = CodedPacket(m, coeffs, None)
+                    pkt = CodedPacket(m, random_coefficients(len(ids), rng, field), None)
                 else:
                     pkt = encode([payloads[k] for k in ids], rng, field, generation_id=m)
-                if erasure_p is not None:
-                    erased = rng.random(n) < erasure_p
-                else:
-                    erased = None
-                if not pending[m]:
-                    continue  # committed slot; no receiver still needs it
-                for r in sorted(pending[m]):
+                erased = channel.erased(rng, n) if channel else None
+                for r, state in list(pending[m].items()):
                     if erased is not None and erased[r]:
                         continue
-                    state = states[(r, m)]
                     state.absorb(pkt, known[r] if known is not None else None)
                     if state.decoded:
+                        if payloads is not None and any(
+                                not np.array_equal(got, payloads[k])
+                                for k, got in state.solve().items()):
+                            raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
                         for k in state.unknown_ids:
                             decode_times[(r, k)] = t
-                        pending[m].discard(r)
+                        del pending[m][r]
                         remaining -= 1
                 if not remaining:
                     break  # the block just completed; U is this time index
@@ -225,14 +199,8 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
 
     n_wanted = int(wants.sum())
     delay = Fraction(sum(decode_times.values()), n_wanted) if n_wanted else Fraction(0)
-    return TrialResult(
-        sfm=sfm,
-        partition=partition,
-        completion_time=t,
-        decode_times=decode_times,
-        delay=delay,
-        empty_demand=n_wanted == 0,
-    )
+    return TrialResult(completion_time=t, decode_times=decode_times, delay=delay,
+                       empty_demand=n_wanted == 0)
 
 
 def _trial_rng(master_seed, trial_index):
@@ -262,10 +230,6 @@ def run_trial(cfg: SimConfig, trial_index: int) -> dict:
         "apdd_bound": apdd_upper_bound(sfm, part),
         "empty_demand": int(result.empty_demand),
     }
-
-
-def _run_trial_star(args):
-    return run_trial(*args)
 
 
 def aggregate_rows(rows):
@@ -319,14 +283,13 @@ def aggregate_rows(rows):
 
 def run_experiment(cfg: SimConfig, workers: int = 1):
     """Monte-Carlo cell: per-trial rows (trial order) plus their aggregate."""
-    args = [(cfg, i) for i in range(cfg.trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, cfg.trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial_star, args, chunksize=chunk))
+            rows = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials),
+                                 chunksize=chunk))
     else:
         rows = [run_trial(cfg, i) for i in range(cfg.trials)]
-    rows.sort(key=lambda r: r["trial"])
     return rows, aggregate_rows(rows)

@@ -85,7 +85,7 @@ class TestSimulateCommand:
     def test_fig3_style_spec(self, capsys, tmp_path):
         spec = {
             "experiment": "fig3_U",
-            "config": {"n_packets": 10, "n_receivers": 5, "trials": 30, "seed": 5},
+            "config": {"n_packets": 10, "trials": 30, "seed": 5},
             "gammas": [1, 2],
         }
         spec_path = tmp_path / "spec.json"
@@ -107,7 +107,7 @@ class TestSimulateCommand:
             "experiment": "fig3_U",
             # seed picked so no trial hits a coefficient rank shortfall, the
             # one event that breaks the erasure-free identity
-            "config": {"n_packets": 8, "n_receivers": 3, "trials": 40, "seed": 0,
+            "config": {"n_packets": 8, "trials": 40, "seed": 0,
                        "coded_phase_erasures": False},
             "gammas": [2],
             "schedulers": ["feedback_rr"],
@@ -140,7 +140,7 @@ class TestSimulateCommand:
     def test_same_seed_byte_identical_csvs(self, capsys, tmp_path):
         spec = {
             "experiment": "fig3_D",
-            "config": {"n_packets": 8, "n_receivers": 4, "trials": 25, "seed": 9},
+            "config": {"n_packets": 8, "trials": 25, "seed": 9},
             "gammas": [1, 3],
         }
         spec_path = tmp_path / "spec.json"
@@ -169,6 +169,25 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "fig3_U",
                                          "config": {"trials": 2}, **grid}))
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and needle in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config, needle", [
+        ({"trials": 2.5}, "trials"),
+        ({"n_packets": 3.0}, "n_packets"),
+        ({"erasure_prob": "0.2"}, "erasure_prob"),
+        ({"abstract_decode": 0}, "abstract_decode"),
+        ({"gamma": 3}, "gammas"),
+        ({"n_receivers": 5}, "receivers"),
+    ], ids=["trials-float", "n_packets-float", "erasure_prob-string", "abstract_decode-int",
+            "gamma-in-config", "n_receivers-in-config"])
+    def test_bad_config_rejected(self, capsys, tmp_path, config, needle):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"experiment": "fig3_U", "config": config}))
         out_dir = tmp_path / "results"
         code, _, err = run_cli(capsys, "simulate", "--spec", str(spec_path),
                                "--out", str(out_dir))

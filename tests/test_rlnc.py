@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencast.galois import GF16, GF256
-from gencast.rlnc import CodedPacket, DecoderState, encode, random_payloads
+from gencast.rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
 
 # pinned output of encode() under seed 2024 (generation of 4 packets,
 # 16-byte payloads), independently checked against a shift-and-reduce
@@ -169,3 +171,68 @@ def test_full_rank_probability_spot_check():
     expect = math.prod(1 - q**-i for i in range(1, d + 1))
     sigma = math.sqrt(expect * (1 - expect) / trials)
     assert abs(hits / trials - expect) < 3 * sigma
+
+
+def test_encode_draws_through_random_coefficients():
+    payloads = random_payloads(5, 8, np.random.default_rng(0), GF16)
+    pkt = encode(payloads, np.random.default_rng(9), GF16)
+    assert (pkt.coefficients == random_coefficients(5, np.random.default_rng(9), GF16)).all()
+
+
+def reference_rank(field, rows):
+    """Rank over the field by textbook Gauss-Jordan elimination on a copy."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [a ^ field.mul(row[col], b) for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def decoder_cases(draw):
+    """A field, generation ids in a shuffled order, a wanted subset, source
+    payloads and up to 2g + 2 coefficient rows."""
+    field = draw(st.sampled_from([GF16, GF256]))
+    g = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(10, 10 + g)))
+    wanted = draw(st.lists(st.sampled_from(ids), unique=True))
+    symbol = st.integers(0, field.q - 1)
+    payloads = {pid: draw(st.lists(symbol, min_size=4, max_size=4)) for pid in ids}
+    rows = draw(st.lists(st.lists(symbol, min_size=g, max_size=g), max_size=2 * g + 2))
+    return field, ids, wanted, payloads, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoder_cases())
+def test_decoder_rank_innovation_and_solve(case):
+    field, ids, wanted, payloads, rows = case
+    state = DecoderState(0, ids, wanted, field)
+    known = {pid: np.array(payloads[pid], np.uint8) for pid in ids if pid not in wanted}
+    wanted_cols = [ids.index(pid) for pid in wanted]
+    prev = 0
+    for n, row in enumerate(rows, 1):
+        coded = [0] * 4
+        for c, pid in zip(row, ids):
+            coded = [a ^ field.mul(c, b) for a, b in zip(coded, payloads[pid])]
+        innovative = state.absorb(
+            CodedPacket(0, np.array(row, np.uint8), np.array(coded, np.uint8)), known)
+        expected = reference_rank(field, [[r[j] for j in wanted_cols] for r in rows[:n]])
+        assert state.rank == expected
+        assert innovative == (expected > prev)
+        assert state.needed == len(wanted) - expected
+        prev = expected
+    assert state.decoded == (prev == len(wanted))
+    if state.decoded:
+        solved = state.solve()
+        assert sorted(solved) == sorted(wanted)
+        for pid in wanted:
+            assert solved[pid].tolist() == payloads[pid]

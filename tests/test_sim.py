@@ -6,6 +6,7 @@ import pytest
 
 from gencast import (
     ChannelModel,
+    DecoderState,
     Partition,
     PartitionerConfig,
     SimConfig,
@@ -31,12 +32,6 @@ class TestChannel:
             ChannelModel(1.0)
         with pytest.raises(ValueError):
             SimConfig(erasure_prob=1.0)
-
-    def test_per_receiver_probabilities(self):
-        ch = ChannelModel((0.0, 0.5))
-        assert ch.probs(2).tolist() == [0.0, 0.5]
-        with pytest.raises(ValueError):
-            ch.probs(3)
 
 
 class TestSystematicPhase:
@@ -136,18 +131,15 @@ class TestCodedPhase:
 
 class TestApdd:
     def test_single_want(self):
-        sfm = StateFeedbackMatrix([[1]])
         from gencast.sim import TrialResult
 
-        result = TrialResult(sfm, Partition(((0,),)), 3, {(0, 0): 3}, Fraction(3), False)
+        result = TrialResult(3, {(0, 0): 3}, Fraction(3), False)
         assert apdd(result) == 3
 
     def test_two_wants(self):
-        sfm = StateFeedbackMatrix([[1, 1]])
         from gencast.sim import TrialResult
 
-        result = TrialResult(sfm, Partition(((0, 1),)), 4,
-                             {(0, 0): 2, (0, 1): 4}, Fraction(3), False)
+        result = TrialResult(4, {(0, 0): 2, (0, 1): 4}, Fraction(3), False)
         assert apdd(result) == 3
 
     def test_erasure_free_delay_within_bound(self):
@@ -205,6 +197,22 @@ class TestSchedulers:
                         np.random.default_rng(21))
         assert a.decode_times == b.decode_times
         assert a.completion_time == b.completion_time
+
+    def test_payload_mode_checks_decoded_payloads(self, monkeypatch):
+        sfm = StateFeedbackMatrix([[1, 1, 0, 1], [0, 1, 1, 0]])
+        part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=2))
+        cfg = SimConfig(n_packets=4, n_receivers=2, gamma=2, erasure_prob=0.2, seed=3)
+        coded_phase(sfm, part, cfg, np.random.default_rng(3))  # the real solve passes
+        solve = DecoderState.solve
+
+        def corrupted(state):
+            return {k: v ^ 1 for k, v in solve(state).items()}
+
+        monkeypatch.setattr(DecoderState, "solve", corrupted)
+        with pytest.raises(RuntimeError, match="decoded generation"):
+            coded_phase(sfm, part, cfg, np.random.default_rng(3))
+        # rank-only decoding has no payloads to check
+        coded_phase(sfm, part, replace(cfg, abstract_decode=True), np.random.default_rng(3))
 
     def test_strict_rounds_cost_at_least_as_much_on_average(self):
         # resending the full rank every round wastes slots once receivers
