@@ -14,13 +14,21 @@ Three producers share the Partition output type:
 * blind_partition - consecutive equal-size chunks, the no-feedback baseline.
 * optimal_partition - exact branch-and-bound search for the minimum
   generation count, used as a verification oracle on small instances.
+
+Both feedback-driven partitioners work on StateFeedbackMatrix.receiver_bitsets,
+one Python-int receiver bitset per packet (bit n set iff receiver n wants
+it), so a packet's popularity is a bit count and a rank-cap test is one AND.
+A generation under construction is a thermometer code: levels[i] is the set
+of receivers that want more than i of its packets.  Adding a packet carries
+its receivers up one level, and the packet fits under cap c iff its bitset
+misses levels[c - 1].  The greedy partitioner tests each candidate against
+the receivers already at the generation's rank ("full"); the exact search
+tests it against the receivers at the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .sfm import Generation, Partition, StateFeedbackMatrix
 
@@ -73,38 +81,39 @@ def heuristic_partition(sfm: StateFeedbackMatrix, cfg: PartitionerConfig) -> Par
 def heuristic_partition_with_trace(sfm, cfg):
     """Greedy partition plus the per-generation insertion trace."""
     gamma = cfg.gamma_cap
-    wants = sfm.wants
-    pop = sfm.popularity_vector()
+    bits = sfm.receiver_bitsets
+    everyone = (1 << sfm.n_receivers) - 1
     # candidate order: highest popularity first, then lowest packet index
-    order = sorted(range(sfm.n_packets), key=lambda k: (-int(pop[k]), k))
-    pool = set(range(sfm.n_packets))
+    remaining = sorted(range(sfm.n_packets), key=lambda k: (-bits[k].bit_count(), k))
 
     generations = []
     traces = []
-    while pool:
+    while remaining:
         members = []
         steps = []
-        counts = np.zeros(sfm.n_receivers, dtype=np.int64)
+        levels = [0] * gamma  # levels[i]: receivers wanting more than i of the members
+        full = everyone  # receivers whose count has reached the rank
         cur_rank = 0
-        while True:
-            pool_ids = [k for k in order if k in pool]
-            if not pool_ids:
-                break
-            # rank each candidate would leave the generation at
-            new_ranks = (counts[:, None] + wants[:, pool_ids]).max(axis=0)
-            keep = [k for k, r in zip(pool_ids, new_ranks) if int(r) == cur_rank]
-            if keep:
-                chosen = keep[0]
-                branch = "keep"
-            elif cur_rank < gamma:
-                chosen = pool_ids[0]
+        while remaining:
+            # a packet keeps the rank iff none of its receivers is already full
+            for chosen in remaining:
+                if not bits[chosen] & full:
+                    branch = "keep"
+                    break
+            else:
+                if cur_rank == gamma:
+                    break  # every remaining packet would exceed the cap
+                chosen = remaining[0]
                 branch = "raise"
                 cur_rank += 1
-            else:
-                break  # every remaining packet would exceed the cap
-            pool.remove(chosen)
+            remaining.remove(chosen)
             members.append(chosen)
-            counts = counts + wants[:, chosen]
+            mask = bits[chosen]
+            if mask:
+                for i in range(cur_rank - 1, 0, -1):
+                    levels[i] |= levels[i - 1] & mask
+                levels[0] |= mask
+                full = levels[cur_rank - 1]
             steps.append(InsertionStep(packet_id=chosen, branch=branch, rank_after=cur_rank))
         generations.append(Generation(tuple(members)))
         traces.append(tuple(steps))
@@ -138,6 +147,11 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
     symmetry.  Branches die when a placement would exceed the rank cap or
     when the open-generation count reaches the incumbent.  Runtime is
     exponential, hence the hard instance-size cap.
+
+    Each open generation is kept as its thermometer levels over the receiver
+    bitsets (see the module docstring): a placement is feasible iff the
+    packet's bitset misses levels[gamma - 1], and it costs at most gamma ORs
+    and ANDs to carry the packet's receivers up one level.
     """
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
@@ -146,44 +160,47 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
             f"K={sfm.n_packets} exceeds the exact-search cap of {max_packets} packets"
         )
 
-    wants = sfm.wants
     K = sfm.n_packets
     # a receiver wanting w packets needs at least ceil(w / gamma) generations
-    lower_bound = max(1, int(np.ceil(wants.sum(axis=1).max() / gamma)))
+    lower_bound = max(1, -(-int(sfm.wants.sum(axis=1).max()) // gamma))
     incumbent = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
     best_m = incumbent.n_generations
     best_assign = None
     nodes = 0
 
     if best_m > lower_bound:
-        cols = [wants[:, k].astype(np.int64) for k in range(K)]
+        bits = sfm.receiver_bitsets
+        top = gamma - 1
         assign = [-1] * K
-        gen_counts = []
+        gens = []  # levels of each open generation
 
         def search(k):
             nonlocal best_m, best_assign, nodes
-            if len(gen_counts) >= best_m:
+            if len(gens) >= best_m:
                 return
             if k == K:
-                best_m = len(gen_counts)
+                best_m = len(gens)
                 best_assign = assign.copy()
                 return
-            for j, c in enumerate(gen_counts):
+            mask = bits[k]
+            for j, levels in enumerate(gens):
                 nodes += 1
-                cand = c + cols[k]
-                if int(cand.max()) <= gamma:
-                    gen_counts[j] = cand
-                    assign[k] = j
-                    search(k + 1)
-                    gen_counts[j] = c
-                    if best_m == lower_bound:
-                        return
-            if len(gen_counts) + 1 < best_m:
-                nodes += 1
-                gen_counts.append(cols[k].copy())
-                assign[k] = len(gen_counts) - 1
+                if mask & levels[top]:
+                    continue
+                carried = [levels[0] | mask]
+                carried += [levels[i] | levels[i - 1] & mask for i in range(1, gamma)]
+                gens[j] = carried
+                assign[k] = j
                 search(k + 1)
-                gen_counts.pop()
+                gens[j] = levels
+                if best_m == lower_bound:
+                    return
+            if len(gens) + 1 < best_m:
+                nodes += 1
+                gens.append([mask] + [0] * top)
+                assign[k] = len(gens) - 1
+                search(k + 1)
+                gens.pop()
 
         search(0)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +69,14 @@ class StateFeedbackMatrix:
         self.n_receivers = n
         self.n_packets = k
 
-    def popularity_vector(self):
-        """Per-packet demand counts (column sums)."""
-        return self.wants.sum(axis=0, dtype=np.int64)
+    @cached_property
+    def receiver_bitsets(self) -> tuple[int, ...]:
+        """One receiver bitset per packet: bit n of entry k is set iff
+        receiver n wants packet k.  Built once, on first use."""
+        width = (self.n_receivers + 7) // 8
+        packed = np.packbits(self.wants, axis=0, bitorder="little").T.tobytes()
+        return tuple(int.from_bytes(packed[k * width:(k + 1) * width], "little")
+                     for k in range(self.n_packets))
 
     def __eq__(self, other):
         if not isinstance(other, StateFeedbackMatrix):

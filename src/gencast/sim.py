@@ -93,6 +93,8 @@ class SimConfig:
             raise ValueError(f"need 1 <= gamma <= K, got gamma={self.gamma} K={self.n_packets}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}")
         ChannelModel(self.erasure_prob)  # rejects a probability outside [0, 1)

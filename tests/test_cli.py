@@ -183,8 +183,9 @@ class TestSimulateCommand:
         ({"abstract_decode": 0}, "abstract_decode"),
         ({"gamma": 3}, "gammas"),
         ({"n_receivers": 5}, "receivers"),
+        ({"seed": -1}, "seed"),
     ], ids=["trials-float", "n_packets-float", "erasure_prob-string", "abstract_decode-int",
-            "gamma-in-config", "n_receivers-in-config"])
+            "gamma-in-config", "n_receivers-in-config", "seed-negative"])
     def test_bad_config_rejected(self, capsys, tmp_path, config, needle):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "fig3_U", "config": config}))
@@ -193,6 +194,19 @@ class TestSimulateCommand:
                                "--out", str(out_dir))
         assert code == 1
         assert err.startswith("error: ") and needle in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, monkeypatch, source):
+        out_dir = tmp_path / "results"
+        argv = ["simulate", "--experiment", "fig3_U", "--trials", "2", "--out", str(out_dir)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("GENCAST_SEED", "-1")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "seed" in err
         assert not out_dir.exists()
 
     def test_named_experiment_with_trial_override(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencast import (
     Coloring,
@@ -162,9 +164,22 @@ class TestReductionEquivalence:
                 assert lhs == rhs
 
 
+@st.composite
+def hypergraphs(draw):
+    """Any hypergraph: duplicate edges and the edgeless case included."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=8))
+    return Hypergraph(n, tuple(edges))
+
+
 class TestTextFormat:
     def test_round_trip(self):
         h = Hypergraph(5, (frozenset({0, 4}), frozenset({1, 2, 3})))
+        assert parse_hypergraph(format_hypergraph(h)) == h
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs())
+    def test_round_trip_property(self, h):
         assert parse_hypergraph(format_hypergraph(h)) == h
 
     def test_bad_header(self):

@@ -237,6 +237,12 @@ def sfms(draw):
     return StateFeedbackMatrix(draw(arrays(np.uint8, shape, elements=st.integers(0, 1))))
 
 
+@PROPERTY_SETTINGS
+@given(sfms())
+def test_sfm_text_round_trip(sfm):
+    assert parse_sfm(format_sfm(sfm)) == sfm
+
+
 @st.composite
 def covers(draw):
     """An SFM plus a disjoint cover: each packet gets a generation label, in

@@ -299,3 +299,6 @@ class TestRunExperiment:
             SimConfig(scheduler="bogus")
         with pytest.raises(ValueError):
             SimConfig(field_order=64)
+        for seed in (-1, 1.5, True, "7"):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(seed=seed)
