@@ -18,7 +18,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .partition import PartitionerConfig, heuristic_partition, optimal_partition
-from .sim import ChannelModel, SimConfig, run_experiment, systematic_phase
+from .sim import ChannelModel, SimConfig, check_seed, run_experiment, systematic_phase
 
 __all__ = [
     "ExperimentSpec",
@@ -216,6 +216,7 @@ def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
     """Greedy-vs-exact generation counts on seeded random instances."""
     if count < 1:
         raise ValueError(f"need at least one instance, got count={count}")
+    check_seed(seed)
     channel = ChannelModel(erasure_prob)
     rows = []
     for i in range(count):

@@ -1,8 +1,9 @@
 """GF(2^m) arithmetic with log/antilog tables (m = 4 or 8).
 
-Addition is XOR.  Multiplication goes through exp/log tables built from the
-field's primitive element x; a dense q x q product table backs the
-vectorized payload operations.
+Addition is XOR.  The dense q x q product table mul_table, gathered from
+exp/log tables of the primitive element x, backs the payload operations;
+mul_rows holds its rows as bytes, one per multiplier, so scalar code reads
+mul_rows[a][b] = a*b as a plain int with no call per element.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ class Field:
         if m not in _POLYS:
             raise ValueError(f"unsupported field degree m={m}; supported: {sorted(_POLYS)}")
         self.m = m
-        self.q = 1 << m
+        self.q = q = 1 << m
         self.poly = _POLYS[m]
-        q = self.q
         exp = [0] * (2 * q)
         log = [0] * q
         x = 1
@@ -37,26 +37,22 @@ class Field:
             x <<= 1
             if x & q:
                 x ^= self.poly
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
+        exp[q - 1:2 * (q - 1)] = exp[:q - 1]
         self.exp = exp
         self.log = log
-        # dense product table for vectorized ops: mul_table[a, b] = a*b
-        tab = np.zeros((q, q), dtype=np.uint8)
-        for a in range(1, q):
-            la = log[a]
-            for b in range(1, q):
-                tab[a, b] = exp[la + log[b]]
+        # mul_table[a, b] = a*b; log[0] is a placeholder, so row/column 0 are set apart
+        lg = np.array(log, dtype=np.uint16)
+        tab = np.array(exp, dtype=np.uint8)[lg[:, None] + lg]
+        tab[0, :] = tab[:, 0] = 0
         tab.setflags(write=False)
         self.mul_table = tab
+        self.mul_rows = tuple(row.tobytes() for row in tab)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return self.mul_rows[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -64,12 +60,8 @@ class Field:
         return self.exp[(self.q - 1) - self.log[a]]
 
     def mul_vec(self, c: int, vec: np.ndarray) -> np.ndarray:
-        """Elementwise c * vec for a field-element array."""
-        if c == 0:
-            return np.zeros_like(vec)
-        if c == 1:
-            return vec.copy()
-        return self.mul_table[c][vec]
+        """Elementwise c * vec for a field-element array, as a new array."""
+        return self.mul_table[c].take(vec)
 
     def __repr__(self):
         return f"Field(GF({self.q}), poly=0x{self.poly:X})"

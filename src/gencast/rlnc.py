@@ -9,6 +9,10 @@ reduces the result against an echelon basis indexed by pivot column: the
 first column with no stored row becomes the new pivot.  Back-substitution
 happens only in solve(), once the basis reaches full rank.
 
+absorb reads the coefficients once with tolist() and scales plain-int rows
+through the field's bytes product rows (mul_rows), with no multiply call per
+element.  needed is a counter absorb decrements; decoded derives from it.
+
 DecoderState also runs payload-free ("abstract" packets with payload=None),
 tracking rank only; the rank trajectory is identical to the payload-carrying
 path because it depends only on the coefficient draws.
@@ -47,8 +51,7 @@ def encode(generation_payloads, rng, field: Field = GF256, generation_id: int = 
         raise ValueError(f"payload lengths differ within the generation: {sorted(lengths)}")
     coeffs = random_coefficients(n, rng, field)
     payload = np.zeros(lengths.pop(), dtype=np.uint8)
-    for c, src in zip(coeffs, generation_payloads):
-        c = int(c)
+    for c, src in zip(coeffs.tolist(), generation_payloads):
         if c:
             payload ^= field.mul_vec(c, np.asarray(src, dtype=np.uint8))
     return CodedPacket(generation_id=generation_id, coefficients=coeffs, payload=payload)
@@ -66,30 +69,29 @@ class DecoderState:
     are the packets this receiver still needs from the generation.  Unknown j
     (in generation order) owns _basis[j], the stored row whose pivot is
     column j, or None; a stored row is zero before its pivot and 1 at it.
+    needed counts the innovative packets still missing before it decodes.
     """
 
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256):
         self.generation_id = generation_id
-        self.generation_ids = tuple(int(i) for i in generation_ids)
-        pos = {pid: j for j, pid in enumerate(self.generation_ids)}
-        wanted = [int(i) for i in wanted_ids]
-        bad = [i for i in wanted if i not in pos]
-        if bad:
-            raise ValueError(f"wanted ids not in generation: {bad}")
-        self._col_of = pos
-        self.unknown_ids = tuple(sorted(wanted, key=pos.__getitem__))
-        self._unknown_cols = [pos[i] for i in self.unknown_ids]
-        unknown = set(wanted)
-        self._known_ids = [i for i in self.generation_ids if i not in unknown]
+        self.generation_ids = tuple(map(int, generation_ids))
+        wanted = set(map(int, wanted_ids))
+        self._unknown_cols = []
+        self._known = []  # (packet id, column) of every packet the receiver holds
+        for j, pid in enumerate(self.generation_ids):
+            if pid in wanted:
+                self._unknown_cols.append(j)
+            else:
+                self._known.append((pid, j))
+        if len(self._unknown_cols) < len(wanted):
+            raise ValueError(
+                f"wanted ids not in generation: {sorted(wanted.difference(self.generation_ids))}")
+        self.unknown_ids = tuple(map(self.generation_ids.__getitem__, self._unknown_cols))
         self.field = field
         self.rank = 0
-        self._basis = [None] * len(self.unknown_ids)  # coefficient rows (lists of ints)
-        self._payloads = [None] * len(self.unknown_ids)  # payload of each stored row
-
-    @property
-    def needed(self):
-        """Innovative packets still missing before the state decodes."""
-        return len(self.unknown_ids) - self.rank
+        self.needed = len(self.unknown_ids)
+        self._basis = [None] * self.needed  # coefficient rows (lists of ints)
+        self._payloads = [None] * self.needed  # payload of each stored row
 
     @property
     def decoded(self):
@@ -101,30 +103,29 @@ class DecoderState:
             raise ValueError(
                 f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
             )
-        if self.decoded:
+        if not self.needed:
             return False
-        coeffs = pkt.coefficients
+        coeffs = pkt.coefficients.tolist()
         if len(coeffs) != len(self.generation_ids):
             raise ValueError(
                 f"coefficient vector length {len(coeffs)} != generation size "
                 f"{len(self.generation_ids)}"
             )
         field = self.field
-        vec = [int(coeffs[j]) for j in self._unknown_cols]
+        vec = [coeffs[j] for j in self._unknown_cols]
 
         residual = None
         if pkt.payload is not None:
             known_payloads = known_payloads or {}
-            missing = [i for i in self._known_ids if i not in known_payloads]
+            missing = [pid for pid, _ in self._known if pid not in known_payloads]
             if missing:
                 raise ValueError(f"known payloads missing for packets {missing}")
             residual = np.asarray(pkt.payload, dtype=np.uint8).copy()
-            for pid in self._known_ids:
-                c = int(coeffs[self._col_of[pid]])
-                if c:
-                    residual ^= field.mul_vec(c, np.asarray(known_payloads[pid], dtype=np.uint8))
+            for pid, j in self._known:
+                if coeffs[j]:
+                    residual ^= field.mul_vec(coeffs[j], np.asarray(known_payloads[pid], np.uint8))
 
-        mul = field.mul
+        rows = field.mul_rows
         # column order; vec is reduced in place, so each column is read after
         # the eliminations of the columns before it
         for pivot, f in enumerate(vec):
@@ -133,7 +134,8 @@ class DecoderState:
             row = self._basis[pivot]
             if row is None:
                 break  # the first nonzero column without a stored row
-            vec[pivot:] = [v ^ mul(f, r) for v, r in zip(vec[pivot:], row[pivot:])]
+            fr = rows[f]
+            vec[pivot:] = [v ^ fr[r] for v, r in zip(vec[pivot:], row[pivot:])]
             if residual is not None and self._payloads[pivot] is not None:
                 residual ^= field.mul_vec(f, self._payloads[pivot])
         else:
@@ -141,12 +143,14 @@ class DecoderState:
 
         fi = field.inv(vec[pivot])
         if fi != 1:
-            vec[pivot:] = [mul(fi, v) for v in vec[pivot:]]
+            fr = rows[fi]
+            vec[pivot:] = [fr[v] for v in vec[pivot:]]
             if residual is not None:
                 residual = field.mul_vec(fi, residual)
         self._basis[pivot] = vec
         self._payloads[pivot] = residual
         self.rank += 1
+        self.needed -= 1
         return True
 
     def solve(self):
@@ -154,7 +158,7 @@ class DecoderState:
 
         Back-substitutes through the echelon basis from the last pivot up.
         """
-        if not self.decoded:
+        if self.needed:
             raise RuntimeError(
                 f"cannot solve at rank {self.rank} with {len(self.unknown_ids)} unknowns"
             )

@@ -62,7 +62,7 @@ class StateFeedbackMatrix:
         n, k = a.shape
         if n < 1 or k < 1:
             raise ValueError(f"SFM needs at least one receiver and one packet, got {n}x{k}")
-        if not np.isin(a, (0, 1)).all():
+        if (a > 1).any():  # uint8, so nothing is below 0
             raise ValueError("SFM entries must be 0 or 1")
         a.setflags(write=False)
         self.wants = a

@@ -69,6 +69,12 @@ class ChannelModel:
         return rng.random(shape) < self.erasure_prob
 
 
+def check_seed(seed):
+    """Reject a seed np.random.SeedSequence would refuse, naming the seed."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n_packets: int = 20
@@ -93,8 +99,7 @@ class SimConfig:
             raise ValueError(f"need 1 <= gamma <= K, got gamma={self.gamma} K={self.n_packets}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}")
         ChannelModel(self.erasure_prob)  # rejects a probability outside [0, 1)
@@ -131,7 +136,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     """
     counts = generation_counts(sfm, partition)
     field = get_field(cfg.field_order)
-    wants = sfm.wants
+    wants = sfm.wants.tolist()
     n = sfm.n_receivers
 
     # both decode modes consume this draw, keeping their streams aligned
@@ -141,13 +146,13 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         payloads = random_payloads(sfm.n_packets, cfg.payload_len,
                                    np.random.default_rng(payload_seed), field)
         # what each receiver already holds from the systematic phase
-        known = [{k: payloads[k] for k in range(sfm.n_packets) if not wants[r, k]}
+        known = [{k: payloads[k] for k in range(sfm.n_packets) if not wants[r][k]}
                  for r in range(n)]
 
     gen_ids = [list(g.packet_ids) for g in partition.generations]
     # per generation: the decoder of every receiver still missing it, by receiver
     pending = [
-        {r: DecoderState(m, ids, [k for k in ids if wants[r, k]], field)
+        {r: DecoderState(m, ids, [k for k in ids if wants[r][k]], field)
          for r in np.flatnonzero(counts[:, m]).tolist()}
         for m, ids in enumerate(gen_ids)
     ]
@@ -179,12 +184,12 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                     pkt = CodedPacket(m, random_coefficients(len(ids), rng, field), None)
                 else:
                     pkt = encode([payloads[k] for k in ids], rng, field, generation_id=m)
-                erased = channel.erased(rng, n) if channel else None
+                erased = channel.erased(rng, n).tolist() if channel else [False] * n
                 for r, state in list(pending[m].items()):
-                    if erased is not None and erased[r]:
+                    if erased[r]:
                         continue
                     state.absorb(pkt, known[r] if known is not None else None)
-                    if state.decoded:
+                    if not state.needed:
                         if payloads is not None and any(
                                 not np.array_equal(got, payloads[k])
                                 for k, got in state.solve().items()):
@@ -199,7 +204,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                 break
         round_no += 1
 
-    n_wanted = int(wants.sum())
+    n_wanted = int(sfm.wants.sum())
     delay = Fraction(sum(decode_times.values()), n_wanted) if n_wanted else Fraction(0)
     return TrialResult(completion_time=t, decode_times=decode_times, delay=delay,
                        empty_demand=n_wanted == 0)

@@ -247,6 +247,18 @@ class TestOracleGapCommand:
         assert err.startswith("error: ") and "count" in err
         assert out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_rejected(self, capsys, monkeypatch, source):
+        argv = ["oracle-gap", "--packets", "6", "--count", "5"]  # CSV on stdout
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("GENCAST_SEED", "-1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "seed must be a non-negative integer, got -1" in err
+        assert out == ""
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("GENCAST_SEED", "77")
         code1, out1, _ = run_cli(capsys, "oracle-gap", "--packets", "5",

@@ -54,13 +54,41 @@ def test_exp_log_tables_consistent(field):
         assert field.mul(a, field.inv(a)) == 1
 
 
+def reference_mul(a, b, m, poly):
+    """Shift-and-add GF(2^m) product, reduced by the field polynomial; shares
+    no table with Field."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    return product
+
+
 def test_mul_table_matches_scalar_mul():
-    for field in (GF16, GF256):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, field.q, 100)
-        b = rng.integers(0, field.q, 100)
-        for x, y in zip(a, b):
-            assert field.mul_table[x, y] == field.mul(int(x), int(y))
+    # every q^2 product of the table, its bytes rows and mul, against the
+    # shift-and-add reference
+    for field, poly in ((GF16, 0x13), (GF256, 0x11D)):
+        ref = [[reference_mul(a, b, field.m, poly) for b in range(field.q)]
+               for a in range(field.q)]
+        assert field.mul_table.tolist() == ref
+        assert [list(row) for row in field.mul_rows] == ref
+        assert [[field.mul(a, b) for b in range(field.q)] for a in range(field.q)] == ref
+
+
+@pytest.mark.parametrize("field, poly", [(GF16, 0x13), (GF256, 0x11D)], ids=["GF16", "GF256"])
+def test_mul_vec_matches_reference_on_a_new_array(field, poly):
+    rng = np.random.default_rng(5)
+    vec = rng.integers(0, field.q, 64, dtype=np.uint8)
+    before = vec.copy()
+    for c in (0, 1, int(rng.integers(2, field.q))):
+        out = field.mul_vec(c, vec)
+        assert out.tolist() == [reference_mul(c, int(v), field.m, poly) for v in vec]
+        assert not np.shares_memory(out, vec)
+    assert (vec == before).all()
 
 
 def test_mul_vec():

@@ -232,14 +232,24 @@ class TestOracle:
         assert validate_partition(conflict_sfm, res.witness, 1).valid
 
     def test_witness_always_valid_and_minimal(self):
+        # on most draws greedy meets the demand lower bound and the search
+        # never runs, so draw until 20 instances have made it expand nodes
         rng = np.random.default_rng(12)
-        for _ in range(40):
-            sfm = random_sfm(rng, int(rng.integers(1, 6)), int(rng.integers(1, 8)), 0.5)
+        searched = beat_greedy = 0
+        while searched < 20:
+            sfm = random_sfm(rng, int(rng.integers(3, 8)), int(rng.integers(5, 9)),
+                             float(rng.choice([0.3, 0.5, 0.7])))
             gamma = int(rng.integers(1, 4))
             res = optimal_partition(sfm, gamma)
             assert validate_partition(sfm, res.witness, gamma).valid
             assert res.witness.n_generations == res.min_generations
+            if res.nodes_explored == 0:
+                continue
+            searched += 1
             assert res.min_generations == brute_force_min_partition(sfm, gamma)
+            greedy = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+            beat_greedy += res.min_generations < greedy.n_generations
+        assert beat_greedy > 0
 
     def test_heuristic_never_beats_oracle(self):
         rng = np.random.default_rng(14)

@@ -1,15 +1,19 @@
 """The benchmark harness still runs against the current sources.
 
 perfbench/selftest.py wraps every traced binding, so it fails if a function
-the tracer names is gone.  A zero-second fig3-rank run makes one pass at the
-default seed and checks every cell's mean_U/mean_D against
-perfbench/reference.json.
+the tracer names is gone.  The exact counts it prints are pinned, so a change
+to the RNG draw order or to the absorb path fails here too.  A zero-second
+fig3-rank run makes one pass at the default seed and checks every cell's
+mean_U/mean_D against perfbench/reference.json.
 """
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,9 +23,34 @@ def run_script(*args):
                           text=True, check=False)
 
 
-def test_selftest_passes():
-    proc = run_script("perfbench/selftest.py")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+# exact counts of the self-test's small workloads at the default seed
+PINNED_COUNTS = {
+    "fig3-rank": {"rlnc.absorb.calls": 1375,
+                  "rlnc.absorb.innovative_frac": 0.9978181818181818,
+                  "sim.coded_slots": 310},
+    "payload-decode": {"rlnc.absorb.calls": 521, "sim.coded_slots": 118,
+                       "galois.mul_vec.bytes": 379136},
+    "oracle-k20": {"partition.optimal.nodes": 189},
+}
+
+
+@pytest.fixture(scope="module")
+def selftest():
+    return run_script("perfbench/selftest.py")
+
+
+def test_selftest_passes(selftest):
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+
+
+def test_selftest_counts_pinned(selftest):
+    counts = {}
+    for line in selftest.stdout.splitlines():
+        if not line.startswith(" "):  # "<workload>: ok {counts}"
+            name, rest = line.split(": ", 1)
+            counts[name] = ast.literal_eval(rest[rest.index("{"):])
+    for name, pinned in PINNED_COUNTS.items():
+        assert {key: counts[name][key] for key in pinned} == pinned, name
 
 
 def test_fig3_rank_matches_reference():

@@ -119,6 +119,36 @@ class TestAbsorb:
             st.absorb(pkt, {})
 
 
+class TestConstructor:
+    def test_numpy_integer_ids(self):
+        st = DecoderState(0, np.array([7, 3, 5], dtype=np.int64), [np.uint8(5), np.int32(7)])
+        assert st.generation_ids == (7, 3, 5)
+        assert st.unknown_ids == (7, 5)
+        assert all(type(i) is int for i in st.generation_ids + st.unknown_ids)
+        assert (st.rank, st.needed) == (0, 2)
+
+    def test_unknown_ids_follow_generation_order(self):
+        st = DecoderState(0, [4, 9, 1, 6], [6, 1, 4])
+        assert st.unknown_ids == (4, 1, 6)
+        assert st.needed == 3
+
+    def test_wanted_id_outside_generation_rejected(self):
+        with pytest.raises(ValueError, match="42"):
+            DecoderState(0, [1, 2], [2, 42])
+
+    def test_counters_unchanged_by_dependent_and_late_packets(self):
+        st = DecoderState(0, [0, 1], [0, 1])
+        assert st.absorb(CodedPacket(0, np.array([1, 2], np.uint8), None))
+        assert (st.rank, st.needed) == (1, 1)
+        # 2 * (1, 2) = (2, 4) in GF(256): dependent
+        assert not st.absorb(CodedPacket(0, np.array([2, 4], np.uint8), None))
+        assert (st.rank, st.needed, st.decoded) == (1, 1, False)
+        assert st.absorb(CodedPacket(0, np.array([0, 1], np.uint8), None))
+        assert (st.rank, st.needed, st.decoded) == (2, 0, True)
+        assert not st.absorb(CodedPacket(0, np.array([5, 9], np.uint8), None))
+        assert (st.rank, st.needed, st.decoded) == (2, 0, True)
+
+
 class TestSolve:
     def test_zero_unknowns_empty_map(self):
         st = DecoderState(0, [0], [])
@@ -199,8 +229,8 @@ def reference_rank(field, rows):
 
 @st.composite
 def decoder_cases(draw):
-    """A field, generation ids in a shuffled order, a wanted subset, source
-    payloads and up to 2g + 2 coefficient rows."""
+    """A field, generation ids in a shuffled order, a wanted subset in any
+    order, source payloads and up to 2g + 2 coefficient rows."""
     field = draw(st.sampled_from([GF16, GF256]))
     g = draw(st.integers(1, 6))
     ids = draw(st.permutations(range(10, 10 + g)))
@@ -216,6 +246,9 @@ def decoder_cases(draw):
 def test_decoder_rank_innovation_and_solve(case):
     field, ids, wanted, payloads, rows = case
     state = DecoderState(0, ids, wanted, field)
+    # the same system rank-only, with numpy ids and the wanted ids reversed
+    abstract = DecoderState(0, np.array(ids), np.array(wanted[::-1], dtype=int), field)
+    assert state.unknown_ids == abstract.unknown_ids == tuple(p for p in ids if p in wanted)
     known = {pid: np.array(payloads[pid], np.uint8) for pid in ids if pid not in wanted}
     wanted_cols = [ids.index(pid) for pid in wanted]
     prev = 0
@@ -225,6 +258,8 @@ def test_decoder_rank_innovation_and_solve(case):
             coded = [a ^ field.mul(c, b) for a, b in zip(coded, payloads[pid])]
         innovative = state.absorb(
             CodedPacket(0, np.array(row, np.uint8), np.array(coded, np.uint8)), known)
+        assert abstract.absorb(CodedPacket(0, np.array(row, np.uint8), None)) == innovative
+        assert (abstract.rank, abstract.needed) == (state.rank, state.needed)
         expected = reference_rank(field, [[r[j] for j in wanted_cols] for r in rows[:n]])
         assert state.rank == expected
         assert innovative == (expected > prev)
