@@ -54,7 +54,6 @@ from .sim import (
     ChannelModel,
     SimConfig,
     TrialResult,
-    apdd,
     coded_phase,
     run_experiment,
     run_trial,

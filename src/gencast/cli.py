@@ -7,8 +7,9 @@ Subcommands:
   color       validate or solve hypergraph colorings
 
 Exit codes: 0 success, 1 domain error (bad file contents, infeasible
-request), 2 usage error.  The GENCAST_SEED environment variable supplies a
-default seed when --seed is not given.
+request), 2 usage error.  simulate and oracle-gap take their seed from
+--seed, then (simulate only) the spec file's seed, then a nonempty
+GENCAST_SEED environment variable, then 20200731.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments, hypergraph, partition, sfm
 from .partition import PartitionerConfig
@@ -24,19 +26,26 @@ from .partition import PartitionerConfig
 DEFAULT_SEED = 20200731
 
 
-def _seed_default():
+def _resolve_seed(flag, spec_seed=None):
+    """--seed, then the spec file's seed, then $GENCAST_SEED (empty means
+    unset), then DEFAULT_SEED."""
+    if flag is not None:
+        return flag
+    if spec_seed is not None:
+        return spec_seed
     env = os.environ.get("GENCAST_SEED")
-    if env is None:
+    if not env:
         return DEFAULT_SEED
     try:
         return int(env)
     except ValueError:
-        raise SystemExit(f"GENCAST_SEED must be an integer, got {env!r}")
+        raise ValueError(f"GENCAST_SEED must be an integer, got {env!r}") from None
 
 
-def _add_seed(p):
+def _add_seed(p, default_help):
     p.add_argument("--seed", type=int, default=None,
-                   help="master RNG seed (default: $GENCAST_SEED or %d)" % DEFAULT_SEED)
+                   help=f"master RNG seed (default: {default_help}$GENCAST_SEED, "
+                        f"then {DEFAULT_SEED})")
 
 
 def build_parser():
@@ -59,10 +68,10 @@ def build_parser():
                    help="named built-in experiment (alternative to --spec)")
     p.add_argument("--out", default="results", help="output directory for CSVs")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p.add_argument("--workers", type=int, default=1, help="parallel trial workers (>= 1)")
     p.add_argument("--strict-paper-rounds", action="store_true",
                    help="resend the full generation rank every round")
-    _add_seed(p)
+    _add_seed(p, "the spec file's seed, then ")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle-gap", help="greedy vs exact generation counts")
@@ -72,7 +81,7 @@ def build_parser():
     p.add_argument("--gamma", type=int, default=2)
     p.add_argument("--count", type=int, default=300, help="number of random instances")
     p.add_argument("--out", default=None, help="CSV output file (default: stdout)")
-    _add_seed(p)
+    _add_seed(p, "")
     p.set_defaults(func=cmd_oracle_gap)
 
     p = sub.add_parser("color", help="hypergraph coloring tools")
@@ -103,9 +112,8 @@ def cmd_partition(args):
     print(sfm.partition_to_json(part))
     ranks = sfm.generation_ranks(matrix, part)
     summary = (
-        f"M={part.n_generations} ranks={ranks} "
-        f"total_rank={sfm.total_rank(matrix, part)} "
-        f"apdd_bound={sfm.apdd_upper_bound(matrix, part)} "
+        f"M={part.n_generations} ranks={ranks} total_rank={sum(ranks)} "
+        f"apdd_bound={sfm.delay_bound(ranks)} "
         f"irreducible={str(sfm.is_irreducible(matrix, part)).lower()}"
     )
     print(summary, file=sys.stderr)
@@ -115,7 +123,9 @@ def cmd_partition(args):
 def cmd_simulate(args):
     if bool(args.spec) == bool(args.experiment):
         raise experiments.SpecError("give exactly one of --spec FILE or --experiment NAME")
-    spec_doc_has_seed = False
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    spec_seed = None
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
@@ -123,23 +133,15 @@ def cmd_simulate(args):
         except json.JSONDecodeError as exc:
             raise experiments.SpecError(f"spec is not valid JSON: {exc}") from exc
         spec = experiments.load_spec(doc)
-        spec_doc_has_seed = isinstance(doc.get("config"), dict) and "seed" in doc["config"]
+        spec_seed = doc.get("config", {}).get("seed")  # load_spec checked it is an int
     else:
         spec = experiments.named_spec(args.experiment)
-    overrides = {}
-    # precedence: --seed, then the spec file's own seed, then $GENCAST_SEED
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif not spec_doc_has_seed and os.environ.get("GENCAST_SEED"):
-        overrides["seed"] = _seed_default()
+    overrides = {"seed": _resolve_seed(args.seed, spec_seed)}
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.strict_paper_rounds:
         overrides["strict_paper_rounds"] = True
-    if overrides:
-        from dataclasses import replace
-
-        spec = replace(spec, config=replace(spec.config, **overrides))
+    spec = replace(spec, config=replace(spec.config, **overrides))
 
     agg = experiments.run_simulation_sweep(spec, args.out, workers=args.workers)
     gaps = experiments.headline_gaps(agg)
@@ -165,9 +167,8 @@ def cmd_simulate(args):
 
 
 def cmd_oracle_gap(args):
-    seed = args.seed if args.seed is not None else _seed_default()
     rows = experiments.run_oracle_gap(args.packets, args.receivers, args.erasure_prob,
-                                      args.gamma, args.count, seed)
+                                      args.gamma, args.count, _resolve_seed(args.seed))
     experiments.write_csv(args.out, experiments.ORACLE_GAP_COLUMNS, rows)
     gaps = [r["M_heur"] - r["M_opt"] for r in rows]
     print(f"instances={len(rows)} mean_gap={sum(gaps) / len(gaps):.4f} max_gap={max(gaps)}",

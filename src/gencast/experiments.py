@@ -15,10 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from .partition import PartitionerConfig, heuristic_partition, optimal_partition
-from .sim import ChannelModel, SimConfig, check_seed, run_experiment, systematic_phase
+from .sim import ChannelModel, SimConfig, check_seed, run_experiment, systematic_phase, trial_rng
 
 __all__ = [
     "ExperimentSpec",
@@ -220,9 +218,7 @@ def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
     channel = ChannelModel(erasure_prob)
     rows = []
     for i in range(count):
-        instance_seed = [seed, i]
-        rng = np.random.default_rng(np.random.SeedSequence(instance_seed))
-        sfm = systematic_phase(n_packets, n_receivers, channel, rng)
+        sfm = systematic_phase(n_packets, n_receivers, channel, trial_rng(seed, i))
         heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
         opt = optimal_partition(sfm, gamma)
         rows.append({

@@ -9,7 +9,7 @@ number of coded packets that receiver needs to decode the generation.
 
 Every metric of a partition derives from one N x M count matrix,
 generation_counts: rank is its column max, total rank the sum of ranks, and
-the delay bound the sum of r(r+1)/2 over ranks.
+the delay bound (delay_bound) the sum of r(r+1)/2 over ranks.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "popularity",
     "validate_partition",
     "total_rank",
+    "delay_bound",
     "apdd_upper_bound",
     "is_irreducible",
     "parse_sfm",
@@ -222,12 +223,17 @@ def total_rank(sfm, p: Partition) -> int:
     return sum(generation_ranks(sfm, p))
 
 
-def apdd_upper_bound(sfm, p: Partition) -> int:
+def delay_bound(ranks) -> int:
     """Closed-form delay bound: sum of r*(r+1)/2 over generation ranks r.
 
     Each term is a triangular number, so the bound is an exact integer.
     """
-    return sum(r * (r + 1) // 2 for r in generation_ranks(sfm, p))
+    return sum(r * (r + 1) // 2 for r in ranks)
+
+
+def apdd_upper_bound(sfm, p: Partition) -> int:
+    """The delay bound of p's generation ranks."""
+    return delay_bound(generation_ranks(sfm, p))
 
 
 def is_irreducible(sfm, p: Partition) -> bool:

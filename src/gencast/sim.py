@@ -17,8 +17,11 @@ it wants.  Two round policies exist:
 Metrics: U is the coded-phase transmission count at block completion (time
 indices start at 1); the decoding delay D averages, over all wanted
 (receiver, packet) pairs, the time index at which the pair's generation
-reached full rank.  Trials with an all-zero SFM skip the coded phase and are
-flagged empty_demand.
+reached full rank.  The coded phase keeps D as one running sum (each decode
+adds its time index times the packets it delivers) and reports the
+generation ranks, from which a trial's total rank and delay bound follow.
+Trials with an all-zero SFM skip the coded phase and are flagged
+empty_demand.
 """
 
 from __future__ import annotations
@@ -31,13 +34,7 @@ import numpy as np
 from .galois import get_field
 from .partition import PartitionerConfig, blind_partition, heuristic_partition
 from .rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
-from .sfm import (
-    Partition,
-    StateFeedbackMatrix,
-    apdd_upper_bound,
-    generation_counts,
-    total_rank,
-)
+from .sfm import Partition, StateFeedbackMatrix, delay_bound, generation_counts
 
 __all__ = [
     "ChannelModel",
@@ -45,7 +42,7 @@ __all__ = [
     "TrialResult",
     "systematic_phase",
     "coded_phase",
-    "apdd",
+    "trial_rng",
     "run_trial",
     "run_experiment",
     "SCHEDULERS",
@@ -111,22 +108,15 @@ class SimConfig:
 @dataclass(frozen=True)
 class TrialResult:
     completion_time: int  # U
-    decode_times: dict  # (receiver, packet) -> coded-phase time index
     delay: Fraction  # D
     empty_demand: bool
+    ranks: tuple[int, ...]  # rank of every generation, in partition order
 
 
 def systematic_phase(n_packets, n_receivers, channel: ChannelModel, rng) -> StateFeedbackMatrix:
     """Broadcast each packet once; an entry is 1 iff that copy was erased."""
     misses = channel.erased(rng, (n_receivers, n_packets))
     return StateFeedbackMatrix(misses.astype(np.uint8))
-
-
-def apdd(result: TrialResult) -> Fraction:
-    """Average decode time over wanted pairs, recomputed from the raw map."""
-    if not result.decode_times:
-        return Fraction(0)
-    return Fraction(sum(result.decode_times.values()), len(result.decode_times))
 
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
@@ -156,10 +146,10 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
          for r in np.flatnonzero(counts[:, m]).tolist()}
         for m, ids in enumerate(gen_ids)
     ]
-    initial_rank = counts.max(axis=0).tolist()
+    ranks = counts.max(axis=0).tolist()  # round 1 sends rank(G_m) packets
     channel = ChannelModel(cfg.erasure_prob) if cfg.coded_phase_erasures else None
 
-    decode_times = {}
+    delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs
     t = 0
     round_no = 1
     remaining = sum(map(len, pending))
@@ -171,7 +161,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
             elif not pending[m]:
                 quota = 0
             elif round_no == 1 or cfg.strict_paper_rounds:
-                quota = initial_rank[m]
+                quota = ranks[m]
             else:
                 quota = max(state.needed for state in pending[m].values())
             quotas.append(quota)
@@ -194,8 +184,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                                 not np.array_equal(got, payloads[k])
                                 for k, got in state.solve().items()):
                             raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
-                        for k in state.unknown_ids:
-                            decode_times[(r, k)] = t
+                        delay_sum += t * len(state.unknown_ids)
                         del pending[m][r]
                         remaining -= 1
                 if not remaining:
@@ -204,19 +193,20 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                 break
         round_no += 1
 
-    n_wanted = int(sfm.wants.sum())
-    delay = Fraction(sum(decode_times.values()), n_wanted) if n_wanted else Fraction(0)
-    return TrialResult(completion_time=t, decode_times=decode_times, delay=delay,
-                       empty_demand=n_wanted == 0)
+    n_wanted = int(counts.sum())
+    delay = Fraction(delay_sum, n_wanted) if n_wanted else Fraction(0)
+    return TrialResult(completion_time=t, delay=delay, empty_demand=n_wanted == 0,
+                       ranks=tuple(ranks))
 
 
-def _trial_rng(master_seed, trial_index):
+def trial_rng(master_seed, trial_index):
+    """The independent RNG stream of one trial (or one oracle-gap instance)."""
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
 def run_trial(cfg: SimConfig, trial_index: int) -> dict:
     """One independent trial; the row dict feeds the per-trial CSV."""
-    rng = _trial_rng(cfg.seed, trial_index)
+    rng = trial_rng(cfg.seed, trial_index)
     channel = ChannelModel(cfg.erasure_prob)
     sfm = systematic_phase(cfg.n_packets, cfg.n_receivers, channel, rng)
     heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=cfg.gamma))
@@ -233,8 +223,8 @@ def run_trial(cfg: SimConfig, trial_index: int) -> dict:
         "M": part.n_generations,
         "U": result.completion_time,
         "D": result.delay,
-        "total_rank": total_rank(sfm, part),
-        "apdd_bound": apdd_upper_bound(sfm, part),
+        "total_rank": sum(result.ranks),
+        "apdd_bound": delay_bound(result.ranks),
         "empty_demand": int(result.empty_demand),
     }
 

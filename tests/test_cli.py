@@ -209,6 +209,15 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "seed" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, workers):
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "fig3_U", "--trials", "2",
+                               "--workers", workers, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and f"--workers must be >= 1, got {workers}" in err
+        assert not out_dir.exists()
+
     def test_named_experiment_with_trial_override(self, capsys, tmp_path):
         out_dir = tmp_path / "r"
         code, out, _ = run_cli(capsys, "simulate", "--experiment", "tradeoff",
@@ -267,6 +276,74 @@ class TestOracleGapCommand:
                                  "--receivers", "3", "--count", "5", "--seed", "77")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+SEED_COMMANDS = {
+    "simulate": ["simulate", "--experiment", "fig3_U", "--trials", "2"],
+    "oracle-gap": ["oracle-gap", "--packets", "5", "--receivers", "3", "--count", "5"],
+}
+
+
+def seeded_run(capsys, tmp_path, *argv):
+    """Exit code, the output CSV (per_trial.csv or stdout) and stderr."""
+    if argv[0] == "oracle-gap":
+        return run_cli(capsys, *argv)
+    out_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    csv_path = out_dir / "per_trial.csv"
+    return code, csv_path.read_text() if csv_path.exists() else None, err
+
+
+@pytest.mark.parametrize("command", list(SEED_COMMANDS.values()), ids=list(SEED_COMMANDS))
+class TestSeedResolution:
+    """--seed, then the spec file's seed, then $GENCAST_SEED, then 20200731."""
+
+    def test_default_seed_is_20200731(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("GENCAST_SEED", raising=False)
+        default = seeded_run(capsys, tmp_path, *command)
+        assert default[0] == 0
+        assert default == seeded_run(capsys, tmp_path, *command, "--seed", "20200731")
+        assert default != seeded_run(capsys, tmp_path, *command, "--seed", "0")
+
+    def test_empty_env_is_unset(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("GENCAST_SEED", "")
+        assert seeded_run(capsys, tmp_path, *command) == seeded_run(
+            capsys, tmp_path, *command, "--seed", "20200731")
+
+    def test_env_then_flag(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("GENCAST_SEED", "77")
+        from_env = seeded_run(capsys, tmp_path, *command)
+        from_flag = seeded_run(capsys, tmp_path, *command, "--seed", "5")
+        monkeypatch.delenv("GENCAST_SEED")
+        assert from_env == seeded_run(capsys, tmp_path, *command, "--seed", "77")
+        assert from_flag == seeded_run(capsys, tmp_path, *command, "--seed", "5")
+        assert from_env != from_flag
+
+    def test_non_integer_env_rejected(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("GENCAST_SEED", "abc")
+        code, out, err = seeded_run(capsys, tmp_path, *command)
+        assert code == 1
+        assert err == "error: GENCAST_SEED must be an integer, got 'abc'\n"
+        assert not out
+
+
+def test_spec_seed_between_flag_and_env(capsys, tmp_path, monkeypatch):
+    def spec_file(config):
+        path = tmp_path / f"spec{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps({"experiment": "fig3_U", "gammas": [2],
+                                    "config": {"trials": 3, **config}}))
+        return ["--spec", str(path)]
+
+    seeded = ["simulate", *spec_file({"seed": 5})]
+    unseeded = ["simulate", *spec_file({})]
+    monkeypatch.setenv("GENCAST_SEED", "77")
+    from_spec = seeded_run(capsys, tmp_path, *seeded)
+    from_flag = seeded_run(capsys, tmp_path, *seeded, "--seed", "9")
+    monkeypatch.delenv("GENCAST_SEED")
+    assert from_spec == seeded_run(capsys, tmp_path, *unseeded, "--seed", "5")
+    assert from_flag == seeded_run(capsys, tmp_path, *unseeded, "--seed", "9")
+    assert from_spec[0] == from_flag[0] == 0
+    assert from_spec != from_flag
 
 
 class TestColorCommand:

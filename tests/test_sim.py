@@ -1,9 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gencast.sfm
+import gencast.sim
 from gencast import (
     ChannelModel,
     DecoderState,
@@ -11,7 +16,6 @@ from gencast import (
     PartitionerConfig,
     SimConfig,
     StateFeedbackMatrix,
-    apdd,
     apdd_upper_bound,
     blind_partition,
     coded_phase,
@@ -21,7 +25,8 @@ from gencast import (
     systematic_phase,
     total_rank,
 )
-from gencast.sim import aggregate_rows
+from gencast.sfm import generation_ranks
+from gencast.sim import SCHEDULERS, aggregate_rows
 
 from conftest import random_sfm
 
@@ -70,11 +75,12 @@ class TestCodedPhase:
         assert result.completion_time == 0
         assert result.empty_demand
         assert result.delay == Fraction(0)
-        assert result.decode_times == {}
+        assert result.ranks == (0,) * part.n_generations
 
     def test_erasure_free_decode_times_follow_generation_order(self):
-        # with no erasures and full-rank draws, generation m completes at
-        # the cumulative rank boundary
+        # with no erasures and full-rank draws, generation m completes by
+        # the cumulative rank boundary B_m, so D is at most the demand-weighted
+        # mean of the boundaries
         sfm = StateFeedbackMatrix([[1, 1, 0, 1], [0, 1, 1, 0]])
         part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=2))
         cfg = SimConfig(n_packets=4, n_receivers=2, gamma=2, erasure_prob=0.2,
@@ -82,12 +88,32 @@ class TestCodedPhase:
         result = coded_phase(sfm, part, cfg, np.random.default_rng(3))
         ranks = [int(sfm.wants[:, list(g.packet_ids)].sum(axis=1).max())
                  for g in part.generations]
+        assert result.ranks == tuple(ranks)
         assert result.completion_time == sum(ranks)
         boundaries = np.cumsum(ranks)
-        for m, g in enumerate(part.generations):
-            for (r, k), t in result.decode_times.items():
-                if k in g.packet_ids:
-                    assert t <= boundaries[m]
+        demand = [int(sfm.wants[:, list(g.packet_ids)].sum()) for g in part.generations]
+        assert result.delay <= Fraction(int(np.dot(demand, boundaries)), sum(demand))
+
+    def test_single_receiver_delay_is_exact(self):
+        # one receiver, no coded-phase erasures: when every draw is innovative
+        # (U == total rank), generation m decodes exactly at B_m, the
+        # cumulative rank boundary, delivering r_m packets there
+        rng = np.random.default_rng(40)
+        hit = 0
+        for _ in range(30):
+            sfm = random_sfm(rng, 1, 12, 0.5)
+            part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=3))
+            cfg = SimConfig(n_packets=12, n_receivers=1, gamma=3, erasure_prob=0.2,
+                            coded_phase_erasures=False, field_order=16)
+            result = coded_phase(sfm, part, cfg, rng)
+            ranks = generation_ranks(sfm, part)
+            if result.empty_demand or result.completion_time != sum(ranks):
+                continue
+            hit += 1
+            boundaries = np.cumsum(ranks).tolist()
+            expected = Fraction(sum(r * b for r, b in zip(ranks, boundaries)), sum(ranks))
+            assert result.delay == expected
+        assert hit >= 20
 
     def test_single_generation_u_is_max_row_sum(self):
         sfm = StateFeedbackMatrix([[1, 1, 1, 0], [1, 0, 0, 0]])
@@ -97,29 +123,17 @@ class TestCodedPhase:
         result = coded_phase(sfm, part, cfg, np.random.default_rng(4))
         assert result.completion_time == 3  # max row sum, lucky-draw seed
 
-    def test_receiver_block_decodes_whole_generation_at_once(self):
-        rng = np.random.default_rng(5)
-        sfm = random_sfm(rng, 5, 12, 0.35)
-        part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=3))
-        cfg = SimConfig(n_packets=12, n_receivers=5, gamma=3, erasure_prob=0.3, seed=5)
-        result = coded_phase(sfm, part, cfg, rng)
-        for m, g in enumerate(part.generations):
-            for r in range(5):
-                times = {result.decode_times[(r, k)] for k in g.packet_ids
-                         if sfm.wants[r, k]}
-                assert len(times) <= 1
-
     def test_decode_times_bounded_by_u_and_demand_covered(self):
+        # every wanted pair decodes at some slot in 1..U
         rng = np.random.default_rng(6)
         for _ in range(10):
             sfm = random_sfm(rng, 4, 10, 0.3)
             part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=2))
             cfg = SimConfig(n_packets=10, n_receivers=4, gamma=2, erasure_prob=0.25)
             result = coded_phase(sfm, part, cfg, rng)
-            wanted = {(r, k) for r in range(4) for k in range(10) if sfm.wants[r, k]}
-            assert set(result.decode_times) == wanted
-            if wanted:
-                assert max(result.decode_times.values()) == result.completion_time
+            assert result.empty_demand == (not sfm.wants.any())
+            if not result.empty_demand:
+                assert 1 <= result.delay <= result.completion_time
             assert result.completion_time >= total_rank(sfm, part)
 
     def test_invalid_partition_rejected(self):
@@ -130,18 +144,6 @@ class TestCodedPhase:
 
 
 class TestApdd:
-    def test_single_want(self):
-        from gencast.sim import TrialResult
-
-        result = TrialResult(3, {(0, 0): 3}, Fraction(3), False)
-        assert apdd(result) == 3
-
-    def test_two_wants(self):
-        from gencast.sim import TrialResult
-
-        result = TrialResult(4, {(0, 0): 2, (0, 1): 4}, Fraction(3), False)
-        assert apdd(result) == 3
-
     def test_erasure_free_delay_within_bound(self):
         rng = np.random.default_rng(7)
         hit = 0
@@ -153,8 +155,7 @@ class TestApdd:
             result = coded_phase(sfm, part, cfg, rng)
             if result.completion_time == total_rank(sfm, part):
                 hit += 1
-                assert apdd(result) <= apdd_upper_bound(sfm, part)
-                assert apdd(result) == result.delay
+                assert result.delay <= apdd_upper_bound(sfm, part)
         assert hit >= 20  # rank shortfalls are ~0.4% events
 
 
@@ -195,8 +196,7 @@ class TestSchedulers:
         a = coded_phase(sfm, part, base, np.random.default_rng(21))
         b = coded_phase(sfm, part, replace(base, abstract_decode=True),
                         np.random.default_rng(21))
-        assert a.decode_times == b.decode_times
-        assert a.completion_time == b.completion_time
+        assert (a.delay, a.completion_time) == (b.delay, b.completion_time)
 
     def test_payload_mode_checks_decoded_payloads(self, monkeypatch):
         sfm = StateFeedbackMatrix([[1, 1, 0, 1], [0, 1, 1, 0]])
@@ -302,3 +302,50 @@ class TestRunExperiment:
         for seed in (-1, 1.5, True, "7"):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=seed)
+
+
+class TestTrialCounts:
+    def test_one_count_matrix_per_trial(self):
+        # cover, ranks, U and D of a trial all come from one count matrix
+        calls = []
+        build = gencast.sfm._cover_and_counts
+
+        def counted(sfm, p):
+            calls.append(p)
+            return build(sfm, p)
+
+        with mock.patch.object(gencast.sfm, "_cover_and_counts", counted):
+            for scheduler in SCHEDULERS:
+                cfg = SimConfig(n_packets=20, n_receivers=20, gamma=3, erasure_prob=0.2,
+                                seed=1, abstract_decode=True, scheduler=scheduler)
+                for trial in range(3):
+                    calls.clear()
+                    run_trial(cfg, trial)
+                    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), n=st.integers(1, 8), gamma=st.integers(1, 12),
+       p=st.sampled_from([0.1, 0.3, 0.6]), scheduler=st.sampled_from(SCHEDULERS),
+       erasures=st.booleans(), seed=st.integers(0, 2**32))
+def test_trial_ranks_and_bounds_match_sfm(k, n, gamma, p, scheduler, erasures, seed):
+    # the row's ranks and bounds equal the sfm metrics of the trial's own
+    # feedback matrix and partition, which coded_phase receives
+    cfg = SimConfig(n_packets=k, n_receivers=n, gamma=min(gamma, k), erasure_prob=p,
+                    seed=seed, scheduler=scheduler, coded_phase_erasures=erasures,
+                    abstract_decode=True)
+    seen = []
+
+    def spy(sfm, part, cfg, rng):
+        result = coded_phase(sfm, part, cfg, rng)
+        seen.append((sfm, part, result))
+        return result
+
+    with mock.patch.object(gencast.sim, "coded_phase", spy):
+        row = run_trial(cfg, 0)
+    [(sfm, part, result)] = seen
+    assert list(result.ranks) == generation_ranks(sfm, part)
+    assert row["total_rank"] == total_rank(sfm, part)
+    assert row["apdd_bound"] == apdd_upper_bound(sfm, part)
+    assert (row["U"], row["D"], row["M"]) == (result.completion_time, result.delay,
+                                              part.n_generations)
