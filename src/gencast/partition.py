@@ -24,6 +24,10 @@ its receivers up one level, and the packet fits under cap c iff its bitset
 misses levels[c - 1].  The greedy partitioner tests each candidate against
 the receivers already at the generation's rank ("full"); the exact search
 tests it against the receivers at the cap.
+
+The greedy core records plain steps, each packet and the rank after it, and
+heuristic_partition_with_trace derives its InsertionSteps from them ("raise"
+iff the rank grew).  Generation ids must be integers.
 """
 
 from __future__ import annotations
@@ -74,23 +78,29 @@ class InstanceTooLargeError(ValueError):
 
 
 def heuristic_partition(sfm: StateFeedbackMatrix, cfg: PartitionerConfig) -> Partition:
-    part, _ = heuristic_partition_with_trace(sfm, cfg)
-    return part
+    return Partition(tuple(_greedy(sfm, cfg.gamma_cap)[0]), gamma_cap=cfg.gamma_cap)
 
 
 def heuristic_partition_with_trace(sfm, cfg):
     """Greedy partition plus the per-generation insertion trace."""
-    gamma = cfg.gamma_cap
+    groups, ranks = _greedy(sfm, cfg.gamma_cap)
+    traces = tuple(tuple(InsertionStep(k, "raise" if r > prev else "keep", r)
+                         for k, prev, r in zip(members, [0] + after, after))
+                   for members, after in zip(groups, ranks))
+    return Partition(tuple(groups), gamma_cap=cfg.gamma_cap), traces
+
+
+def _greedy(sfm, gamma):
+    """The greedy core: each generation's packets in insertion order, and the
+    generation's rank after each insertion."""
     bits = sfm.receiver_bitsets
     everyone = (1 << sfm.n_receivers) - 1
-    # candidate order: highest popularity first, then lowest packet index
-    remaining = sorted(range(sfm.n_packets), key=lambda k: (-bits[k].bit_count(), k))
+    # candidate order: most popular first; sorted is stable, so ties keep index order
+    remaining = sorted(range(sfm.n_packets), key=lambda k: -bits[k].bit_count())
 
-    generations = []
-    traces = []
+    groups, ranks = [], []
     while remaining:
-        members = []
-        steps = []
+        members, after = [], []  # after[s]: the rank after the s-th insertion
         levels = [0] * gamma  # levels[i]: receivers wanting more than i of the members
         full = everyone  # receivers whose count has reached the rank
         cur_rank = 0
@@ -98,26 +108,24 @@ def heuristic_partition_with_trace(sfm, cfg):
             # a packet keeps the rank iff none of its receivers is already full
             for chosen in remaining:
                 if not bits[chosen] & full:
-                    branch = "keep"
                     break
             else:
                 if cur_rank == gamma:
                     break  # every remaining packet would exceed the cap
                 chosen = remaining[0]
-                branch = "raise"
                 cur_rank += 1
             remaining.remove(chosen)
             members.append(chosen)
+            after.append(cur_rank)
             mask = bits[chosen]
             if mask:
                 for i in range(cur_rank - 1, 0, -1):
                     levels[i] |= levels[i - 1] & mask
                 levels[0] |= mask
                 full = levels[cur_rank - 1]
-            steps.append(InsertionStep(packet_id=chosen, branch=branch, rank_after=cur_rank))
-        generations.append(Generation(tuple(members)))
-        traces.append(tuple(steps))
-    return Partition(tuple(generations), gamma_cap=gamma), tuple(traces)
+        groups.append(members)
+        ranks.append(after)
+    return groups, ranks
 
 
 def blind_partition(n_packets: int, n_generations: int) -> Partition:
@@ -187,8 +195,10 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
                 nodes += 1
                 if mask & levels[top]:
                     continue
-                carried = [levels[0] | mask]
-                carried += [levels[i] | levels[i - 1] & mask for i in range(1, gamma)]
+                carried, below = [], mask
+                for level in levels:
+                    carried.append(level | below)
+                    below = level & mask
                 gens[j] = carried
                 assign[k] = j
                 search(k + 1)

@@ -15,6 +15,7 @@ the delay bound (delay_bound) the sum of r(r+1)/2 over ranks.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -90,15 +91,22 @@ class StateFeedbackMatrix:
 
 @dataclass(frozen=True)
 class Generation:
-    """An ordered, duplicate-free set of packet ids."""
+    """An ordered, duplicate-free set of integer packet ids, stored as int."""
 
     packet_ids: tuple[int, ...]
 
     def __post_init__(self):
-        ids = tuple(int(i) for i in self.packet_ids)
+        raw = self.packet_ids
+        try:
+            if bool in map(type, raw):  # bool is an int to operator.index
+                raise TypeError
+            ids = tuple(map(operator.index, raw))
+        except TypeError:
+            bad = next(i for i in raw if type(i) is bool or not isinstance(i, (int, np.integer)))
+            raise ValueError(f"packet ids must be integers, got {bad!r}") from None
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate packet ids in generation: {ids}")
-        if any(i < 0 for i in ids):
+        if ids and min(ids) < 0:
             raise ValueError(f"negative packet id in generation: {ids}")
         object.__setattr__(self, "packet_ids", ids)
 

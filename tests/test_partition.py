@@ -16,6 +16,7 @@ from gencast import (
     validate_partition,
 )
 from gencast.partition import InsertionStep, InstanceTooLargeError
+from gencast.sfm import generation_ranks
 from gencast.sim import ChannelModel, systematic_phase
 
 from conftest import random_sfm
@@ -53,6 +54,58 @@ def reference_greedy(sfm, gamma):
         groups.append(tuple(members))
         traces.append(steps)
     return groups, traces
+
+
+def reference_search(sfm, gamma):
+    """The exact search as first written, with the level carry as a list
+    comprehension, on receiver bitsets rebuilt from the want-matrix and the
+    reference_greedy incumbent.  Returns the minimum generation count, the
+    nodes explored and the witness groups."""
+    K = sfm.n_packets
+    bits = [sum(int(b) << n for n, b in enumerate(col)) for col in sfm.wants.T]
+    lower_bound = max(1, -(-int(sfm.wants.sum(axis=1).max()) // gamma))
+    incumbent, _ = reference_greedy(sfm, gamma)
+    best_m, best_assign, nodes = len(incumbent), None, 0
+    top = gamma - 1
+    assign = [-1] * K
+    gens = []
+
+    def search(k):
+        nonlocal best_m, best_assign, nodes
+        if len(gens) >= best_m:
+            return
+        if k == K:
+            best_m = len(gens)
+            best_assign = assign.copy()
+            return
+        mask = bits[k]
+        for j, levels in enumerate(gens):
+            nodes += 1
+            if mask & levels[top]:
+                continue
+            carried = [levels[0] | mask]
+            carried += [levels[i] | levels[i - 1] & mask for i in range(1, gamma)]
+            gens[j] = carried
+            assign[k] = j
+            search(k + 1)
+            gens[j] = levels
+            if best_m == lower_bound:
+                return
+        if len(gens) + 1 < best_m:
+            nodes += 1
+            gens.append([mask] + [0] * top)
+            assign[k] = len(gens) - 1
+            search(k + 1)
+            gens.pop()
+
+    if best_m > lower_bound:
+        search(0)
+    if best_assign is None:
+        return best_m, nodes, tuple(incumbent)
+    groups = [[] for _ in range(best_m)]
+    for k, j in enumerate(best_assign):
+        groups[j].append(k)
+    return best_m, nodes, tuple(tuple(g) for g in groups)
 
 
 def brute_force_min_partition(sfm, gamma):
@@ -150,6 +203,12 @@ class TestHeuristic:
         groups, steps = reference_greedy(sfm, gamma)
         assert [g.packet_ids for g in part.generations] == groups
         assert [[(s.packet_id, s.branch, s.rank_after) for s in t] for t in traces] == steps
+        # the untraced partition is the traced one, and each generation's
+        # trace climbs to its rank one "raise" at a time
+        assert heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma)) == part
+        for r, trace in zip(generation_ranks(sfm, part), traces, strict=True):
+            assert sum(s.branch == "raise" for s in trace) == r
+            assert trace[-1].rank_after == r
         bits = sfm.receiver_bitsets
         rebuilt = [[(bits[j] >> i) & 1 for j in range(k)] for i in range(n)]
         assert rebuilt == sfm.wants.tolist()
@@ -250,6 +309,21 @@ class TestOracle:
             greedy = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
             beat_greedy += res.min_generations < greedy.n_generations
         assert beat_greedy > 0
+
+    def test_search_matches_reference_at_larger_k(self):
+        # the search's node order, count and witness equal the reference
+        # search's on 100 instances past brute force's reach that expand nodes
+        rng = np.random.default_rng(16)
+        searched = 0
+        while searched < 100:
+            sfm = random_sfm(rng, int(rng.integers(4, 11)), int(rng.integers(9, 15)),
+                             float(rng.choice([0.3, 0.5, 0.7])))
+            gamma = int(rng.integers(1, 5))
+            res = optimal_partition(sfm, gamma, max_packets=14)
+            groups = tuple(g.packet_ids for g in res.witness.generations)
+            assert (res.min_generations, res.nodes_explored, groups) == \
+                reference_search(sfm, gamma)
+            searched += res.nodes_explored > 0
 
     def test_heuristic_never_beats_oracle(self):
         rng = np.random.default_rng(14)

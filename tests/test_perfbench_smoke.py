@@ -4,7 +4,9 @@ perfbench/selftest.py wraps every traced binding, so it fails if a function
 the tracer names is gone.  The exact counts it prints are pinned, so a change
 to the RNG draw order or to the absorb path fails here too.  A zero-second
 fig3-rank run makes one pass at the default seed and checks every cell's
-mean_U/mean_D against perfbench/reference.json.
+mean_U/mean_D against perfbench/reference.json.  A traced oracle-k20 run
+checks every witness, colouring and M_opt <= M_heur on all 2,000 operations
+of the paper-point workload and pins the exact search's node count.
 """
 
 import ast
@@ -62,3 +64,14 @@ def test_fig3_rank_matches_reference():
     result = json.loads(result_line)
     assert result["correct"] is True, report["errors"]
     assert report["fig3_reference_checked"] is True
+
+
+def test_oracle_k20_full_workload():
+    proc = run_script("perfbench/run.py", "--workload", "oracle-k20", "--trace", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    report = json.loads(report_line)["report"]
+    result = json.loads(result_line)
+    assert result["correct"] is True, report["errors"]
+    assert result["failed"] == 0
+    assert report["run"]["exact_counts"]["partition.optimal.nodes"] == 3450148

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,31 @@ class TestConstruction:
     def test_generation_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Generation((1, 1))
+
+    def test_generation_rejects_negative_ids(self):
+        with pytest.raises(ValueError, match="negative packet id in generation: \\(0, -1\\)"):
+            Generation((0, -1))
+
+    def test_generation_normalises_numpy_integers(self):
+        g = Generation((np.int64(3), np.uint8(0), 4))
+        assert g.packet_ids == (3, 0, 4)
+        assert all(type(i) is int for i in g.packet_ids)
+
+    NON_INTEGER_IDS = [(1.9, "1.9"), (2.0, "2.0"), ("3", "'3'"), (True, "True"),
+                       (False, "False"), (np.float64(1.0), "np.float64(1.0)"),
+                       (np.bool_(True), "np.True_")]
+
+    @pytest.mark.parametrize("bad, shown", NON_INTEGER_IDS)
+    def test_generation_rejects_non_integer_ids(self, bad, shown):
+        with pytest.raises(ValueError, match=f"packet ids must be integers, got {re.escape(shown)}$"):
+            Generation((0, bad))
+
+    @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), ("2", "'2'"), (True, "True"),
+                                            (False, "False")])
+    def test_partition_json_rejects_non_integer_ids(self, bad, shown):
+        text = json.dumps({"generations": [[0, bad], [2]]})
+        with pytest.raises(ValueError, match=f"packet ids must be integers, got {re.escape(shown)}$"):
+            partition_from_json(text)
 
 
 class TestRank:
@@ -220,8 +248,6 @@ class TestTextFormats:
         assert q == p
 
     def test_partition_json_schema(self):
-        import json
-
         doc = json.loads(partition_to_json(Partition(gens([1, 0]), gamma_cap=3)))
         assert doc == {"gamma": 3, "generations": [[1, 0]]}
 
