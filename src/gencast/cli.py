@@ -98,8 +98,6 @@ def build_parser():
 
 def cmd_partition(args):
     matrix = sfm.load_sfm(args.sfm)
-    if args.gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {args.gamma}")
     if args.algorithm == "heuristic":
         part = partition.heuristic_partition(matrix, PartitionerConfig(gamma_cap=args.gamma))
     elif args.algorithm == "blind":
@@ -178,8 +176,6 @@ def cmd_oracle_gap(args):
 
 def cmd_color(args):
     h = hypergraph.load_hypergraph(args.hypergraph)
-    if args.gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {args.gamma}")
     if args.mode == "solve":
         m, witness = hypergraph.chromatic_number(h, args.gamma)
         print(json.dumps({"chromatic_number": m, "coloring": list(witness.assignment)}))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import sys
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
 
@@ -160,12 +161,8 @@ def _write_rows(fh, columns, rows):
 
 
 def _fmt(value):
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, float)):
         return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
     return value
 
 

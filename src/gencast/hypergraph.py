@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import optimal_partition
-from .sfm import Generation, Partition, StateFeedbackMatrix
+from .sfm import (Generation, Partition, SfmParseError, StateFeedbackMatrix, check_cap,
+                  check_ids, format_rows, read_rows)
 
 __all__ = [
     "Hypergraph",
@@ -43,8 +44,8 @@ class NoReceiversError(ValueError):
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertex count plus a multiset of hyperedges (duplicates are distinct
-    receivers, so they are kept)."""
+    """Vertex count plus a multiset of hyperedges, each a frozenset of vertex
+    ids that pass check_ids (duplicate edges are distinct receivers, so kept)."""
 
     n_vertices: int
     edges: tuple[frozenset[int], ...]
@@ -52,11 +53,11 @@ class Hypergraph:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError(f"need at least one vertex, got {self.n_vertices}")
-        edges = tuple(frozenset(int(v) for v in e) for e in self.edges)
+        edges = tuple(frozenset(check_ids(e, "vertex id", "hyperedge")) for e in self.edges)
         for e in edges:
             if not e:
                 raise ValueError("hyperedges must be nonempty")
-            bad = [v for v in e if not 0 <= v < self.n_vertices]
+            bad = [v for v in e if v >= self.n_vertices]
             if bad:
                 raise ValueError(f"vertex ids out of range: {sorted(bad)}")
         object.__setattr__(self, "edges", edges)
@@ -68,15 +69,12 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total assignment vertex -> color index."""
+    """Total assignment vertex -> color index; the colors pass check_ids."""
 
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        colors = tuple(int(c) for c in self.assignment)
-        if any(c < 0 for c in colors):
-            raise ValueError("color indices must be non-negative")
-        object.__setattr__(self, "assignment", colors)
+        object.__setattr__(self, "assignment", check_ids(self.assignment, "color", "coloring"))
 
     @property
     def n_colors(self):
@@ -94,12 +92,8 @@ class ColoringReport:
 
 def sfm_to_hypergraph(sfm: StateFeedbackMatrix) -> Hypergraph:
     """One vertex per packet; one edge per receiver with a nonzero row."""
-    edges = []
-    for n in range(sfm.n_receivers):
-        support = np.flatnonzero(sfm.wants[n])
-        if support.size:
-            edges.append(frozenset(int(v) for v in support))
-    return Hypergraph(n_vertices=sfm.n_packets, edges=tuple(edges))
+    supports = map(np.flatnonzero, sfm.wants)
+    return Hypergraph(n_vertices=sfm.n_packets, edges=tuple(s for s in supports if s.size))
 
 
 def hypergraph_to_sfm(h: Hypergraph) -> StateFeedbackMatrix:
@@ -114,6 +108,7 @@ def hypergraph_to_sfm(h: Hypergraph) -> StateFeedbackMatrix:
 
 def is_valid_coloring(h: Hypergraph, c: Coloring, gamma: int) -> ColoringReport:
     """List every (color, edge) pair whose intersection exceeds gamma."""
+    gamma = check_cap(gamma)
     if len(c.assignment) != h.n_vertices:
         raise ValueError(
             f"coloring covers {len(c.assignment)} vertices, hypergraph has {h.n_vertices}"
@@ -129,6 +124,7 @@ def is_valid_coloring(h: Hypergraph, c: Coloring, gamma: int) -> ColoringReport:
 
 def chromatic_number(h: Hypergraph, gamma: int, *, max_vertices: int = 12):
     """Exact minimum color count with a witness, via the partition oracle."""
+    gamma = check_cap(gamma)
     if not h.edges:
         return 1, Coloring(tuple(0 for _ in range(h.n_vertices)))
     result = optimal_partition(hypergraph_to_sfm(h), gamma, max_packets=max_vertices)
@@ -173,7 +169,7 @@ def random_hypergraph(n_vertices, n_edges, edge_prob, rng) -> Hypergraph:
         members = np.flatnonzero(mask)
         if members.size == 0:
             members = rng.integers(0, n_vertices, size=1)
-        edges.append(frozenset(int(v) for v in members))
+        edges.append(members)
     return Hypergraph(n_vertices=n_vertices, edges=tuple(edges))
 
 
@@ -181,36 +177,21 @@ def random_uniform_hypergraph(n_vertices, n_edges, omega, rng) -> Hypergraph:
     """Exact omega-sized edges sampled without replacement."""
     if omega < 1 or omega > n_vertices:
         raise ValueError(f"need 1 <= omega <= |V|, got omega={omega} |V|={n_vertices}")
-    edges = []
-    for _ in range(n_edges):
-        members = rng.choice(n_vertices, size=omega, replace=False)
-        edges.append(frozenset(int(v) for v in members))
-    return Hypergraph(n_vertices=n_vertices, edges=tuple(edges))
+    edges = tuple(rng.choice(n_vertices, size=omega, replace=False) for _ in range(n_edges))
+    return Hypergraph(n_vertices=n_vertices, edges=edges)
 
 
 # --- flat-file format -----------------------------------------------------
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the hypergraph text format: "V E" header, then E vertex lists."""
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].strip():
-        raise ValueError("line 1: missing 'V E' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"line 1: header must be 'V E', got {lines[0]!r}")
-    try:
-        v, e = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"line 1: header must be two integers, got {lines[0]!r}") from None
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    if len(body) != e:
-        raise ValueError(f"expected {e} edge lines, found {len(body)}")
+    v, _, body = read_rows(text, "V E", "edge lines", 1)
     edges = []
-    for lineno, ln in body:
+    for lineno, fields in body:
         try:
-            members = [int(tok) for tok in ln.split()]
+            members = [int(tok) for tok in fields]
         except ValueError:
-            raise ValueError(f"line {lineno}: edges must be integer vertex lists") from None
+            raise SfmParseError("edges must be integer vertex lists", line=lineno) from None
         edges.append(frozenset(members))
     return Hypergraph(n_vertices=v, edges=tuple(edges))
 
@@ -221,7 +202,4 @@ def load_hypergraph(path) -> Hypergraph:
 
 
 def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"{h.n_vertices} {h.n_edges}"]
-    for e in h.edges:
-        lines.append(" ".join(str(v) for v in sorted(e)))
-    return "\n".join(lines) + "\n"
+    return format_rows((h.n_vertices, h.n_edges), map(sorted, h.edges))

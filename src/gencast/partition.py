@@ -27,14 +27,14 @@ tests it against the receivers at the cap.
 
 The greedy core records plain steps, each packet and the rank after it, and
 heuristic_partition_with_trace derives its InsertionSteps from them ("raise"
-iff the rank grew).  Generation ids must be integers.
+iff the rank grew).  Every rank cap passes sfm.check_cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sfm import Generation, Partition, StateFeedbackMatrix
+from .sfm import Generation, Partition, StateFeedbackMatrix, check_cap
 
 __all__ = [
     "PartitionerConfig",
@@ -53,8 +53,7 @@ class PartitionerConfig:
     gamma_cap: int
 
     def __post_init__(self):
-        if self.gamma_cap < 1:
-            raise ValueError(f"gamma_cap must be >= 1, got {self.gamma_cap}")
+        object.__setattr__(self, "gamma_cap", check_cap(self.gamma_cap))
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,7 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
     packet's bitset misses levels[gamma - 1], and it costs at most gamma ORs
     and ANDs to carry the packet's receivers up one level.
     """
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    gamma = check_cap(gamma)
     if sfm.n_packets > max_packets:
         raise InstanceTooLargeError(
             f"K={sfm.n_packets} exceeds the exact-search cap of {max_packets} packets"

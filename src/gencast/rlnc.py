@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import GF256, Field
+from .sfm import check_generation_ids
 
 __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "random_payloads"]
 
@@ -66,32 +67,28 @@ class DecoderState:
     """Per (receiver, generation) incremental Gaussian elimination.
 
     generation_ids fixes the generation-local coefficient order; wanted_ids
-    are the packets this receiver still needs from the generation.  Unknown j
-    (in generation order) owns _basis[j], the stored row whose pivot is
-    column j, or None; a stored row is zero before its pivot and 1 at it.
-    needed counts the innovative packets still missing before it decodes.
+    are the packets this receiver still needs from it (both pass
+    sfm.check_generation_ids).  Unknown j (in generation order) owns _basis[j],
+    the stored row with pivot column j, or None; a stored row is zero before
+    its pivot and 1 at it.  needed counts the innovative packets still missing.
     """
 
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256):
         self.generation_id = generation_id
-        self.generation_ids = tuple(map(int, generation_ids))
-        wanted = set(map(int, wanted_ids))
-        self._unknown_cols = []
-        self._known = []  # (packet id, column) of every packet the receiver holds
-        for j, pid in enumerate(self.generation_ids):
-            if pid in wanted:
-                self._unknown_cols.append(j)
-            else:
-                self._known.append((pid, j))
-        if len(self._unknown_cols) < len(wanted):
+        ids = self.generation_ids = check_generation_ids(generation_ids)
+        wanted = check_generation_ids(wanted_ids)
+        try:
+            cols = self._unknown_cols = sorted(map(ids.index, wanted))
+        except ValueError:  # raised by ids.index
             raise ValueError(
-                f"wanted ids not in generation: {sorted(wanted.difference(self.generation_ids))}")
-        self.unknown_ids = tuple(map(self.generation_ids.__getitem__, self._unknown_cols))
+                f"wanted ids not in generation: {sorted(set(wanted).difference(ids))}") from None
+        self.unknown_ids = tuple(map(ids.__getitem__, cols))
         self.field = field
         self.rank = 0
-        self.needed = len(self.unknown_ids)
+        self.needed = len(cols)
         self._basis = [None] * self.needed  # coefficient rows (lists of ints)
         self._payloads = [None] * self.needed  # payload of each stored row
+        self._known = None  # (packet id, column) of each held packet; see absorb
 
     @property
     def decoded(self):
@@ -116,6 +113,9 @@ class DecoderState:
 
         residual = None
         if pkt.payload is not None:
+            if self._known is None:  # rank-only decoding never needs it
+                self._known = [(pid, j) for j, pid in enumerate(self.generation_ids)
+                               if pid not in self.unknown_ids]
             known_payloads = known_payloads or {}
             missing = [pid for pid, _ in self._known if pid not in known_payloads]
             if missing:

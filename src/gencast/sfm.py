@@ -10,6 +10,10 @@ number of coded packets that receiver needs to decode the generation.
 Every metric of a partition derives from one N x M count matrix,
 generation_counts: rank is its column max, total rank the sum of ranks, and
 the delay bound (delay_bound) the sum of r(r+1)/2 over ranks.
+
+It holds the one input rule, check_ids for ids and colours and check_cap for
+rank caps, and the one reader and writer (read_rows, format_rows) of the
+"A B" header plus rows layout that the SFM and hypergraph files share.
 """
 
 from __future__ import annotations
@@ -41,17 +45,64 @@ __all__ = [
     "partition_to_json",
     "partition_from_json",
     "SfmParseError",
+    "check_ids",
+    "check_generation_ids",
+    "check_cap",
+    "read_rows",
+    "format_rows",
 ]
 
 
 class SfmParseError(ValueError):
-    """Malformed SFM text; carries 1-based line/column positions."""
+    """Malformed SFM or hypergraph text; carries 1-based line/column positions."""
 
     def __init__(self, message, line, column=None):
         self.line = line
         self.column = column
         where = f"line {line}" if column is None else f"line {line}, column {column}"
         super().__init__(f"{where}: {message}")
+
+
+def _integer(value):
+    """The type rule: a Python or numpy integer as an int, else None (bool too)."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    return None
+
+
+_INT = frozenset({int})
+
+
+def check_ids(values, what="packet id", where="generation") -> tuple[int, ...]:
+    """Ids or colours as a tuple of int: each passes _integer and is >= 0."""
+    ids = tuple(values)
+    if not _INT.issuperset(map(type, ids)):  # plain ints need no conversion
+        ints = tuple(map(_integer, ids))
+        if None in ints:
+            raise ValueError(f"{what}s must be integers, got {ids[ints.index(None)]!r}")
+        ids = ints
+    if ids and min(ids) < 0:
+        raise ValueError(f"negative {what} in {where}: {ids}")
+    return ids
+
+
+def check_generation_ids(values) -> tuple[int, ...]:
+    """One generation's packet ids: check_ids, and no id twice."""
+    ids = check_ids(values)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate packet ids in generation: {ids}")
+    return ids
+
+
+def check_cap(gamma) -> int:
+    """A rank cap gamma as an int: it passes _integer and is >= 1."""
+    cap = _integer(gamma)
+    if cap is None or cap < 1:
+        raise ValueError(f"gamma must be an integer >= 1, got {gamma!r}")
+    return cap
 
 
 class StateFeedbackMatrix:
@@ -91,24 +142,12 @@ class StateFeedbackMatrix:
 
 @dataclass(frozen=True)
 class Generation:
-    """An ordered, duplicate-free set of integer packet ids, stored as int."""
+    """An ordered set of packet ids that pass check_generation_ids."""
 
     packet_ids: tuple[int, ...]
 
     def __post_init__(self):
-        raw = self.packet_ids
-        try:
-            if bool in map(type, raw):  # bool is an int to operator.index
-                raise TypeError
-            ids = tuple(map(operator.index, raw))
-        except TypeError:
-            bad = next(i for i in raw if type(i) is bool or not isinstance(i, (int, np.integer)))
-            raise ValueError(f"packet ids must be integers, got {bad!r}") from None
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate packet ids in generation: {ids}")
-        if ids and min(ids) < 0:
-            raise ValueError(f"negative packet id in generation: {ids}")
-        object.__setattr__(self, "packet_ids", ids)
+        object.__setattr__(self, "packet_ids", check_generation_ids(self.packet_ids))
 
     def __len__(self):
         return len(self.packet_ids)
@@ -126,12 +165,10 @@ class Partition:
     gamma_cap: int | None = None
 
     def __post_init__(self):
-        gens = tuple(
-            g if isinstance(g, Generation) else Generation(tuple(g)) for g in self.generations
-        )
+        gens = tuple(g if isinstance(g, Generation) else Generation(g) for g in self.generations)
         object.__setattr__(self, "generations", gens)
-        if self.gamma_cap is not None and self.gamma_cap < 1:
-            raise ValueError(f"gamma_cap must be >= 1, got {self.gamma_cap}")
+        if self.gamma_cap is not None:
+            object.__setattr__(self, "gamma_cap", check_cap(self.gamma_cap))
 
     @property
     def n_generations(self):
@@ -213,7 +250,8 @@ def rank(sfm: StateFeedbackMatrix, g: Generation) -> int:
 
 def popularity(sfm: StateFeedbackMatrix, k: int) -> int:
     """Number of receivers that still want packet k."""
-    if not 0 <= k < sfm.n_packets:
+    (k,) = check_ids((k,), where="popularity query")
+    if k >= sfm.n_packets:
         raise ValueError(f"packet id {k} out of range for K={sfm.n_packets}")
     return int(sfm.wants[:, k].sum())
 
@@ -260,37 +298,47 @@ def is_irreducible(sfm, p: Partition) -> bool:
 
 # --- flat-file formats ---------------------------------------------------
 
-def parse_sfm(text: str) -> StateFeedbackMatrix:
-    """Parse the SFM text format: "N K" header, then N rows of K 0/1 digits."""
+def read_rows(text: str, header: str, rows: str, counted: int, positive: bool = False):
+    """The two integers of an "A B" header (named by header, e.g. "N K"; both
+    >= 1 if positive) and the non-blank rows below it as (line number,
+    fields) pairs, as many as the header integer at index counted."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
-        raise SfmParseError("missing 'N K' header", line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise SfmParseError(f"header must be 'N K', got {lines[0]!r}", line=1)
+        raise SfmParseError(f"missing '{header}' header", line=1)
+    fields = lines[0].split()
+    if len(fields) != 2:
+        raise SfmParseError(f"header must be '{header}', got {lines[0]!r}", line=1)
     try:
-        n, k = int(header[0]), int(header[1])
+        values = int(fields[0]), int(fields[1])
     except ValueError:
         raise SfmParseError(f"header must be two integers, got {lines[0]!r}", line=1) from None
-    if n < 1 or k < 1:
-        raise SfmParseError(f"need N >= 1 and K >= 1, got N={n} K={k}", line=1)
-    rows = []
-    body = [ln for ln in lines[1:]]
-    non_empty = [(i + 2, ln) for i, ln in enumerate(body) if ln.strip()]
-    if len(non_empty) != n:
-        raise SfmParseError(f"expected {n} matrix rows, found {len(non_empty)}",
-                            line=len(lines) + 1 if len(non_empty) < n else non_empty[n][0])
-    for lineno, ln in non_empty:
-        fields = ln.split()
+    if positive and min(values) < 1:
+        (a, x), (b, y) = zip(header.split(), values)
+        raise SfmParseError(f"need {a} >= 1 and {b} >= 1, got {a}={x} {b}={y}", line=1)
+    body = [(lineno, ln.split()) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    want = values[counted]
+    if len(body) != want:
+        # the first surplus line, or the line after the end of a short body
+        line = body[want][0] if 0 <= want < len(body) else len(lines) + 1
+        raise SfmParseError(f"expected {want} {rows}, found {len(body)}", line=line)
+    return values[0], values[1], body
+
+
+def format_rows(header, rows) -> str:
+    """The text read_rows reads back: the two header integers, then one line per row."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def parse_sfm(text: str) -> StateFeedbackMatrix:
+    """Parse the SFM text format: "N K" header, then N rows of K 0/1 digits."""
+    n, k, body = read_rows(text, "N K", "matrix rows", 0, positive=True)
+    for lineno, fields in body:
         if len(fields) != k:
             raise SfmParseError(f"expected {k} entries, found {len(fields)}", line=lineno)
-        row = []
         for col, f in enumerate(fields, start=1):
             if f not in ("0", "1"):
                 raise SfmParseError(f"entry must be 0 or 1, got {f!r}", line=lineno, column=col)
-            row.append(int(f))
-        rows.append(row)
-    return StateFeedbackMatrix(rows)
+    return StateFeedbackMatrix([list(map(int, fields)) for _, fields in body])
 
 
 def load_sfm(path) -> StateFeedbackMatrix:
@@ -299,10 +347,7 @@ def load_sfm(path) -> StateFeedbackMatrix:
 
 
 def format_sfm(sfm: StateFeedbackMatrix) -> str:
-    lines = [f"{sfm.n_receivers} {sfm.n_packets}"]
-    for row in sfm.wants:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return format_rows((sfm.n_receivers, sfm.n_packets), sfm.wants.tolist())
 
 
 def partition_to_json(p: Partition) -> str:
@@ -315,8 +360,8 @@ def partition_to_json(p: Partition) -> str:
 
 def partition_from_json(text: str) -> Partition:
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "generations" not in doc:
-        raise ValueError("partition JSON must be an object with a 'generations' key")
-    gens = tuple(Generation(tuple(g)) for g in doc["generations"])
-    gamma = doc.get("gamma")
-    return Partition(generations=gens, gamma_cap=gamma)
+    groups = doc.get("generations") if isinstance(doc, dict) else None
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise ValueError("partition JSON must be an object whose 'generations' is a list of "
+                         "packet-id lists")
+    return Partition(tuple(map(Generation, groups)), gamma_cap=doc.get("gamma"))

@@ -70,6 +70,12 @@ class TestPartitionCommand:
         assert code == 1
         assert "line 3" in err and "column 2" in err
 
+    @pytest.mark.parametrize("algorithm", ["heuristic", "blind", "oracle"])
+    def test_gamma_zero_rejected(self, capsys, sfm_file, algorithm):
+        code, out, err = run_cli(capsys, "partition", "--sfm", str(sfm_file), "--gamma", "0",
+                                 "--algorithm", algorithm)
+        assert (code, out, err) == (1, "", "error: gamma must be an integer >= 1, got 0\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "partition", "--sfm", str(tmp_path / "nope"),
                                "--gamma", "1")
@@ -347,6 +353,30 @@ def test_spec_seed_between_flag_and_env(capsys, tmp_path, monkeypatch):
 
 
 class TestColorCommand:
+    @pytest.mark.parametrize("mode, text", [("solve", "3 1\n0 1 2\n"), ("solve", "4 0\n"),
+                                            ("validate", "3 1\n0 1 2\n")],
+                             ids=["solve", "solve-edgeless", "validate"])
+    def test_gamma_zero_rejected(self, capsys, tmp_path, mode, text):
+        h = tmp_path / "h.txt"
+        h.write_text(text)
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("0 1 2\n")
+        code, out, err = run_cli(capsys, "color", "--hypergraph", str(h), "--gamma", "0",
+                                 "--mode", mode, "--coloring", str(coloring))
+        assert (code, out, err) == (1, "", "error: gamma must be an integer >= 1, got 0\n")
+
+    @pytest.mark.parametrize("text, line", [("3\n0 1\n", 1), ("3 x\n0 1\n", 1),
+                                            ("3 2\n0 1\n", 3), ("3 1\n0 1.5\n", 2)],
+                             ids=["short-header", "non-integer-header", "short-body",
+                                  "float-vertex"])
+    def test_bad_hypergraph_file_names_its_line(self, capsys, tmp_path, text, line):
+        h = tmp_path / "h.txt"
+        h.write_text(text)
+        code, out, err = run_cli(capsys, "color", "--hypergraph", str(h), "--gamma", "1",
+                                 "--mode", "solve")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
     def test_edgeless_solve(self, capsys, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("4 0\n")

@@ -4,7 +4,9 @@ perfbench/selftest.py wraps every traced binding, so it fails if a function
 the tracer names is gone.  The exact counts it prints are pinned, so a change
 to the RNG draw order or to the absorb path fails here too.  A zero-second
 fig3-rank run makes one pass at the default seed and checks every cell's
-mean_U/mean_D against perfbench/reference.json.  A traced oracle-k20 run
+mean_U/mean_D against perfbench/reference.json.  A zero-second
+payload-decode run decodes every payload of its 6 cells x 20 trials at 1024
+bytes and checks each payload row against its rank-only row.  A traced oracle-k20 run
 checks every witness, colouring and M_opt <= M_heur on all 2,000 operations
 of the paper-point workload and pins the exact search's node count.
 """
@@ -64,6 +66,17 @@ def test_fig3_rank_matches_reference():
     result = json.loads(result_line)
     assert result["correct"] is True, report["errors"]
     assert report["fig3_reference_checked"] is True
+
+
+def test_payload_decode_full_workload():
+    proc = run_script("perfbench/run.py", "--workload", "payload-decode",
+                      "--seconds", "0", "--trace", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    report = json.loads(report_line)["report"]
+    result = json.loads(result_line)
+    assert result["correct"] is True, report["errors"]
+    assert result["failed"] == 0
 
 
 def test_oracle_k20_full_workload():

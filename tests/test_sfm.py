@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gencast import (
+    Coloring,
+    DecoderState,
     Generation,
+    Hypergraph,
     Partition,
     PartitionerConfig,
     StateFeedbackMatrix,
@@ -16,6 +19,8 @@ from gencast import (
     generation_counts,
     heuristic_partition,
     is_irreducible,
+    is_valid_coloring,
+    optimal_partition,
     parse_sfm,
     partition_from_json,
     partition_to_json,
@@ -75,6 +80,95 @@ class TestConstruction:
         text = json.dumps({"generations": [[0, bad], [2]]})
         with pytest.raises(ValueError, match=f"packet ids must be integers, got {re.escape(shown)}$"):
             partition_from_json(text)
+
+
+# --- the one input rule for ids, colours and rank caps --------------------
+
+RULE_SFM = StateFeedbackMatrix([[1, 0, 1, 1], [0, 1, 1, 0]])
+RULE_H = Hypergraph(4, (frozenset({0, 1}), frozenset({2, 3})))
+
+
+def _json_partition(**doc):
+    return partition_from_json(json.dumps({"gamma": None, "generations": [[0, 1, 2, 3]],
+                                           **doc}, default=int))
+
+
+# entry point -> (call on one id or colour v, result for v = np.int64(3)); v
+# sits next to a valid 0 where the entry point takes several
+ID_ENTRY_POINTS = {
+    "Generation": (lambda v: Generation((0, v)).packet_ids, (0, 3)),
+    "DecoderState.generation_ids": (lambda v: DecoderState(0, (0, v), (0,)).generation_ids,
+                                    (0, 3)),
+    "DecoderState.wanted_ids": (lambda v: DecoderState(0, (0, 3), (0, v)).unknown_ids, (0, 3)),
+    "Hypergraph": (lambda v: tuple(sorted(Hypergraph(4, (frozenset({0, v}),)).edges[0])),
+                   (0, 3)),
+    "Coloring": (lambda v: Coloring((0, v)).assignment, (0, 3)),
+    "popularity": (lambda v: popularity(RULE_SFM, v), 1),
+    "partition_from_json": (lambda v: _json_partition(generations=[[0, v], [1], [2]])
+                            .generations[0].packet_ids, (0, 3)),
+}
+# the entry points that take one generation's ids
+GENERATION_ENTRY_POINTS = ["Generation", "DecoderState.generation_ids", "partition_from_json"]
+# entry point -> (call on one rank cap g, result for g = np.int64(3))
+CAP_ENTRY_POINTS = {
+    "Partition.gamma_cap": (lambda g: Partition(gens([0, 1, 2, 3]), gamma_cap=g).gamma_cap, 3),
+    "PartitionerConfig": (lambda g: PartitionerConfig(gamma_cap=g).gamma_cap, 3),
+    "optimal_partition": (lambda g: optimal_partition(RULE_SFM, g).witness.gamma_cap, 3),
+    "is_valid_coloring": (lambda g: is_valid_coloring(RULE_H, Coloring((0,) * 4), g).valid,
+                          True),
+    "partition_from_json": (lambda g: _json_partition(gamma=g).gamma_cap, 3),
+}
+NON_INTEGERS = [True, 1.5, np.float64(2.0), "2"]
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("entry", ID_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+    def test_ids_and_colours_reject_non_integers(self, entry, bad):
+        call, _ = ID_ENTRY_POINTS[entry]
+        if entry == "partition_from_json" and isinstance(bad, np.floating):
+            bad = float(bad)  # JSON carries it as a plain float
+        with pytest.raises(ValueError, match=f"s must be integers, got {re.escape(repr(bad))}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", ID_ENTRY_POINTS)
+    def test_ids_and_colours_accept_numpy_integers_as_int(self, entry):
+        call, expected = ID_ENTRY_POINTS[entry]
+        got = call(np.int64(3))
+        assert got == expected
+        assert all(type(i) is int for i in (got if isinstance(got, tuple) else (got,)))
+
+    @pytest.mark.parametrize("entry", GENERATION_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad, message", [(-1, "negative packet id in generation"),
+                                              (0, "duplicate packet ids in generation")])
+    def test_generation_ids_non_negative_and_distinct(self, entry, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ID_ENTRY_POINTS[entry][0](bad)
+
+    def test_duplicate_ids_do_not_inflate_a_decoder(self):
+        with pytest.raises(ValueError, match="duplicate packet ids"):
+            DecoderState(0, (1, 1, 2), (1,))
+
+    @pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [0], ids=repr)
+    def test_caps_reject_non_integers_and_zero(self, entry, bad):
+        if entry == "partition_from_json" and isinstance(bad, np.floating):
+            bad = float(bad)
+        message = f"gamma must be an integer >= 1, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            CAP_ENTRY_POINTS[entry][0](bad)
+
+    @pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
+    def test_caps_accept_numpy_integers_as_int(self, entry):
+        call, expected = CAP_ENTRY_POINTS[entry]
+        got = call(np.int64(3))
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("doc", [{"gamma": True}, {"gamma": 2.5}, {"gamma": "2"},
+                                     {"generations": 3}, {"generations": [5]}], ids=repr)
+    def test_partition_json_raises_value_error_not_type_error(self, doc):
+        with pytest.raises(ValueError):
+            _json_partition(**doc)
 
 
 class TestRank:
