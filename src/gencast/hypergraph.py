@@ -51,8 +51,7 @@ class Hypergraph:
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if self.n_vertices < 1:
-            raise ValueError(f"need at least one vertex, got {self.n_vertices}")
+        object.__setattr__(self, "n_vertices", check_cap(self.n_vertices, "n_vertices"))
         edges = tuple(frozenset(check_ids(e, "vertex id", "hyperedge")) for e in self.edges)
         for e in edges:
             if not e:

@@ -11,7 +11,9 @@ happens only in solve(), once the basis reaches full rank.
 
 absorb reads the coefficients once with tolist() and scales plain-int rows
 through the field's bytes product rows (mul_rows), with no multiply call per
-element.  needed is a counter absorb decrements; decoded derives from it.
+element.  needed is a counter absorb decrements; rank and decoded derive
+from it.  DecoderState.for_generation builds one generation's decoders from
+want rows, checking and sharing the generation's ids once.
 
 DecoderState also runs payload-free ("abstract" packets with payload=None),
 tracking rank only; the rank trajectory is identical to the payload-carrying
@@ -73,22 +75,50 @@ class DecoderState:
     its pivot and 1 at it.  needed counts the innovative packets still missing.
     """
 
+    __slots__ = ("generation_id", "generation_ids", "unknown_ids", "field", "needed",
+                 "_unknown_cols", "_basis", "_payloads", "_known")
+
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256):
-        self.generation_id = generation_id
-        ids = self.generation_ids = check_generation_ids(generation_ids)
+        ids = check_generation_ids(generation_ids)
         wanted = check_generation_ids(wanted_ids)
         try:
-            cols = self._unknown_cols = sorted(map(ids.index, wanted))
+            cols = sorted(map(ids.index, wanted))
         except ValueError:  # raised by ids.index
             raise ValueError(
                 f"wanted ids not in generation: {sorted(set(wanted).difference(ids))}") from None
-        self.unknown_ids = tuple(map(ids.__getitem__, cols))
+        self._setup(generation_id, ids, cols, tuple(map(ids.__getitem__, cols)), field)
+
+    @classmethod
+    def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256):
+        """{receiver: DecoderState} for each receiver of want_rows (receiver ->
+        0/1 row by packet id) that wants one of the ids, checked once for all."""
+        ids = check_generation_ids(generation_ids)
+        columns = list(enumerate(ids))  # (column, id) pairs
+        states = {}
+        for r, row in want_rows.items():
+            wanted = [c for c in columns if row[c[1]]]
+            if wanted:
+                cols, unknown_ids = zip(*wanted)
+                state = states[r] = cls.__new__(cls)
+                state._setup(generation_id, ids, cols, unknown_ids, field)
+        return states
+
+    def _setup(self, generation_id, ids, cols, unknown_ids, field):
+        """The state of checked ids whose unknowns unknown_ids sit at the
+        ascending columns cols."""
+        self.generation_id = generation_id
+        self.generation_ids = ids
+        self._unknown_cols = cols
+        self.unknown_ids = unknown_ids
         self.field = field
-        self.rank = 0
         self.needed = len(cols)
         self._basis = [None] * self.needed  # coefficient rows (lists of ints)
-        self._payloads = [None] * self.needed  # payload of each stored row
+        self._payloads = None  # payload of each stored row; see absorb
         self._known = None  # (packet id, column) of each held packet; see absorb
+
+    @property
+    def rank(self):
+        return len(self._basis) - self.needed
 
     @property
     def decoded(self):
@@ -113,9 +143,10 @@ class DecoderState:
 
         residual = None
         if pkt.payload is not None:
-            if self._known is None:  # rank-only decoding never needs it
+            if self._known is None:  # rank-only decoding never needs these
                 self._known = [(pid, j) for j, pid in enumerate(self.generation_ids)
                                if pid not in self.unknown_ids]
+                self._payloads = [None] * len(self._basis)
             known_payloads = known_payloads or {}
             missing = [pid for pid, _ in self._known if pid not in known_payloads]
             if missing:
@@ -148,8 +179,8 @@ class DecoderState:
             if residual is not None:
                 residual = field.mul_vec(fi, residual)
         self._basis[pivot] = vec
-        self._payloads[pivot] = residual
-        self.rank += 1
+        if residual is not None:
+            self._payloads[pivot] = residual
         self.needed -= 1
         return True
 
@@ -162,9 +193,10 @@ class DecoderState:
             raise RuntimeError(
                 f"cannot solve at rank {self.rank} with {len(self.unknown_ids)} unknowns"
             )
-        if any(prow is None for prow in self._payloads):
+        sol = list(self._payloads or [None] * len(self._basis))
+        if any(prow is None for prow in sol):
             raise RuntimeError("state was advanced without payloads; nothing to solve")
-        sol = list(self._payloads)  # starts as the stored rows: never update in place
+        # sol starts as the stored rows: never update in place
         for j in reversed(range(len(sol))):
             row = self._basis[j]
             for c in range(j + 1, len(sol)):

@@ -97,11 +97,11 @@ def check_generation_ids(values) -> tuple[int, ...]:
     return ids
 
 
-def check_cap(gamma) -> int:
-    """A rank cap gamma as an int: it passes _integer and is >= 1."""
+def check_cap(gamma, what="gamma") -> int:
+    """A rank cap (or another count, named what) as an int: _integer and >= 1."""
     cap = _integer(gamma)
     if cap is None or cap < 1:
-        raise ValueError(f"gamma must be an integer >= 1, got {gamma!r}")
+        raise ValueError(f"{what} must be an integer >= 1, got {gamma!r}")
     return cap
 
 
@@ -258,6 +258,7 @@ def popularity(sfm: StateFeedbackMatrix, k: int) -> int:
 
 def validate_partition(sfm, p: Partition, gamma: int) -> PartitionReport:
     """Check that p disjointly covers all K packets and respects the rank cap."""
+    gamma = check_cap(gamma)
     report, counts = _cover_and_counts(sfm, p)
     ranks = counts.max(axis=0).tolist()
     violations = tuple((m, r) for m, r in enumerate(ranks) if r > gamma)

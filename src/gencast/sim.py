@@ -34,7 +34,7 @@ import numpy as np
 from .galois import get_field
 from .partition import PartitionerConfig, blind_partition, heuristic_partition
 from .rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
-from .sfm import Partition, StateFeedbackMatrix, delay_bound, generation_counts
+from .sfm import Partition, StateFeedbackMatrix, check_cap, delay_bound, generation_counts
 
 __all__ = [
     "ChannelModel",
@@ -88,20 +88,14 @@ class SimConfig:
     abstract_decode: bool = False
 
     def __post_init__(self):
-        if self.n_packets < 1:
-            raise ValueError(f"need K >= 1, got {self.n_packets}")
-        if self.n_receivers < 1:
-            raise ValueError(f"need N >= 1, got {self.n_receivers}")
-        if not 1 <= self.gamma <= self.n_packets:
+        for name in ("n_packets", "n_receivers", "gamma", "trials", "payload_len"):
+            object.__setattr__(self, name, check_cap(getattr(self, name), name))
+        if self.gamma > self.n_packets:
             raise ValueError(f"need 1 <= gamma <= K, got gamma={self.gamma} K={self.n_packets}")
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
         check_seed(self.seed)
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}")
         ChannelModel(self.erasure_prob)  # rejects a probability outside [0, 1)
-        if self.payload_len < 1:
-            raise ValueError(f"need payload_len >= 1, got {self.payload_len}")
         get_field(self.field_order)  # rejects unsupported orders
 
 
@@ -139,14 +133,15 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         known = [{k: payloads[k] for k in range(sfm.n_packets) if not wants[r][k]}
                  for r in range(n)]
 
-    gen_ids = [list(g.packet_ids) for g in partition.generations]
+    gen_ids = [g.packet_ids for g in partition.generations]
+    waiting = counts.T.tolist()  # per generation, each receiver's want count
     # per generation: the decoder of every receiver still missing it, by receiver
     pending = [
-        {r: DecoderState(m, ids, [k for k in ids if wants[r][k]], field)
-         for r in np.flatnonzero(counts[:, m]).tolist()}
+        DecoderState.for_generation(
+            m, ids, {r: wants[r] for r, c in enumerate(waiting[m]) if c}, field)
         for m, ids in enumerate(gen_ids)
     ]
-    ranks = counts.max(axis=0).tolist()  # round 1 sends rank(G_m) packets
+    ranks = list(map(max, waiting))  # round 1 sends rank(G_m) packets
     channel = ChannelModel(cfg.erasure_prob) if cfg.coded_phase_erasures else None
 
     delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs

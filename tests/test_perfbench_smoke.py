@@ -2,12 +2,13 @@
 
 perfbench/selftest.py wraps every traced binding, so it fails if a function
 the tracer names is gone.  The exact counts it prints are pinned, so a change
-to the RNG draw order or to the absorb path fails here too.  A zero-second
-fig3-rank run makes one pass at the default seed and checks every cell's
-mean_U/mean_D against perfbench/reference.json.  A zero-second
-payload-decode run decodes every payload of its 6 cells x 20 trials at 1024
-bytes and checks each payload row against its rank-only row.  A traced oracle-k20 run
-checks every witness, colouring and M_opt <= M_heur on all 2,000 operations
+to the RNG draw order or to the absorb path fails here too.  Zero-second
+fig3-rank runs, one at the default seed and one at the held-out seed
+8675309, each make one pass and check every cell's mean_U/mean_D against
+perfbench/reference.json.  A zero-second payload-decode run decodes every
+payload of its 6 cells x 20 trials at 1024 bytes and checks each payload row
+against its rank-only row.  A traced oracle-k20 run checks every witness,
+colouring and M_opt <= M_heur on all 2,000 operations
 of the paper-point workload and pins the exact search's node count.
 """
 
@@ -57,34 +58,36 @@ def test_selftest_counts_pinned(selftest):
         assert {key: counts[name][key] for key in pinned} == pinned, name
 
 
-def test_fig3_rank_matches_reference():
-    proc = run_script("perfbench/run.py", "--workload", "fig3-rank",
-                      "--seconds", "0", "--trace", "0")
+def run_workload(*args):
+    """perfbench/run.py's report and result objects for one run."""
+    proc = run_script("perfbench/run.py", *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    report = json.loads(report_line)["report"]
-    result = json.loads(result_line)
+    return json.loads(report_line)["report"], json.loads(result_line)
+
+
+def test_fig3_rank_matches_reference():
+    report, result = run_workload("--workload", "fig3-rank", "--seconds", "0", "--trace", "0")
+    assert result["correct"] is True, report["errors"]
+    assert report["fig3_reference_checked"] is True
+
+
+def test_fig3_rank_matches_reference_at_held_out_seed():
+    report, result = run_workload("--workload", "fig3-rank", "--seed", "8675309",
+                                  "--seconds", "0", "--trace", "0")
     assert result["correct"] is True, report["errors"]
     assert report["fig3_reference_checked"] is True
 
 
 def test_payload_decode_full_workload():
-    proc = run_script("perfbench/run.py", "--workload", "payload-decode",
-                      "--seconds", "0", "--trace", "0")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    report_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    report = json.loads(report_line)["report"]
-    result = json.loads(result_line)
+    report, result = run_workload("--workload", "payload-decode", "--seconds", "0",
+                                  "--trace", "0")
     assert result["correct"] is True, report["errors"]
     assert result["failed"] == 0
 
 
 def test_oracle_k20_full_workload():
-    proc = run_script("perfbench/run.py", "--workload", "oracle-k20", "--trace", "1")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    report_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    report = json.loads(report_line)["report"]
-    result = json.loads(result_line)
+    report, result = run_workload("--workload", "oracle-k20", "--trace", "1")
     assert result["correct"] is True, report["errors"]
     assert result["failed"] == 0
     assert report["run"]["exact_counts"]["partition.optimal.nodes"] == 3450148

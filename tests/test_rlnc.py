@@ -271,3 +271,59 @@ def test_decoder_rank_innovation_and_solve(case):
         assert sorted(solved) == sorted(wanted)
         for pid in wanted:
             assert solved[pid].tolist() == payloads[pid]
+
+
+@st.composite
+def generation_cases(draw):
+    """A field, one generation's ids within K packets, 0/1 want rows over
+    the K packets for a few receivers, payloads and coefficient rows."""
+    field = draw(st.sampled_from([GF16, GF256]))
+    k = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                         min_size=1, max_size=5))
+    symbol = st.integers(0, field.q - 1)
+    payloads = [draw(st.lists(symbol, min_size=3, max_size=3)) for _ in range(k)]
+    coeffs = draw(st.lists(st.lists(symbol, min_size=len(ids), max_size=len(ids)),
+                           max_size=2 * len(ids) + 2))
+    return field, ids, rows, payloads, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(generation_cases())
+def test_for_generation_matches_one_by_one(case):
+    field, ids, rows, payloads, coeffs = case
+    sources = [np.array(p, np.uint8) for p in payloads]
+    # equal when built, and fed the same packets, rank-only and with
+    # payloads, equal throughout
+    for with_payloads in (False, True):
+        built = DecoderState.for_generation(5, ids, dict(enumerate(rows)), field)
+        single = {r: DecoderState(5, ids, [k for k in ids if row[k]], field)
+                  for r, row in enumerate(rows) if any(row[k] for k in ids)}
+        assert built.keys() == single.keys()
+        for r, state in built.items():
+            one = single[r]
+            assert (state.generation_id, state.generation_ids, state.unknown_ids,
+                    state.needed, state.rank) == (one.generation_id, one.generation_ids,
+                                                  one.unknown_ids, one.needed, one.rank)
+        for row in coeffs:
+            coded = None
+            if with_payloads:
+                coded = np.zeros(3, np.uint8)
+                for c, k in zip(row, ids):
+                    coded ^= field.mul_vec(c, sources[k])
+            pkt = CodedPacket(5, np.array(row, np.uint8), coded)
+            for r, state in built.items():
+                known = {k: sources[k] for k in ids if not rows[r][k]} if with_payloads else None
+                assert state.absorb(pkt, known) == single[r].absorb(pkt, known)
+                assert (state.needed, state.rank) == (single[r].needed, single[r].rank)
+        for r, state in built.items():
+            if with_payloads and state.decoded:
+                got, want = state.solve(), single[r].solve()
+                assert got.keys() == want.keys()
+                assert all((got[k] == want[k]).all() and (got[k] == sources[k]).all()
+                           for k in got)
+            elif state.decoded:  # rank-only: neither has payloads to solve
+                for s in (state, single[r]):
+                    with pytest.raises(RuntimeError, match="without payloads"):
+                        s.solve()

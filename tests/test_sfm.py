@@ -117,6 +117,8 @@ CAP_ENTRY_POINTS = {
     "is_valid_coloring": (lambda g: is_valid_coloring(RULE_H, Coloring((0,) * 4), g).valid,
                           True),
     "partition_from_json": (lambda g: _json_partition(gamma=g).gamma_cap, 3),
+    "validate_partition": (lambda g: validate_partition(RULE_SFM, Partition(gens([0, 1, 2, 3])),
+                                                        g).rank_violations, ()),
 }
 NON_INTEGERS = [True, 1.5, np.float64(2.0), "2"]
 
@@ -150,7 +152,7 @@ class TestInputRule:
             DecoderState(0, (1, 1, 2), (1,))
 
     @pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
-    @pytest.mark.parametrize("bad", NON_INTEGERS + [0], ids=repr)
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [0, 0.5], ids=repr)
     def test_caps_reject_non_integers_and_zero(self, entry, bad):
         if entry == "partition_from_json" and isinstance(bad, np.floating):
             bad = float(bad)
@@ -163,6 +165,16 @@ class TestInputRule:
         call, expected = CAP_ENTRY_POINTS[entry]
         got = call(np.int64(3))
         assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS + [0, 2.0], ids=repr)
+    def test_hypergraph_vertex_count_is_an_integer(self, bad):
+        message = f"n_vertices must be an integer >= 1, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Hypergraph(bad, (frozenset({0}),))
+
+    def test_hypergraph_vertex_count_stored_as_int(self):
+        h = Hypergraph(np.int64(3), (frozenset({0, 2}),))
+        assert h.n_vertices == 3 and type(h.n_vertices) is int
 
     @pytest.mark.parametrize("doc", [{"gamma": True}, {"gamma": 2.5}, {"gamma": "2"},
                                      {"generations": 3}, {"generations": [5]}], ids=repr)
@@ -382,7 +394,7 @@ def brute_force_counts(sfm, p):
 
 
 @PROPERTY_SETTINGS
-@given(covers(), st.integers(0, 10))
+@given(covers(), st.integers(1, 10))
 def test_metrics_agree_with_brute_force_counts(cover, gamma):
     sfm, p = cover
     expected = brute_force_counts(sfm, p)

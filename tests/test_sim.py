@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gencast.rlnc
 import gencast.sfm
 import gencast.sim
 from gencast import (
@@ -302,6 +303,16 @@ class TestRunExperiment:
         for seed in (-1, 1.5, True, "7"):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=seed)
+        # the counts pass sfm.check_cap under their own names, never coerced
+        for field in ("n_packets", "n_receivers", "gamma", "trials", "payload_len"):
+            for bad in (0, True, 2.5, 2.0, "2"):
+                with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+                    SimConfig(**{field: bad})
+        with pytest.raises(ValueError, match="^n_packets must be an integer"):
+            SimConfig(n_packets=20.0, gamma=2)
+        cfg = SimConfig(n_packets=np.int64(8), gamma=np.uint8(3), trials=np.int32(2))
+        assert (cfg.n_packets, cfg.gamma, cfg.trials) == (8, 3, 2)
+        assert all(type(v) is int for v in (cfg.n_packets, cfg.gamma, cfg.trials))
 
 
 class TestTrialCounts:
@@ -322,6 +333,25 @@ class TestTrialCounts:
                     calls.clear()
                     run_trial(cfg, trial)
                     assert len(calls) == 1
+
+    def test_generation_ids_checked_once_per_generation(self):
+        # the decoders of a generation share one check of its ids, however
+        # many receivers wait for it (rlnc binds sfm.check_generation_ids)
+        calls = []
+        check = gencast.rlnc.check_generation_ids
+
+        def counted(ids):
+            calls.append(ids)
+            return check(ids)
+
+        with mock.patch.object(gencast.rlnc, "check_generation_ids", counted):
+            for scheduler in SCHEDULERS:
+                cfg = SimConfig(n_packets=20, n_receivers=20, gamma=3, erasure_prob=0.2,
+                                seed=1, abstract_decode=True, scheduler=scheduler)
+                for trial in range(3):
+                    calls.clear()
+                    row = run_trial(cfg, trial)
+                    assert len(calls) == row["M"]
 
 
 @settings(max_examples=60, deadline=None)
