@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from gencast import DecoderState, encode, random_payloads
+from gencast import DecoderState, encode, random_coefficients, random_payloads
 from gencast.galois import GF16, GF256
 from gencast.rlnc import CodedPacket
 
@@ -32,7 +32,7 @@ known = {1: payloads[1], 4: payloads[4]}
 print("\nreceiver wants packets [0, 2, 3]; absorbing coded packets:")
 absorbed = 0
 while not state.decoded:
-    pkt = encode(payloads, rng, GF256, generation_id=0)
+    pkt = encode(payloads, random_coefficients(5, rng, GF256), GF256, generation_id=0)
     useful = state.absorb(pkt, known)
     absorbed += 1
     print(f"  packet {absorbed}: coeffs {bytes(pkt.coefficients).hex()} "

@@ -2,12 +2,13 @@
 
 A coded packet carries a coefficient vector drawn i.i.d. uniform over the
 field (zero included) plus the matching linear combination of the source
-payloads.  Each receiver keeps one DecoderState per generation it wants
-packets from; absorbing a coded packet substitutes the payloads the receiver
-already holds, projects the coefficients onto the remaining unknowns, and
-reduces the result against an echelon basis indexed by pivot column: the
-first column with no stored row becomes the new pivot.  Back-substitution
-happens only in solve(), once the basis reaches full rank.
+payloads, which encode, the one function that builds packets, forms from the
+vector it is given.  Each receiver keeps one DecoderState per generation it
+wants packets from; absorbing a coded packet substitutes the payloads the
+receiver already holds, projects the coefficients onto the remaining
+unknowns, and reduces the result against an echelon basis indexed by pivot
+column: the first column with no stored row becomes the new pivot.
+Back-substitution happens only in solve(), once the basis reaches full rank.
 
 absorb reads the coefficients once with tolist() and scales plain-int rows
 through the field's bytes product rows (mul_rows), with no multiply call per
@@ -44,15 +45,15 @@ def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
     return rng.integers(0, field.q, size=n, dtype=np.uint8)
 
 
-def encode(generation_payloads, rng, field: Field = GF256, generation_id: int = 0) -> CodedPacket:
-    """Draw uniform coefficients over the field and combine the payloads."""
+def encode(generation_payloads, coefficients, field: Field = GF256, generation_id=0) -> CodedPacket:
+    """Combine a nonempty generation's payloads with the given coefficients, one each."""
     n = len(generation_payloads)
-    if n == 0:
-        raise ValueError("cannot encode an empty generation")
+    coeffs = np.asarray(coefficients, dtype=np.uint8)
+    if not 0 < n == len(coeffs):
+        raise ValueError(f"cannot encode {n} payloads with {len(coeffs)} coefficients")
     lengths = {len(p) for p in generation_payloads}
     if len(lengths) != 1:
         raise ValueError(f"payload lengths differ within the generation: {sorted(lengths)}")
-    coeffs = random_coefficients(n, rng, field)
     payload = np.zeros(lengths.pop(), dtype=np.uint8)
     for c, src in zip(coeffs.tolist(), generation_payloads):
         if c:

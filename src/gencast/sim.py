@@ -21,23 +21,27 @@ reached full rank.  The coded phase keeps D as one running sum (each decode
 adds its time index times the packets it delivers) and reports the
 generation ranks, from which a trial's total rank and delay bound follow.
 Trials with an all-zero SFM skip the coded phase and are flagged
-empty_demand.
+empty_demand.  Slots draw through SlotDraws: the values of per-slot
+Generator calls, read from the trial's PCG64 words in blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
 from .galois import get_field
 from .partition import PartitionerConfig, blind_partition, heuristic_partition
-from .rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
+from .rlnc import CodedPacket, DecoderState, encode, random_payloads
 from .sfm import Partition, StateFeedbackMatrix, check_cap, delay_bound, generation_counts
 
 __all__ = [
     "ChannelModel",
+    "SlotDraws",
     "SimConfig",
     "TrialResult",
     "systematic_phase",
@@ -58,12 +62,58 @@ class ChannelModel:
     erasure_prob: float
 
     def __post_init__(self):
-        if not 0.0 <= self.erasure_prob < 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1), got {self.erasure_prob}")
+        if type(p := self.erasure_prob) is bool or not isinstance(p, Real) or not 0 <= p < 1:
+            raise ValueError(f"erasure_prob must be a real number in [0, 1), got {p!r}")
 
     def erased(self, rng, shape) -> np.ndarray:
         """Boolean erasure pattern: True where the copy is lost."""
         return rng.random(shape) < self.erasure_prob
+
+
+_BLOCK = 256  # PCG64 words per random_raw call of SlotDraws
+
+
+class SlotDraws:
+    """One trial's coded-slot draws, read from its PCG64 words _BLOCK at a time.
+
+    slot(g) returns exactly random_coefficients(g, rng, field), then
+    ChannelModel(p).erased(rng, n).tolist() ([False] * n if p is None).  The g
+    coefficients are the little-endian bytes of ceil(g / 4) 32-bit halves taken
+    as next_uint32 takes them (the buffered half, else a new word's low half),
+    cut to their top m bits over GF(2^m), where Lemire's step never rejects.
+    Word w is an erasure iff (w >> 11) * 2**-53 < p, i.e. w < ceil(p * 2**53)
+    << 11.  rng is left at an unspecified position.
+    """
+
+    def __init__(self, rng, field, n, erasure_prob):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise ValueError(f"slot draws need a PCG64 generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self._carry = state["uinteger"].to_bytes(4, "little") if state["has_uint32"] else b""
+        self._raw = bitgen.random_raw
+        self._top_bits = (np.arange(256, dtype=np.uint8) >> (8 - field.m)).tobytes()
+        self._n = 0 if erasure_prob is None else n  # erasure words per slot
+        self._clear = [False] * n
+        self._limit = None if erasure_prob is None else math.ceil(erasure_prob * (1 << 53)) << 11
+        # little-endian bytes of the words read, their erasure flags, first unused word
+        self._bytes, self._flags, self._pos = b"", [], 0
+
+    def slot(self, g):
+        """(coefficients, erased) of one slot coding g packets."""
+        halves = (g + 3) // 4 - bool(self._carry)  # 32-bit halves taken from new words
+        words, n, pos = (halves + 1) // 2, self._n, self._pos
+        if (pos + words + n) * 8 > len(self._bytes):  # top up by whole blocks
+            raw = self._raw(_BLOCK * ((words + n) // _BLOCK + 1))
+            self._bytes = self._bytes[pos * 8:] + raw.astype("<u8", copy=False).tobytes()
+            self._flags = self._flags[pos:] + (raw < self._limit).tolist() if n else []
+            pos = 0
+        end = pos + words
+        buf = self._carry + self._bytes[pos * 8:end * 8]
+        self._carry = buf[-4:] if halves % 2 else b""
+        self._pos = end + n
+        coeffs = np.frombuffer(buf[:g].translate(self._top_bits), np.uint8)
+        return coeffs, self._flags[end:end + n] if n else self._clear
 
 
 def check_seed(seed):
@@ -88,8 +138,12 @@ class SimConfig:
     abstract_decode: bool = False
 
     def __post_init__(self):
-        for name in ("n_packets", "n_receivers", "gamma", "trials", "payload_len"):
+        for name in ("n_packets", "n_receivers", "gamma", "trials", "payload_len", "field_order"):
             object.__setattr__(self, name, check_cap(getattr(self, name), name))
+        for name in ("coded_phase_erasures", "strict_paper_rounds", "abstract_decode"):
+            if not isinstance(flag := getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         if self.gamma > self.n_packets:
             raise ValueError(f"need 1 <= gamma <= K, got gamma={self.gamma} K={self.n_packets}")
         check_seed(self.seed)
@@ -117,6 +171,8 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     """Run coded rounds until every wanted (receiver, packet) pair decodes.
 
     With payloads, each decode is solved and checked against the sources.
+    rng must be a PCG64 generator; the slot draws leave it at an unspecified
+    position (run_trial reads nothing from it afterwards).
     """
     counts = generation_counts(sfm, partition)
     field = get_field(cfg.field_order)
@@ -125,6 +181,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
 
     # both decode modes consume this draw, keeping their streams aligned
     payload_seed = int(rng.integers(0, 2**63))
+    draws = SlotDraws(rng, field, n, cfg.erasure_prob if cfg.coded_phase_erasures else None)
     payloads = known = None
     if not cfg.abstract_decode:
         payloads = random_payloads(sfm.n_packets, cfg.payload_len,
@@ -142,7 +199,6 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         for m, ids in enumerate(gen_ids)
     ]
     ranks = list(map(max, waiting))  # round 1 sends rank(G_m) packets
-    channel = ChannelModel(cfg.erasure_prob) if cfg.coded_phase_erasures else None
 
     delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs
     t = 0
@@ -165,11 +221,11 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
             ids = gen_ids[m]
             for _ in range(quota):
                 t += 1
+                coeffs, erased = draws.slot(len(ids))
                 if payloads is None:
-                    pkt = CodedPacket(m, random_coefficients(len(ids), rng, field), None)
+                    pkt = CodedPacket(m, coeffs, None)
                 else:
-                    pkt = encode([payloads[k] for k in ids], rng, field, generation_id=m)
-                erased = channel.erased(rng, n).tolist() if channel else [False] * n
+                    pkt = encode([payloads[k] for k in ids], coeffs, field, generation_id=m)
                 for r, state in list(pending[m].items()):
                     if erased[r]:
                         continue

@@ -7,7 +7,8 @@ fig3-rank runs, one at the default seed and one at the held-out seed
 8675309, each make one pass and check every cell's mean_U/mean_D against
 perfbench/reference.json.  A zero-second payload-decode run decodes every
 payload of its 6 cells x 20 trials at 1024 bytes and checks each payload row
-against its rank-only row.  A traced oracle-k20 run checks every witness,
+against its rank-only row.  A traced zero-second fig3-rank run pins the absorb, slot and
+innovative counts of the whole grid.  A traced oracle-k20 run checks every witness,
 colouring and M_opt <= M_heur on all 2,000 operations
 of the paper-point workload and pins the exact search's node count.
 """
@@ -91,3 +92,14 @@ def test_oracle_k20_full_workload():
     assert result["correct"] is True, report["errors"]
     assert result["failed"] == 0
     assert report["run"]["exact_counts"]["partition.optimal.nodes"] == 3450148
+
+
+def test_fig3_rank_trace_counts():
+    # one traced pass of the whole fig3 grid: the draw order and the absorb
+    # path fix these counts exactly
+    report, result = run_workload("--workload", "fig3-rank", "--seconds", "0", "--trace", "1")
+    assert result["correct"] is True, report["errors"]
+    counts = report["run"]["exact_counts"]
+    assert counts["rlnc.absorb.calls"] == 161710
+    assert counts["sim.coded_slots"] == 28125
+    assert counts["rlnc.absorb.innovative_frac"] == 0.9983303444437573

@@ -26,7 +26,7 @@ class TestEncode:
     def test_single_packet_scaling(self):
         src = np.arange(16, dtype=np.uint8)
         rng = np.random.default_rng(5)
-        pkt = encode([src], rng)
+        pkt = encode([src], random_coefficients(1, rng))
         c = int(pkt.coefficients[0])
         assert list(pkt.payload) == [GF256.mul(c, int(v)) for v in src]
 
@@ -35,7 +35,7 @@ class TestEncode:
         src = [np.ones(4, dtype=np.uint8)]
         for seed in range(5000):
             rng = np.random.default_rng(seed)
-            pkt = encode(src, rng, GF16)
+            pkt = encode(src, random_coefficients(1, rng, GF16), GF16)
             if int(pkt.coefficients[0]) == 0:
                 assert not pkt.payload.any()
                 break
@@ -46,18 +46,18 @@ class TestEncode:
         rng = np.random.default_rng(GOLDEN_SEED)
         payloads = random_payloads(4, 16, rng, GF256)
         assert [bytes(p).hex() for p in payloads] == GOLDEN_PAYLOADS
-        pkt = encode(payloads, rng, GF256, generation_id=7)
+        pkt = encode(payloads, random_coefficients(4, rng, GF256), GF256, generation_id=7)
         assert bytes(pkt.coefficients).hex() == GOLDEN_COEFFS
         assert bytes(pkt.payload).hex() == GOLDEN_CODED
         assert pkt.generation_id == 7
 
     def test_empty_generation_rejected(self):
         with pytest.raises(ValueError):
-            encode([], np.random.default_rng(0))
+            encode([], np.zeros(0, np.uint8))
 
     def test_ragged_payloads_rejected(self):
         with pytest.raises(ValueError):
-            encode([np.zeros(4, np.uint8), np.zeros(5, np.uint8)], np.random.default_rng(0))
+            encode([np.zeros(4, np.uint8), np.zeros(5, np.uint8)], np.ones(2, np.uint8))
 
 
 class TestAbsorb:
@@ -105,7 +105,7 @@ class TestAbsorb:
         st = DecoderState(3, [0, 1, 2, 3, 4], [1, 3])
         known = {0: payloads[0], 2: payloads[2], 4: payloads[4]}
         while not st.decoded:
-            st.absorb(encode(payloads, rng, GF256, generation_id=3), known)
+            st.absorb(encode(payloads, random_coefficients(5, rng), GF256, generation_id=3), known)
         sol = st.solve()
         assert set(sol) == {1, 3}
         assert (sol[1] == payloads[1]).all()
@@ -114,7 +114,8 @@ class TestAbsorb:
     def test_missing_known_payload_rejected(self):
         payloads = random_payloads(2, 4, np.random.default_rng(0))
         st = DecoderState(0, [0, 1], [1])
-        pkt = encode(payloads, np.random.default_rng(1), GF256, generation_id=0)
+        pkt = encode(payloads, random_coefficients(2, np.random.default_rng(1)), GF256,
+                     generation_id=0)
         with pytest.raises(ValueError):
             st.absorb(pkt, {})
 
@@ -180,7 +181,7 @@ class TestSolve:
             for _ in range(4 * gen_size + 8):
                 if st.decoded:
                     break
-                st.absorb(encode(payloads, rng, field), known)
+                st.absorb(encode(payloads, random_coefficients(gen_size, rng, field), field), known)
             assert st.decoded  # overwhelmingly likely with the extra margin
             sol = st.solve()
             for k in wanted:
@@ -203,10 +204,18 @@ def test_full_rank_probability_spot_check():
     assert abs(hits / trials - expect) < 3 * sigma
 
 
-def test_encode_draws_through_random_coefficients():
+def test_encode_uses_the_given_coefficients():
     payloads = random_payloads(5, 8, np.random.default_rng(0), GF16)
-    pkt = encode(payloads, np.random.default_rng(9), GF16)
-    assert (pkt.coefficients == random_coefficients(5, np.random.default_rng(9), GF16)).all()
+    coeffs = np.array([3, 0, 15, 1, 7], np.uint8)
+    pkt = encode(payloads, coeffs, GF16, generation_id=2)
+    assert pkt.coefficients is coeffs
+    expected = np.zeros(8, np.uint8)
+    for c, src in zip(coeffs.tolist(), payloads):
+        expected ^= np.array([GF16.mul(c, int(v)) for v in src], np.uint8)
+    assert (pkt.payload == expected).all()
+    assert pkt.generation_id == 2
+    with pytest.raises(ValueError, match="cannot encode 5 payloads with 4 coefficients"):
+        encode(payloads, coeffs[:4], GF16)
 
 
 def reference_rank(field, rows):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -26,8 +27,11 @@ from gencast import (
     systematic_phase,
     total_rank,
 )
+from gencast.experiments import load_spec, run_simulation_sweep
+from gencast.galois import get_field
+from gencast.rlnc import random_coefficients
 from gencast.sfm import generation_ranks
-from gencast.sim import SCHEDULERS, aggregate_rows
+from gencast.sim import SCHEDULERS, SlotDraws, aggregate_rows
 
 from conftest import random_sfm
 
@@ -136,6 +140,13 @@ class TestCodedPhase:
             if not result.empty_demand:
                 assert 1 <= result.delay <= result.completion_time
             assert result.completion_time >= total_rank(sfm, part)
+
+    def test_rejects_a_generator_that_is_not_pcg64(self):
+        sfm = StateFeedbackMatrix([[1, 1]])
+        part = Partition(((0, 1),), gamma_cap=2)
+        cfg = SimConfig(n_packets=2, n_receivers=1, gamma=2, erasure_prob=0.2)
+        with pytest.raises(ValueError, match="PCG64.*MT19937"):
+            coded_phase(sfm, part, cfg, np.random.Generator(np.random.MT19937(0)))
 
     def test_invalid_partition_rejected(self):
         sfm = StateFeedbackMatrix([[1, 1]])
@@ -313,6 +324,23 @@ class TestRunExperiment:
         cfg = SimConfig(n_packets=np.int64(8), gamma=np.uint8(3), trials=np.int32(2))
         assert (cfg.n_packets, cfg.gamma, cfg.trials) == (8, 3, 2)
         assert all(type(v) is int for v in (cfg.n_packets, cfg.gamma, cfg.trials))
+        # field_order passes the same integer rule before the field lookup
+        for bad in (256.0, True, "256", 0):
+            with pytest.raises(ValueError, match="^field_order must be an integer >= 1"):
+                SimConfig(field_order=bad)
+        # the erasure limit reads a real number; bool, str and nan are not one
+        for bad in ("0.2", False, True, np.bool_(False), None, float("nan"), -0.1):
+            with pytest.raises(ValueError, match="^erasure_prob must be a real number"):
+                SimConfig(erasure_prob=bad)
+        # the flags take bool or numpy.bool_ only, never truthiness
+        for name in ("coded_phase_erasures", "strict_paper_rounds", "abstract_decode"):
+            for bad in (0, 1, "no", None, np.int64(1)):
+                with pytest.raises(ValueError, match=f"^{name} must be a bool"):
+                    SimConfig(**{name: bad})
+        cfg = SimConfig(field_order=np.int64(16), erasure_prob=np.float32(0.25),
+                        abstract_decode=np.bool_(True), strict_paper_rounds=np.bool_(False))
+        assert type(cfg.field_order) is int and cfg.field_order == 16
+        assert cfg.abstract_decode is True and cfg.strict_paper_rounds is False
 
 
 class TestTrialCounts:
@@ -379,3 +407,73 @@ def test_trial_ranks_and_bounds_match_sfm(k, n, gamma, p, scheduler, erasures, s
     assert row["apdd_bound"] == apdd_upper_bound(sfm, part)
     assert (row["U"], row["D"], row["M"]) == (result.completion_time, result.delay,
                                               part.n_generations)
+
+
+def per_slot_draws(rng, field, n, erasure_prob, sizes):
+    """The reference: one Generator call per coefficient vector and per erasure pattern."""
+    channel = ChannelModel(erasure_prob) if erasure_prob is not None else None
+    return [(random_coefficients(g, rng, field).tolist(),
+             channel.erased(rng, n).tolist() if channel else [False] * n) for g in sizes]
+
+
+def block_draws(rng, field, n, erasure_prob, sizes):
+    draws = SlotDraws(rng, field, n, erasure_prob)
+    out = []
+    for g in sizes:
+        coeffs, erased = draws.slot(g)
+        assert coeffs.dtype == np.uint8 and coeffs.shape == (g,)
+        out.append((coeffs.tolist(), erased))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([16, 256]), sizes=st.lists(st.integers(1, 20), min_size=1, max_size=30),
+       n=st.integers(1, 40),
+       p=st.sampled_from([0.0, 5e-324, 0.2, 0.5, 0.9999999999999999])
+       | st.floats(0.0, 1.0, exclude_max=True),
+       erasures=st.booleans(), buffered=st.booleans(), seed=st.integers(0, 2**64 - 1))
+def test_slot_draws_equal_per_slot_numpy_draws(q, sizes, n, p, erasures, buffered, seed):
+    # twin generators: the block reader must return exactly the per-call draws
+    field = get_field(q)
+    ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # leaves the upper 32-bit half of a word buffered in the generator
+        for rng in (ref, fast):
+            rng.integers(0, 256, 1, np.uint8)
+    prob = p if erasures else None
+    assert block_draws(fast, field, n, prob, sizes) == per_slot_draws(ref, field, n, prob, sizes)
+
+
+@pytest.mark.parametrize("n", [256, 600])
+def test_slot_draws_span_several_blocks(n):
+    # one slot's erasure words may fill more than one block read
+    sizes = [3, 20, 1, 7]
+    ref, fast = np.random.default_rng(5), np.random.default_rng(5)
+    assert block_draws(fast, get_field(256), n, 0.3, sizes) == \
+        per_slot_draws(ref, get_field(256), n, 0.3, sizes)
+
+
+# sha256 of per_trial.csv for fig3_U sweeps (gammas 1, 3, 6, both schedulers,
+# 25 trials, seed 11) on paths perfbench/reference.json does not check,
+# recorded with per-slot Generator draws before the block reader replaced them
+SWEEP_DIGESTS = {
+    "gf16": ({"field_order": 16},
+             "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20"),
+    "no-erasures": ({"coded_phase_erasures": False},
+                    "045dd4b360a4ad18f614de10014cb019a680b3ab83d49de4445d68cbf0520446"),
+    "strict-rounds": ({"strict_paper_rounds": True},
+                      "021df11b328b4293000134c0a12c0b39e16aff787f03c1cdc6a80a4c0d0be14a"),
+    "payload": ({"abstract_decode": False, "payload_len": 16},
+                "8bc16f7ca29f2e9832f5d2f6da62e68d3a0c34527d57f6580b17f6263feeaad0"),
+    # payload decoding over GF(16) reads the same draws as rank-only GF(16)
+    "payload-gf16": ({"abstract_decode": False, "payload_len": 16, "field_order": 16},
+                     "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_DIGESTS)
+def test_sweep_bytes_pinned(case, tmp_path):
+    overrides, digest = SWEEP_DIGESTS[case]
+    spec = load_spec({"experiment": "fig3_U", "gammas": [1, 3, 6],
+                      "config": {"trials": 25, "seed": 11, **overrides}})
+    run_simulation_sweep(spec, tmp_path)
+    assert hashlib.sha256((tmp_path / "per_trial.csv").read_bytes()).hexdigest() == digest
