@@ -131,7 +131,7 @@ def cmd_simulate(args):
         except json.JSONDecodeError as exc:
             raise experiments.SpecError(f"spec is not valid JSON: {exc}") from exc
         spec = experiments.load_spec(doc)
-        spec_seed = doc.get("config", {}).get("seed")  # load_spec checked it is an int
+        spec_seed = doc.get("config", {}).get("seed")  # SimConfig checked it is an int
     else:
         spec = experiments.named_spec(args.experiment)
     overrides = {"seed": _resolve_seed(args.seed, spec_seed)}
@@ -167,7 +167,7 @@ def cmd_simulate(args):
 def cmd_oracle_gap(args):
     rows = experiments.run_oracle_gap(args.packets, args.receivers, args.erasure_prob,
                                       args.gamma, args.count, _resolve_seed(args.seed))
-    experiments.write_csv(args.out, experiments.ORACLE_GAP_COLUMNS, rows)
+    experiments.write_csv(args.out, rows)
     gaps = [r["M_heur"] - r["M_opt"] for r in rows]
     print(f"instances={len(rows)} mean_gap={sum(gaps) / len(gaps):.4f} max_gap={max(gaps)}",
           file=sys.stderr)

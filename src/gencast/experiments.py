@@ -2,22 +2,27 @@
 
 An experiment spec (JSON document or built-in name) expands into a grid of
 simulation cells over (scheduler, gamma, N).  Each cell is one Monte-Carlo
-run; outputs are a per-trial CSV and an aggregate CSV with documented,
-stable schemas.  run_oracle_gap, behind ``gencast oracle-gap``, compares the
-greedy partitioner against the exact solver on seeded random instances.
+run; outputs are a per-trial CSV and an aggregate CSV.  run_oracle_gap,
+behind ``gencast oracle-gap``, compares the greedy partitioner against the
+exact solver on seeded random instances.  write_csv takes each CSV's header
+from its first row, so the row producers own the column order:
+sim.run_trial for per_trial.csv, run_simulation_sweep's (scheduler, gamma,
+N) prefix then sim.aggregate_rows for aggregate.csv, and run_oracle_gap for
+the oracle-gap CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import get_type_hints
 
 from .partition import PartitionerConfig, heuristic_partition, optimal_partition
-from .sim import ChannelModel, SimConfig, check_seed, run_experiment, systematic_phase, trial_rng
+from .sim import (SCHEDULERS, ChannelModel, SimConfig, check_seed, run_experiment,
+                  systematic_phase, trial_rng)
 
 __all__ = [
     "ExperimentSpec",
@@ -28,20 +33,10 @@ __all__ = [
     "run_simulation_sweep",
     "run_oracle_gap",
     "write_csv",
-    "TRIAL_COLUMNS",
-    "AGGREGATE_COLUMNS",
-    "ORACLE_GAP_COLUMNS",
 ]
 
 EXPERIMENT_NAMES = ("fig3_U", "fig3_D", "tradeoff")
 
-TRIAL_COLUMNS = ["trial", "scheduler", "gamma", "N", "M", "U", "D",
-                 "total_rank", "apdd_bound", "empty_demand"]
-AGGREGATE_COLUMNS = ["scheduler", "gamma", "N", "trials", "n_demand",
-                     "mean_M", "std_M", "mean_U", "std_U", "ci95_U",
-                     "mean_D", "std_D", "ci95_D",
-                     "mean_total_rank", "mean_apdd_bound"]
-ORACLE_GAP_COLUMNS = ["instance_seed", "M_heur", "M_opt", "nodes_explored"]
 # element type of each sweep list of a spec
 _GRID_TYPES = {"gammas": int, "receivers": int, "schedulers": str}
 
@@ -52,17 +47,12 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    experiment: str
     config: SimConfig = field(default_factory=SimConfig)
     gammas: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
     receivers: tuple[int, ...] = (20,)
-    schedulers: tuple[str, ...] = ("feedback_rr", "blind_rr")
+    schedulers: tuple[str, ...] = SCHEDULERS
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
-            raise SpecError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}"
-            )
         for key in _GRID_TYPES:
             if not getattr(self, key):
                 raise SpecError(f"'{key}' sweep list must be nonempty")
@@ -81,15 +71,11 @@ def named_spec(name: str, **config_overrides) -> ExperimentSpec:
     if name in ("fig3_U", "fig3_D"):
         cfg = SimConfig(n_packets=20, n_receivers=20, erasure_prob=0.2,
                         coded_phase_erasures=True, trials=2000, abstract_decode=True)
-        spec = ExperimentSpec(experiment=name, config=cfg,
-                              gammas=tuple(range(1, 11)), receivers=(20,),
-                              schedulers=("feedback_rr", "blind_rr"))
+        spec = ExperimentSpec(config=cfg)  # gammas 1..10, N=20, both schedulers
     elif name == "tradeoff":
         cfg = SimConfig(n_packets=20, n_receivers=20, erasure_prob=0.2,
                         coded_phase_erasures=False, trials=1000, abstract_decode=True)
-        spec = ExperimentSpec(experiment=name, config=cfg,
-                              gammas=tuple(range(1, 11)), receivers=(5, 20),
-                              schedulers=("feedback_rr",))
+        spec = ExperimentSpec(config=cfg, receivers=(5, 20), schedulers=("feedback_rr",))
     else:
         raise SpecError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     if config_overrides:
@@ -99,14 +85,14 @@ def named_spec(name: str, **config_overrides) -> ExperimentSpec:
 
 # SimConfig fields a spec may override; every cell takes gamma, n_receivers and
 # scheduler from the sweep lists, which would overwrite a config value
-_CONFIG_TYPES = {key: kind for key, kind in get_type_hints(SimConfig).items()
-                 if key not in ("gamma", "n_receivers", "scheduler")}
+_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"gamma", "n_receivers", "scheduler"}
 _SPEC_KEYS = {"experiment", "config", "gammas", "receivers", "schedulers"}
 
 
 def load_spec(doc) -> ExperimentSpec:
-    """Build a spec from a parsed JSON document, validating keys, types and
-    every cell of the grid."""
+    """Build a spec from a parsed JSON document, validating its keys, the
+    sweep lists' element types and every cell of the grid; each config value
+    passes SimConfig's input rule, whose error names the field."""
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     unknown = sorted(set(doc) - _SPEC_KEYS)
@@ -117,16 +103,11 @@ def load_spec(doc) -> ExperimentSpec:
     cfg_doc = doc.get("config", {})
     if not isinstance(cfg_doc, dict):
         raise SpecError("'config' must be an object of SimConfig overrides")
-    unknown = sorted(set(cfg_doc) - _CONFIG_TYPES.keys())
+    unknown = sorted(set(cfg_doc) - _CONFIG_KEYS)
     if unknown:
         raise SpecError(f"config keys {unknown} are not allowed; allowed: "
-                        f"{sorted(_CONFIG_TYPES)}; gamma, n_receivers and scheduler come "
+                        f"{sorted(_CONFIG_KEYS)}; gamma, n_receivers and scheduler come "
                         "from the 'gammas', 'receivers' and 'schedulers' lists")
-    for key, value in cfg_doc.items():
-        kind = _CONFIG_TYPES[key]
-        # a float field also takes an int; type() keeps JSON true/false out of int fields
-        if not (type(value) is kind or kind is float and type(value) is int):
-            raise SpecError(f"config '{key}' must be a JSON {kind.__name__}, got {value!r}")
     grid = {key: doc[key] for key in _GRID_TYPES if key in doc}
     for key, value in grid.items():
         kind = _GRID_TYPES[key]
@@ -142,22 +123,17 @@ def load_spec(doc) -> ExperimentSpec:
         raise SpecError(f"invalid spec value: {exc}") from exc
 
 
-def write_csv(path, columns, rows):
-    """Write rows as CSV to the file at path (creating its directory), or to
-    stdout when path is None."""
-    if path is None:
-        _write_rows(sys.stdout, columns, rows)
-        return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_rows(fh, columns, rows)
-
-
-def _write_rows(fh, columns, rows):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+def write_csv(path, rows):
+    """Write a nonempty list of row dicts as CSV, headed by the first row's
+    keys, to the file at path (creating its directory), or to stdout when
+    path is None."""
+    if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with nullcontext(sys.stdout) if path is None else open(
+            path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_fmt(value) for value in row.values()] for row in rows)
 
 
 def _fmt(value):
@@ -181,8 +157,8 @@ def run_simulation_sweep(spec: ExperimentSpec, out_dir, workers: int = 1):
         trial_rows.extend(rows)
         agg_rows.append({"scheduler": cfg.scheduler, "gamma": cfg.gamma,
                          "N": cfg.n_receivers, **agg})
-    write_csv(out / "per_trial.csv", TRIAL_COLUMNS, trial_rows)
-    write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, agg_rows)
+    write_csv(out / "per_trial.csv", trial_rows)
+    write_csv(out / "aggregate.csv", agg_rows)
     return agg_rows
 
 

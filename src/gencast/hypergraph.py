@@ -121,12 +121,12 @@ def is_valid_coloring(h: Hypergraph, c: Coloring, gamma: int) -> ColoringReport:
     return ColoringReport(violations=tuple(violations))
 
 
-def chromatic_number(h: Hypergraph, gamma: int, *, max_vertices: int = 12):
+def chromatic_number(h: Hypergraph, gamma: int):
     """Exact minimum color count with a witness, via the partition oracle."""
     gamma = check_cap(gamma)
     if not h.edges:
         return 1, Coloring(tuple(0 for _ in range(h.n_vertices)))
-    result = optimal_partition(hypergraph_to_sfm(h), gamma, max_packets=max_vertices)
+    result = optimal_partition(hypergraph_to_sfm(h), gamma)
     return result.min_generations, partition_to_coloring(result.witness)
 
 

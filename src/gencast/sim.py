@@ -286,36 +286,25 @@ def aggregate_rows(rows):
     Sums are integers/Fractions, so worker completion order cannot change
     the result; floats appear only in the final division.
     """
-    n = len(rows)
-    sums = {"M": 0, "U": 0, "total_rank": 0, "apdd_bound": 0}
-    sqsums = {"M": 0, "U": 0}
-    d_sum = Fraction(0)
-    d_sq = Fraction(0)
-    n_demand = 0
-    for row in rows:
-        for key in sums:
-            sums[key] += row[key]
-        for key in sqsums:
-            sqsums[key] += row[key] ** 2
-        if not row["empty_demand"]:
-            n_demand += 1
-            d_sum += row["D"]
-            d_sq += row["D"] ** 2
-
-    def stats(total, total_sq, count):
+    def stats(values):
+        """Mean, sample std and 95% CI half-width; (0.0, 0.0, 0.0) if empty."""
+        count = len(values)
         if count == 0:
             return 0.0, 0.0, 0.0
-        mean = total / count
-        var = (total_sq - Fraction(total) ** 2 / count) / (count - 1) if count > 1 else 0
+        total = sum(values)
+        var = (sum(v ** 2 for v in values) - Fraction(total) ** 2 / count) / (count - 1) \
+            if count > 1 else 0
         std = float(var) ** 0.5 if var > 0 else 0.0
-        return float(mean), std, 1.96 * std / count**0.5
+        return float(total / count), std, 1.96 * std / count**0.5
 
-    mean_u, std_u, ci_u = stats(sums["U"], sqsums["U"], n)
-    mean_m, std_m, ci_m = stats(sums["M"], sqsums["M"], n)
-    mean_d, std_d, ci_d = stats(d_sum, d_sq, n_demand)
+    n = len(rows)
+    delays = [row["D"] for row in rows if not row["empty_demand"]]
+    mean_u, std_u, ci_u = stats([row["U"] for row in rows])
+    mean_m, std_m, _ = stats([row["M"] for row in rows])
+    mean_d, std_d, ci_d = stats(delays)
     return {
         "trials": n,
-        "n_demand": n_demand,
+        "n_demand": len(delays),
         "mean_M": mean_m,
         "std_M": std_m,
         "mean_U": mean_u,
@@ -324,13 +313,14 @@ def aggregate_rows(rows):
         "mean_D": mean_d,
         "std_D": std_d,
         "ci95_D": ci_d,
-        "mean_total_rank": sums["total_rank"] / n,
-        "mean_apdd_bound": sums["apdd_bound"] / n,
+        "mean_total_rank": sum(row["total_rank"] for row in rows) / n,
+        "mean_apdd_bound": sum(row["apdd_bound"] for row in rows) / n,
     }
 
 
 def run_experiment(cfg: SimConfig, workers: int = 1):
     """Monte-Carlo cell: per-trial rows (trial order) plus their aggregate."""
+    workers = min(workers, cfg.trials)  # a forked pool starts all its workers at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

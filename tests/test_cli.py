@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -26,6 +27,22 @@ def zero_sfm_file(tmp_path):
     path = tmp_path / "zeros.txt"
     path.write_text("2 4\n0 0 0 0\n0 0 0 0\n")
     return path
+
+
+# a JSON value of a kind SimConfig refuses, for every field a spec's config may set
+_COUNTS = ("n_packets", "field_order", "trials", "payload_len")
+_FLAGS = ("coded_phase_erasures", "strict_paper_rounds", "abstract_decode")
+BAD_CONFIG_KINDS = [
+    pytest.param({name: value}, name, id=f"{name}-{label}")
+    for names, kinds in [
+        (_COUNTS + ("seed", "erasure_prob"), [(True, "true"), (False, "false")]),
+        (_FLAGS, [(0, "0"), (1, "1")]),
+        (_COUNTS + ("seed",), [(2.5, "2.5"), (16.0, "16.0")]),
+        (_COUNTS + _FLAGS + ("seed", "erasure_prob"), [("2", "str"), (None, "null")]),
+    ]
+    for name in names
+    for value, label in kinds
+]
 
 
 def run_cli(capsys, *argv):
@@ -183,15 +200,15 @@ class TestSimulateCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("config, needle", [
-        ({"trials": 2.5}, "trials"),
-        ({"n_packets": 3.0}, "n_packets"),
-        ({"erasure_prob": "0.2"}, "erasure_prob"),
-        ({"abstract_decode": 0}, "abstract_decode"),
-        ({"gamma": 3}, "gammas"),
-        ({"n_receivers": 5}, "receivers"),
-        ({"seed": -1}, "seed"),
-    ], ids=["trials-float", "n_packets-float", "erasure_prob-string", "abstract_decode-int",
-            "gamma-in-config", "n_receivers-in-config", "seed-negative"])
+        pytest.param({"trials": 2.5}, "trials", id="trials-float"),
+        pytest.param({"n_packets": 3.0}, "n_packets", id="n_packets-float"),
+        pytest.param({"erasure_prob": "0.2"}, "erasure_prob", id="erasure_prob-string"),
+        pytest.param({"abstract_decode": 0}, "abstract_decode", id="abstract_decode-int"),
+        pytest.param({"gamma": 3}, "gammas", id="gamma-in-config"),
+        pytest.param({"n_receivers": 5}, "receivers", id="n_receivers-in-config"),
+        pytest.param({"seed": -1}, "seed", id="seed-negative"),
+        *BAD_CONFIG_KINDS,
+    ])
     def test_bad_config_rejected(self, capsys, tmp_path, config, needle):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "fig3_U", "config": config}))
@@ -249,6 +266,12 @@ class TestOracleGapCommand:
         assert len(rows) == 20
         assert all(int(r["M_heur"]) >= int(r["M_opt"]) for r in rows)
         assert "mean_gap" in err
+        # recorded before write_csv took its header from the rows
+        code, out, _ = run_cli(capsys, "oracle-gap", "--packets", "6", "--count", "20",
+                               "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "9737faa0bf2e0318b81a6d761eff8b6f9e5650bdca169a9b8586536aa4a4d92b"
 
     def test_oversize_refused(self, capsys):
         code, _, err = run_cli(capsys, "oracle-gap", "--packets", "20", "--count", "1")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
@@ -278,6 +279,29 @@ class TestRunExperiment:
                         seed=11, trials=24)
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
 
+    def test_pool_no_larger_than_cell(self, monkeypatch):
+        # a forked pool starts every worker at its first submit, so a 2-trial
+        # cell must not ask for 8; the fake runs the trials in this process
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = SimConfig(n_packets=6, n_receivers=3, seed=4, trials=2)
+        assert run_experiment(cfg, workers=8) == run_experiment(cfg)
+        assert asked == [2]
+
     def test_schedulers_share_feedback_matrices(self):
         # paired cells: identical trial seeds produce identical SFMs, hence
         # identical generation counts
@@ -452,28 +476,35 @@ def test_slot_draws_span_several_blocks(n):
         per_slot_draws(ref, get_field(256), n, 0.3, sizes)
 
 
-# sha256 of per_trial.csv for fig3_U sweeps (gammas 1, 3, 6, both schedulers,
-# 25 trials, seed 11) on paths perfbench/reference.json does not check,
-# recorded with per-slot Generator draws before the block reader replaced them
+# sha256 of per_trial.csv and aggregate.csv for fig3_U sweeps (gammas 1, 3, 6,
+# both schedulers, 25 trials, seed 11) on paths perfbench/reference.json does
+# not check; per_trial.csv recorded with per-slot Generator draws before the
+# block reader replaced them, aggregate.csv before the CSV header came from the rows
 SWEEP_DIGESTS = {
     "gf16": ({"field_order": 16},
-             "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20"),
+             "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20",
+             "dae794458c9ce2ee97e9b993d6749aeeb37d75b22a99d76c4cc442580973ecf6"),
     "no-erasures": ({"coded_phase_erasures": False},
-                    "045dd4b360a4ad18f614de10014cb019a680b3ab83d49de4445d68cbf0520446"),
+                    "045dd4b360a4ad18f614de10014cb019a680b3ab83d49de4445d68cbf0520446",
+                    "f5bf4dc45838da792e5e4f9b614e780fd36a8444cb14ce37a8dd0f761305b199"),
     "strict-rounds": ({"strict_paper_rounds": True},
-                      "021df11b328b4293000134c0a12c0b39e16aff787f03c1cdc6a80a4c0d0be14a"),
+                      "021df11b328b4293000134c0a12c0b39e16aff787f03c1cdc6a80a4c0d0be14a",
+                      "d2fc68f91feb39e19552c356996dac8aee6d8f45b0732d427e24de302e6389a0"),
     "payload": ({"abstract_decode": False, "payload_len": 16},
-                "8bc16f7ca29f2e9832f5d2f6da62e68d3a0c34527d57f6580b17f6263feeaad0"),
+                "8bc16f7ca29f2e9832f5d2f6da62e68d3a0c34527d57f6580b17f6263feeaad0",
+                "d26533a81a74ea42698ee626990a46a4e98e1fb86ae1ae2d7689c190c3010f24"),
     # payload decoding over GF(16) reads the same draws as rank-only GF(16)
     "payload-gf16": ({"abstract_decode": False, "payload_len": 16, "field_order": 16},
-                     "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20"),
+                     "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20",
+                     "dae794458c9ce2ee97e9b993d6749aeeb37d75b22a99d76c4cc442580973ecf6"),
 }
 
 
 @pytest.mark.parametrize("case", SWEEP_DIGESTS)
 def test_sweep_bytes_pinned(case, tmp_path):
-    overrides, digest = SWEEP_DIGESTS[case]
+    overrides, *digests = SWEEP_DIGESTS[case]
     spec = load_spec({"experiment": "fig3_U", "gammas": [1, 3, 6],
                       "config": {"trials": 25, "seed": 11, **overrides}})
     run_simulation_sweep(spec, tmp_path)
-    assert hashlib.sha256((tmp_path / "per_trial.csv").read_bytes()).hexdigest() == digest
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("per_trial.csv", "aggregate.csv")] == digests
