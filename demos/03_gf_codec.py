@@ -27,13 +27,14 @@ for k, p in enumerate(payloads):
     print(f"  packet {k}: {bytes(p).hex()}")
 
 # receiver already got packets 1 and 4 in the systematic phase
-state = DecoderState(generation_id=0, generation_ids=range(5), wanted_ids=[0, 2, 3])
 known = {1: payloads[1], 4: payloads[4]}
+state = DecoderState(generation_id=0, generation_ids=range(5), wanted_ids=[0, 2, 3],
+                     known_payloads=known)
 print("\nreceiver wants packets [0, 2, 3]; absorbing coded packets:")
 absorbed = 0
 while not state.decoded:
     pkt = encode(payloads, random_coefficients(5, rng, GF256), GF256, generation_id=0)
-    useful = state.absorb(pkt, known)
+    useful = state.absorb(pkt)
     absorbed += 1
     print(f"  packet {absorbed}: coeffs {bytes(pkt.coefficients).hex()} "
           f"useful={useful} rank={state.rank}/3")

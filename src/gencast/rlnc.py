@@ -1,24 +1,19 @@
 """Random linear coding within a generation, and incremental decoding.
 
-A coded packet carries a coefficient vector drawn i.i.d. uniform over the
-field (zero included) plus the matching linear combination of the source
-payloads, which encode, the one function that builds packets, forms from the
-vector it is given.  Each receiver keeps one DecoderState per generation it
-wants packets from; absorbing a coded packet substitutes the payloads the
-receiver already holds, projects the coefficients onto the remaining
-unknowns, and reduces the result against an echelon basis indexed by pivot
-column: the first column with no stored row becomes the new pivot.
-Back-substitution happens only in solve(), once the basis reaches full rank.
+Offers random_coefficients (i.i.d. uniform over the field, zero included),
+random_payloads, encode (the one function that builds a CodedPacket: the
+coefficients it is given plus the matching combination of the generation's
+payloads) and DecoderState, one receiver's decoder for one generation.
 
-absorb reads the coefficients once with tolist() and scales plain-int rows
-through the field's bytes product rows (mul_rows), with no multiply call per
-element.  needed is a counter absorb decrements; rank and decoded derive
-from it.  DecoderState.for_generation builds one generation's decoders from
-want rows, checking and sharing the generation's ids once.
-
-DecoderState also runs payload-free ("abstract" packets with payload=None),
-tracking rank only; the rank trajectory is identical to the payload-carrying
-path because it depends only on the coefficient draws.
+A DecoderState knows from construction which packets its receiver wants and,
+to decode payloads, the payloads it holds of the rest; a missing one is a
+ValueError there.  absorb(pkt) returns True iff the packet raised the rank,
+needed counts the innovative packets still missing, and solve() returns the
+wanted payloads once needed is 0.  A state without the held payloads, or
+fed packets with payload=None, tracks rank only; its rank trajectory equals
+the payload path's, as both depend only on the coefficients.
+for_generation builds the decoders of many receivers equal to one-by-one
+construction, checking the generation's ids once.
 """
 
 from __future__ import annotations
@@ -71,51 +66,59 @@ class DecoderState:
 
     generation_ids fixes the generation-local coefficient order; wanted_ids
     are the packets this receiver still needs from it (both pass
-    sfm.check_generation_ids).  Unknown j (in generation order) owns _basis[j],
-    the stored row with pivot column j, or None; a stored row is zero before
-    its pivot and 1 at it.  needed counts the innovative packets still missing.
+    sfm.check_generation_ids); known_payloads maps packet ids, at least the
+    generation's other ones, to the payloads held, or is None for rank-only
+    decoding.  Unknown j (in generation order) owns _basis[j], the stored row
+    with pivot column j, or None; a stored row is zero before its pivot and 1
+    at it.
     """
 
     __slots__ = ("generation_id", "generation_ids", "unknown_ids", "field", "needed",
-                 "_unknown_cols", "_basis", "_payloads", "_known")
+                 "_unknown_cols", "_basis", "_payloads", "_held")
 
-    def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256):
+    def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256,
+                 known_payloads=None):
         ids = check_generation_ids(generation_ids)
-        wanted = check_generation_ids(wanted_ids)
-        try:
-            cols = sorted(map(ids.index, wanted))
-        except ValueError:  # raised by ids.index
-            raise ValueError(
-                f"wanted ids not in generation: {sorted(set(wanted).difference(ids))}") from None
-        self._setup(generation_id, ids, cols, tuple(map(ids.__getitem__, cols)), field)
+        wanted = set(check_generation_ids(wanted_ids))
+        if outside := sorted(wanted.difference(ids)):
+            raise ValueError(f"wanted ids not in generation: {outside}")
+        unknowns = [c for c in enumerate(ids) if c[1] in wanted]
+        self._setup(generation_id, ids, unknowns, field, known_payloads)
 
     @classmethod
-    def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256):
+    def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256,
+                       known_payloads=None):
         """{receiver: DecoderState} for each receiver of want_rows (receiver ->
-        0/1 row by packet id) that wants one of the ids, checked once for all."""
+        0/1 row by packet id) that wants one of the ids, checked once for all;
+        known_payloads serves every receiver."""
         ids = check_generation_ids(generation_ids)
         columns = list(enumerate(ids))  # (column, id) pairs
         states = {}
         for r, row in want_rows.items():
-            wanted = [c for c in columns if row[c[1]]]
-            if wanted:
-                cols, unknown_ids = zip(*wanted)
+            unknowns = [c for c in columns if row[c[1]]]
+            if unknowns:
                 state = states[r] = cls.__new__(cls)
-                state._setup(generation_id, ids, cols, unknown_ids, field)
+                state._setup(generation_id, ids, unknowns, field, known_payloads)
         return states
 
-    def _setup(self, generation_id, ids, cols, unknown_ids, field):
-        """The state of checked ids whose unknowns unknown_ids sit at the
-        ascending columns cols."""
+    def _setup(self, generation_id, ids, unknowns, field, known_payloads):
+        """The state of checked ids that solves for the (column, id) pairs
+        unknowns, given in column order."""
         self.generation_id = generation_id
         self.generation_ids = ids
-        self._unknown_cols = cols
-        self.unknown_ids = unknown_ids
+        self._unknown_cols, self.unknown_ids = zip(*unknowns) if unknowns else ((), ())
         self.field = field
-        self.needed = len(cols)
+        self.needed = len(unknowns)
         self._basis = [None] * self.needed  # coefficient rows (lists of ints)
-        self._payloads = None  # payload of each stored row; see absorb
-        self._known = None  # (packet id, column) of each held packet; see absorb
+        # the payload of each stored row and the (column, payload) of each
+        # held packet; None when decoding rank-only
+        self._payloads = self._held = None
+        if known_payloads is not None or self.needed == len(ids):
+            held = [(j, pid) for j, pid in enumerate(ids) if pid not in self.unknown_ids]
+            if missing := [pid for _, pid in held if pid not in known_payloads]:
+                raise ValueError(f"known payloads missing for packets {missing}")
+            self._held = [(j, np.asarray(known_payloads[pid], np.uint8)) for j, pid in held]
+            self._payloads = [None] * self.needed
 
     @property
     def rank(self):
@@ -125,8 +128,9 @@ class DecoderState:
     def decoded(self):
         return self.needed == 0
 
-    def absorb(self, pkt: CodedPacket, known_payloads=None) -> bool:
-        """Fold a coded packet into the system; True iff the rank increased."""
+    def absorb(self, pkt: CodedPacket) -> bool:
+        """Fold a coded packet in (a rank-only state ignores its payload);
+        True iff the rank increased."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(
                 f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
@@ -143,19 +147,11 @@ class DecoderState:
         vec = [coeffs[j] for j in self._unknown_cols]
 
         residual = None
-        if pkt.payload is not None:
-            if self._known is None:  # rank-only decoding never needs these
-                self._known = [(pid, j) for j, pid in enumerate(self.generation_ids)
-                               if pid not in self.unknown_ids]
-                self._payloads = [None] * len(self._basis)
-            known_payloads = known_payloads or {}
-            missing = [pid for pid, _ in self._known if pid not in known_payloads]
-            if missing:
-                raise ValueError(f"known payloads missing for packets {missing}")
+        if pkt.payload is not None and self._held is not None:
             residual = np.asarray(pkt.payload, dtype=np.uint8).copy()
-            for pid, j in self._known:
+            for j, src in self._held:
                 if coeffs[j]:
-                    residual ^= field.mul_vec(coeffs[j], np.asarray(known_payloads[pid], np.uint8))
+                    residual ^= field.mul_vec(coeffs[j], src)
 
         rows = field.mul_rows
         # column order; vec is reduced in place, so each column is read after

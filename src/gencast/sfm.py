@@ -242,10 +242,9 @@ def generation_ranks(sfm, p: Partition) -> list[int]:
 
 def rank(sfm: StateFeedbackMatrix, g: Generation) -> int:
     """Largest number of packets in g wanted by any one receiver."""
-    # g plus every packet outside it is a cover, so the count matrix applies;
-    # an out-of-range id in g fails its cover check
-    rest = Generation(tuple(k for k in range(sfm.n_packets) if k not in g.packet_ids))
-    return generation_ranks(sfm, Partition((g, rest)))[0]
+    if out_of_range := [k for k in g.packet_ids if k >= sfm.n_packets]:
+        raise ValueError(f"packet ids {out_of_range} out of range for K={sfm.n_packets}")
+    return int(sfm.wants[:, list(g.packet_ids)].sum(axis=1).max(initial=0))
 
 
 def popularity(sfm: StateFeedbackMatrix, k: int) -> int:

@@ -1,28 +1,26 @@
 """Two-phase broadcast simulation over independent erasure channels.
 
-Phase one broadcasts every packet once, uncoded; the erasure pattern becomes
-the state feedback matrix.  Phase two broadcasts coded packets per
-generation in round-robin rounds until every receiver has decoded everything
-it wants.  Two round policies exist:
+Offers the phases (systematic_phase, coded_phase), one trial (run_trial, a
+per_trial.csv row), a Monte-Carlo cell (run_experiment: the trial rows in
+trial order plus aggregate_rows of them) and SlotDraws, the block reader of
+the coded slots' random draws.  Phase one broadcasts every packet once,
+uncoded; its erasures form the state feedback matrix.  Phase two sends coded
+packets generation by generation in round-robin rounds until every receiver
+decodes all it wants, under one of two round policies:
 
-* feedback_rr - the sender knows the SFM.  Round 1 sends rank(G_m) coded
-  packets per generation; per-generation ACKs arrive after each full round,
-  and later rounds send, for each unfinished generation, as many packets as
-  the worst unfinished receiver still needs (or the full rank again when
-  strict_paper_rounds is set).
-* blind_rr - the sender never saw the SFM and never learns per-generation
-  state: every round sends exactly one coded packet of every generation,
-  stopping only when the whole block is acknowledged complete.
+* feedback_rr - the sender knows the SFM: round 1 sends rank(G_m) packets of
+  each generation; each later round sends, per unfinished generation, what
+  its worst pending receiver still needs (the rank again under
+  strict_paper_rounds).
+* blind_rr - the sender never saw the SFM: every round sends one packet of
+  every nonempty generation until the whole block is complete.
 
-Metrics: U is the coded-phase transmission count at block completion (time
-indices start at 1); the decoding delay D averages, over all wanted
-(receiver, packet) pairs, the time index at which the pair's generation
-reached full rank.  The coded phase keeps D as one running sum (each decode
-adds its time index times the packets it delivers) and reports the
-generation ranks, from which a trial's total rank and delay bound follow.
-Trials with an all-zero SFM skip the coded phase and are flagged
-empty_demand.  Slots draw through SlotDraws: the values of per-slot
-Generator calls, read from the trial's PCG64 words in blocks.
+U is the coded slot (counted from 1) that completes the block; D averages,
+over all wanted (receiver, packet) pairs, the slot at which the pair's
+generation reached full rank, as an exact Fraction.  A trial with an
+all-zero SFM sends no coded slot, has U = D = 0 and is flagged
+empty_demand.  A trial is fixed by (seed, trial index): the same inputs
+give the same row in either decode mode, serially or in parallel.
 """
 
 from __future__ import annotations
@@ -157,7 +155,6 @@ class SimConfig:
 class TrialResult:
     completion_time: int  # U
     delay: Fraction  # D
-    empty_demand: bool
     ranks: tuple[int, ...]  # rank of every generation, in partition order
 
 
@@ -165,6 +162,31 @@ def systematic_phase(n_packets, n_receivers, channel: ChannelModel, rng) -> Stat
     """Broadcast each packet once; an entry is 1 iff that copy was erased."""
     misses = channel.erased(rng, (n_receivers, n_packets))
     return StateFeedbackMatrix(misses.astype(np.uint8))
+
+
+def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
+    """The generation each coded slot serves, in send order; rounds start
+    while some receiver is pending.
+
+    blind_rr cycles over the nonempty generations.  feedback_rr sends each
+    generation with a pending receiver its rank in round 1, then the largest
+    needed among its pending decoders (its rank again under
+    strict_paper_rounds).  A quota is read at its generation's turn, which
+    equals reading it at the round's start: only a generation's own slots
+    change its pending set.
+    """
+    if cfg.scheduler == "blind_rr":
+        nonempty = [m for m, ids in enumerate(gen_ids) if ids]
+        while any(pending):
+            yield from nonempty
+        return
+    resend = True  # round 1 sends every rank
+    while any(pending):
+        for m, waiting in enumerate(pending):
+            if waiting:
+                quota = ranks[m] if resend else max(s.needed for s in waiting.values())
+                yield from [m] * quota
+        resend = cfg.strict_paper_rounds
 
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
@@ -177,77 +199,50 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     counts = generation_counts(sfm, partition)
     field = get_field(cfg.field_order)
     wants = sfm.wants.tolist()
-    n = sfm.n_receivers
 
     # both decode modes consume this draw, keeping their streams aligned
     payload_seed = int(rng.integers(0, 2**63))
-    draws = SlotDraws(rng, field, n, cfg.erasure_prob if cfg.coded_phase_erasures else None)
-    payloads = known = None
-    if not cfg.abstract_decode:
-        payloads = random_payloads(sfm.n_packets, cfg.payload_len,
-                                   np.random.default_rng(payload_seed), field)
-        # what each receiver already holds from the systematic phase
-        known = [{k: payloads[k] for k in range(sfm.n_packets) if not wants[r][k]}
-                 for r in range(n)]
+    draws = SlotDraws(rng, field, sfm.n_receivers,
+                      cfg.erasure_prob if cfg.coded_phase_erasures else None)
+    payloads = None if cfg.abstract_decode else dict(enumerate(random_payloads(
+        sfm.n_packets, cfg.payload_len, np.random.default_rng(payload_seed), field)))
 
     gen_ids = [g.packet_ids for g in partition.generations]
     waiting = counts.T.tolist()  # per generation, each receiver's want count
     # per generation: the decoder of every receiver still missing it, by receiver
     pending = [
         DecoderState.for_generation(
-            m, ids, {r: wants[r] for r, c in enumerate(waiting[m]) if c}, field)
+            m, ids, {r: wants[r] for r, c in enumerate(waiting[m]) if c}, field, payloads)
         for m, ids in enumerate(gen_ids)
     ]
-    ranks = list(map(max, waiting))  # round 1 sends rank(G_m) packets
+    ranks = list(map(max, waiting))
 
     delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs
-    t = 0
-    round_no = 1
     remaining = sum(map(len, pending))
-    while remaining:
-        quotas = []
-        for m, ids in enumerate(gen_ids):
-            if cfg.scheduler == "blind_rr":
-                quota = 1 if ids else 0
-            elif not pending[m]:
-                quota = 0
-            elif round_no == 1 or cfg.strict_paper_rounds:
-                quota = ranks[m]
-            else:
-                quota = max(state.needed for state in pending[m].values())
-            quotas.append(quota)
-
-        for m, quota in enumerate(quotas):
-            ids = gen_ids[m]
-            for _ in range(quota):
-                t += 1
-                coeffs, erased = draws.slot(len(ids))
-                if payloads is None:
-                    pkt = CodedPacket(m, coeffs, None)
-                else:
-                    pkt = encode([payloads[k] for k in ids], coeffs, field, generation_id=m)
-                for r, state in list(pending[m].items()):
-                    if erased[r]:
-                        continue
-                    state.absorb(pkt, known[r] if known is not None else None)
-                    if not state.needed:
-                        if payloads is not None and any(
-                                not np.array_equal(got, payloads[k])
-                                for k, got in state.solve().items()):
-                            raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
-                        delay_sum += t * len(state.unknown_ids)
-                        del pending[m][r]
-                        remaining -= 1
-                if not remaining:
-                    break  # the block just completed; U is this time index
-            if not remaining:
-                break
-        round_no += 1
+    t = 0  # U when nothing is wanted
+    for t, m in enumerate(_schedule(cfg, gen_ids, ranks, pending), 1):
+        coeffs, erased = draws.slot(len(gen_ids[m]))
+        if payloads is None:
+            pkt = CodedPacket(m, coeffs, None)
+        else:
+            pkt = encode([payloads[k] for k in gen_ids[m]], coeffs, field, generation_id=m)
+        for r, state in list(pending[m].items()):
+            if erased[r]:
+                continue
+            state.absorb(pkt)
+            if not state.needed:
+                if payloads is not None and any(
+                        not np.array_equal(got, payloads[k]) for k, got in state.solve().items()):
+                    raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
+                delay_sum += t * len(state.unknown_ids)
+                del pending[m][r]
+                remaining -= 1
+        if not remaining:
+            break  # the block just completed; U is this time index
 
     n_wanted = int(counts.sum())
     delay = Fraction(delay_sum, n_wanted) if n_wanted else Fraction(0)
-    return TrialResult(completion_time=t, delay=delay, empty_demand=n_wanted == 0,
-                       ranks=tuple(ranks))
+    return TrialResult(completion_time=t, delay=delay, ranks=tuple(ranks))
 
 
 def trial_rng(master_seed, trial_index):
@@ -276,7 +271,7 @@ def run_trial(cfg: SimConfig, trial_index: int) -> dict:
         "D": result.delay,
         "total_rank": sum(result.ranks),
         "apdd_bound": delay_bound(result.ranks),
-        "empty_demand": int(result.empty_demand),
+        "empty_demand": int(not any(result.ranks)),
     }
 
 

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from gencast.cli import main
+from gencast.cli import build_parser, main
 
 CONFLICT_SFM_TEXT = (
     "4 6\n"
@@ -439,3 +442,13 @@ class TestColorCommand:
                                "--gamma", "1", "--mode", "validate", "--coloring", str(bad))
         assert code == 1
         assert "violation" in out
+
+
+def test_readme_names_every_long_option():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values() for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = sorted(opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", readme))
+    assert options and not missing, f"README.md omits {missing}"

@@ -102,22 +102,31 @@ class TestAbsorb:
         rng = np.random.default_rng(77)
         payloads = random_payloads(5, 8, rng)
         # receiver already has packets 0, 2, 4 and wants 1, 3
-        st = DecoderState(3, [0, 1, 2, 3, 4], [1, 3])
         known = {0: payloads[0], 2: payloads[2], 4: payloads[4]}
+        st = DecoderState(3, [0, 1, 2, 3, 4], [1, 3], known_payloads=known)
         while not st.decoded:
-            st.absorb(encode(payloads, random_coefficients(5, rng), GF256, generation_id=3), known)
+            st.absorb(encode(payloads, random_coefficients(5, rng), GF256, generation_id=3))
         sol = st.solve()
         assert set(sol) == {1, 3}
         assert (sol[1] == payloads[1]).all()
         assert (sol[3] == payloads[3]).all()
 
     def test_missing_known_payload_rejected(self):
+        held = dict(enumerate(random_payloads(3, 4, np.random.default_rng(0))))
+        with pytest.raises(ValueError, match=r"known payloads missing for packets \[0\]"):
+            DecoderState(0, [0, 1], [1], known_payloads={})
+        with pytest.raises(ValueError, match=r"known payloads missing for packets \[5, 4\]"):
+            DecoderState.for_generation(0, [5, 1, 4, 2], {0: [0, 1, 1, 0, 0, 0]},
+                                        known_payloads=held)
+
+    def test_rank_only_state_ignores_payloads(self):
         payloads = random_payloads(2, 4, np.random.default_rng(0))
         st = DecoderState(0, [0, 1], [1])
-        pkt = encode(payloads, random_coefficients(2, np.random.default_rng(1)), GF256,
-                     generation_id=0)
-        with pytest.raises(ValueError):
-            st.absorb(pkt, {})
+        for seed in (1, 2, 3):
+            st.absorb(encode(payloads, random_coefficients(2, np.random.default_rng(seed))))
+        assert st.decoded
+        with pytest.raises(RuntimeError, match="without payloads"):
+            st.solve()
 
 
 class TestConstructor:
@@ -176,12 +185,12 @@ class TestSolve:
             gen_size = int(rng.integers(1, 7))
             payloads = random_payloads(gen_size, 12, rng, field)
             wanted = [k for k in range(gen_size) if rng.random() < 0.6]
-            st = DecoderState(0, list(range(gen_size)), wanted, field)
             known = {k: payloads[k] for k in range(gen_size) if k not in wanted}
+            st = DecoderState(0, list(range(gen_size)), wanted, field, known)
             for _ in range(4 * gen_size + 8):
                 if st.decoded:
                     break
-                st.absorb(encode(payloads, random_coefficients(gen_size, rng, field), field), known)
+                st.absorb(encode(payloads, random_coefficients(gen_size, rng, field), field))
             assert st.decoded  # overwhelmingly likely with the extra margin
             sol = st.solve()
             for k in wanted:
@@ -254,11 +263,11 @@ def decoder_cases(draw):
 @given(decoder_cases())
 def test_decoder_rank_innovation_and_solve(case):
     field, ids, wanted, payloads, rows = case
-    state = DecoderState(0, ids, wanted, field)
+    known = {pid: np.array(payloads[pid], np.uint8) for pid in ids if pid not in wanted}
+    state = DecoderState(0, ids, wanted, field, known)
     # the same system rank-only, with numpy ids and the wanted ids reversed
     abstract = DecoderState(0, np.array(ids), np.array(wanted[::-1], dtype=int), field)
     assert state.unknown_ids == abstract.unknown_ids == tuple(p for p in ids if p in wanted)
-    known = {pid: np.array(payloads[pid], np.uint8) for pid in ids if pid not in wanted}
     wanted_cols = [ids.index(pid) for pid in wanted]
     prev = 0
     for n, row in enumerate(rows, 1):
@@ -266,7 +275,7 @@ def test_decoder_rank_innovation_and_solve(case):
         for c, pid in zip(row, ids):
             coded = [a ^ field.mul(c, b) for a, b in zip(coded, payloads[pid])]
         innovative = state.absorb(
-            CodedPacket(0, np.array(row, np.uint8), np.array(coded, np.uint8)), known)
+            CodedPacket(0, np.array(row, np.uint8), np.array(coded, np.uint8)))
         assert abstract.absorb(CodedPacket(0, np.array(row, np.uint8), None)) == innovative
         assert (abstract.rank, abstract.needed) == (state.rank, state.needed)
         expected = reference_rank(field, [[r[j] for j in wanted_cols] for r in rows[:n]])
@@ -304,10 +313,14 @@ def test_for_generation_matches_one_by_one(case):
     field, ids, rows, payloads, coeffs = case
     sources = [np.array(p, np.uint8) for p in payloads]
     # equal when built, and fed the same packets, rank-only and with
-    # payloads, equal throughout
+    # payloads (every source for all, each receiver's held ones for one),
+    # equal throughout
     for with_payloads in (False, True):
-        built = DecoderState.for_generation(5, ids, dict(enumerate(rows)), field)
-        single = {r: DecoderState(5, ids, [k for k in ids if row[k]], field)
+        built = DecoderState.for_generation(5, ids, dict(enumerate(rows)), field,
+                                            dict(enumerate(sources)) if with_payloads else None)
+        single = {r: DecoderState(5, ids, [k for k in ids if row[k]], field,
+                                  {k: sources[k] for k in ids if not row[k]}
+                                  if with_payloads else None)
                   for r, row in enumerate(rows) if any(row[k] for k in ids)}
         assert built.keys() == single.keys()
         for r, state in built.items():
@@ -323,8 +336,7 @@ def test_for_generation_matches_one_by_one(case):
                     coded ^= field.mul_vec(c, sources[k])
             pkt = CodedPacket(5, np.array(row, np.uint8), coded)
             for r, state in built.items():
-                known = {k: sources[k] for k in ids if not rows[r][k]} if with_payloads else None
-                assert state.absorb(pkt, known) == single[r].absorb(pkt, known)
+                assert state.absorb(pkt) == single[r].absorb(pkt)
                 assert (state.needed, state.rank) == (single[r].needed, single[r].rank)
         for r, state in built.items():
             if with_payloads and state.decoded:

@@ -2,6 +2,8 @@ import concurrent.futures
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -79,7 +81,7 @@ class TestCodedPhase:
         cfg = SimConfig(n_packets=5, n_receivers=3, gamma=2, erasure_prob=0.2)
         result = coded_phase(sfm, part, cfg, np.random.default_rng(0))
         assert result.completion_time == 0
-        assert result.empty_demand
+        assert not any(result.ranks)
         assert result.delay == Fraction(0)
         assert result.ranks == (0,) * part.n_generations
 
@@ -113,7 +115,7 @@ class TestCodedPhase:
                             coded_phase_erasures=False, field_order=16)
             result = coded_phase(sfm, part, cfg, rng)
             ranks = generation_ranks(sfm, part)
-            if result.empty_demand or result.completion_time != sum(ranks):
+            if not any(ranks) or result.completion_time != sum(ranks):
                 continue
             hit += 1
             boundaries = np.cumsum(ranks).tolist()
@@ -137,8 +139,8 @@ class TestCodedPhase:
             part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=2))
             cfg = SimConfig(n_packets=10, n_receivers=4, gamma=2, erasure_prob=0.25)
             result = coded_phase(sfm, part, cfg, rng)
-            assert result.empty_demand == (not sfm.wants.any())
-            if not result.empty_demand:
+            assert any(result.ranks) == sfm.wants.any()
+            if sfm.wants.any():
                 assert 1 <= result.delay <= result.completion_time
             assert result.completion_time >= total_rank(sfm, part)
 
@@ -259,6 +261,46 @@ class TestSchedulers:
             b = run_trial(replace(base, scheduler="blind_rr"), 0)
             assert a["M"] == b["M"] == 1
             assert a["U"] == b["U"]
+
+
+class TestSlotSchedule:
+    """The round policy alone: gencast.sim._schedule fed stand-in decoders
+    whose needed counts stay fixed, so no slot changes the pending sets."""
+
+    GEN_IDS = [(0, 1), (), (2,), (3, 4, 5), (6, 7)]
+    RANKS = [2, 0, 1, 3, 0]
+    # generation 4 has packets but no pending receiver
+    PENDING = [{0: SimpleNamespace(needed=1), 3: SimpleNamespace(needed=2)}, {},
+               {1: SimpleNamespace(needed=1)}, {0: SimpleNamespace(needed=1)}, {}]
+
+    def slots(self, count, **cfg):
+        cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3, **cfg)
+        return list(islice(gencast.sim._schedule(cfg, self.GEN_IDS, self.RANKS, self.PENDING),
+                           count))
+
+    def test_blind_slot_times(self):
+        # the j-th slot of nonempty generation m goes out at (j - 1) * M + m + 1
+        nonempty = [0, 2, 3, 4]
+        sent_at = dict(enumerate(self.slots(5 * len(nonempty), scheduler="blind_rr"), 1))
+        for j in range(1, 6):
+            for m, gen in enumerate(nonempty):
+                assert sent_at[(j - 1) * len(nonempty) + m + 1] == gen
+
+    def test_feedback_round_one_sends_ranks_in_partition_order(self):
+        round_one = [0, 0, 2, 3, 3, 3]
+        # later rounds send each pending generation its largest needed
+        assert self.slots(12) == round_one + [0, 0, 2, 3] + [0, 0]
+
+    def test_strict_rounds_resend_ranks(self):
+        round_one = [0, 0, 2, 3, 3, 3]
+        assert self.slots(18, strict_paper_rounds=True) == round_one * 3
+
+    def test_nothing_pending_sends_nothing(self):
+        cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3)
+        for scheduler in SCHEDULERS:
+            schedule = gencast.sim._schedule(replace(cfg, scheduler=scheduler), self.GEN_IDS,
+                                             self.RANKS, [{}] * len(self.GEN_IDS))
+            assert list(schedule) == []
 
 
 class TestRunExperiment:
