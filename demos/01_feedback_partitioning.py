@@ -9,7 +9,7 @@ from gencast import (
     PartitionerConfig,
     StateFeedbackMatrix,
     apdd_upper_bound,
-    blind_partition,
+    by_algorithm,
     heuristic_partition_with_trace,
     is_irreducible,
     optimal_partition,
@@ -43,7 +43,7 @@ print("irreducible (nothing moves earlier for free):", is_irreducible(sfm, part)
 print("total rank (erasure-free coded transmissions):", total_rank(sfm, part))
 print("closed-form delay bound:", apdd_upper_bound(sfm, part))
 
-blind = blind_partition(sfm.n_packets, part.n_generations)
+blind = by_algorithm(sfm, gamma, "blind")
 print(f"\nblind split into the same {part.n_generations} generations:")
 for m, gen in enumerate(blind.generations):
     print(f"  generation {m}: packets {list(gen.packet_ids)} (rank {rank(sfm, gen)})")

@@ -29,6 +29,7 @@ from .partition import (
     OracleResult,
     PartitionerConfig,
     blind_partition,
+    by_algorithm,
     heuristic_partition,
     heuristic_partition_with_trace,
     optimal_partition,

@@ -21,7 +21,6 @@ import sys
 from dataclasses import replace
 
 from . import experiments, hypergraph, partition, sfm
-from .partition import PartitionerConfig
 
 DEFAULT_SEED = 20200731
 
@@ -58,8 +57,7 @@ def build_parser():
     p = sub.add_parser("partition", help="partition an SFM file")
     p.add_argument("--sfm", required=True, help="SFM text file ('N K' header + 0/1 rows)")
     p.add_argument("--gamma", type=int, required=True, help="generation rank cap")
-    p.add_argument("--algorithm", choices=("heuristic", "blind", "oracle"),
-                   default="heuristic")
+    p.add_argument("--algorithm", choices=partition.ALGORITHMS, default="heuristic")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("simulate", help="run a simulation experiment")
@@ -98,15 +96,7 @@ def build_parser():
 
 def cmd_partition(args):
     matrix = sfm.load_sfm(args.sfm)
-    if args.algorithm == "heuristic":
-        part = partition.heuristic_partition(matrix, PartitionerConfig(gamma_cap=args.gamma))
-    elif args.algorithm == "blind":
-        # the blind splitter needs a generation count: reuse the greedy M so
-        # the baseline matches the simulator's pairing
-        heur = partition.heuristic_partition(matrix, PartitionerConfig(gamma_cap=args.gamma))
-        part = partition.blind_partition(matrix.n_packets, heur.n_generations)
-    else:
-        part = partition.optimal_partition(matrix, args.gamma).witness
+    part = partition.by_algorithm(matrix, args.gamma, args.algorithm)
     print(sfm.partition_to_json(part))
     ranks = sfm.generation_ranks(matrix, part)
     summary = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .partition import PartitionerConfig, heuristic_partition, optimal_partition
+from .partition import by_algorithm, optimal_partition
 from .sim import (SCHEDULERS, ChannelModel, SimConfig, check_seed, run_experiment,
                   systematic_phase, trial_rng)
 
@@ -192,11 +192,10 @@ def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
     rows = []
     for i in range(count):
         sfm = systematic_phase(n_packets, n_receivers, channel, trial_rng(seed, i))
-        heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
         opt = optimal_partition(sfm, gamma)
         rows.append({
             "instance_seed": f"{seed}:{i}",
-            "M_heur": heur.n_generations,
+            "M_heur": by_algorithm(sfm, gamma, "heuristic").n_generations,
             "M_opt": opt.min_generations,
             "nodes_explored": opt.nodes_explored,
         })

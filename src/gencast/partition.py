@@ -15,6 +15,9 @@ Three producers share the Partition output type:
 * optimal_partition - exact branch-and-bound search for the minimum
   generation count, used as a verification oracle on small instances.
 
+by_algorithm picks a producer by its name in ALGORITHMS and is the one home of
+the pairing rule: "blind" chunks into the greedy's generation count at that cap.
+
 Both feedback-driven partitioners work on StateFeedbackMatrix.receiver_bitsets,
 one Python-int receiver bitset per packet (bit n set iff receiver n wants
 it), so a packet's popularity is a bit count and a rank-cap test is one AND.
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from .sfm import Generation, Partition, StateFeedbackMatrix, check_cap
 
 __all__ = [
+    "ALGORITHMS",
     "PartitionerConfig",
     "InsertionStep",
     "OracleResult",
@@ -45,7 +49,10 @@ __all__ = [
     "heuristic_partition_with_trace",
     "blind_partition",
     "optimal_partition",
+    "by_algorithm",
 ]
+
+ALGORITHMS = ("heuristic", "blind", "oracle")
 
 
 @dataclass(frozen=True)
@@ -212,11 +219,21 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
 
         search(0)
 
-    if best_assign is None:
-        witness = Partition(incumbent.generations, gamma_cap=gamma)
-    else:
+    witness = incumbent
+    if best_assign is not None:
         groups = [[] for _ in range(best_m)]
         for k, j in enumerate(best_assign):
             groups[j].append(k)
         witness = Partition(tuple(Generation(tuple(g)) for g in groups), gamma_cap=gamma)
     return OracleResult(min_generations=best_m, witness=witness, nodes_explored=nodes)
+
+
+def by_algorithm(sfm: StateFeedbackMatrix, gamma: int, algorithm: str) -> Partition:
+    """The partition that `algorithm`, one of ALGORITHMS, gives at rank cap gamma;
+    "blind" chunks the block into as many generations as the greedy uses."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {', '.join(ALGORITHMS)}")
+    if algorithm == "oracle":
+        return optimal_partition(sfm, gamma).witness
+    heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+    return blind_partition(sfm.n_packets, heur.n_generations) if algorithm == "blind" else heur

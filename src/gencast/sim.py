@@ -33,7 +33,7 @@ from numbers import Real
 import numpy as np
 
 from .galois import get_field
-from .partition import PartitionerConfig, blind_partition, heuristic_partition
+from .partition import by_algorithm
 from .rlnc import CodedPacket, DecoderState, encode, random_payloads
 from .sfm import Partition, StateFeedbackMatrix, check_cap, delay_bound, generation_counts
 
@@ -255,11 +255,7 @@ def run_trial(cfg: SimConfig, trial_index: int) -> dict:
     rng = trial_rng(cfg.seed, trial_index)
     channel = ChannelModel(cfg.erasure_prob)
     sfm = systematic_phase(cfg.n_packets, cfg.n_receivers, channel, rng)
-    heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=cfg.gamma))
-    if cfg.scheduler == "blind_rr":
-        part = blind_partition(cfg.n_packets, heur.n_generations)
-    else:
-        part = heur
+    part = by_algorithm(sfm, cfg.gamma, "blind" if cfg.scheduler == "blind_rr" else "heuristic")
     result = coded_phase(sfm, part, cfg, rng)
     return {
         "trial": trial_index,

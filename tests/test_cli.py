@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from gencast import partition
 from gencast.cli import build_parser, main
+from gencast.sfm import load_sfm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFLICT_SFM_TEXT = (
     "4 6\n"
@@ -82,6 +86,11 @@ class TestPartitionCommand:
         doc = json.loads(out)
         flat = [k for g in doc["generations"] for k in g]
         assert sorted(flat) == list(range(6))
+        # the chunk count is the greedy's generation count on the same file
+        matrix = load_sfm(sfm_file)
+        m = partition.heuristic_partition(matrix, partition.PartitionerConfig(gamma_cap=1))
+        chunks = partition.blind_partition(matrix.n_packets, m.n_generations).generations
+        assert doc["generations"] == [list(g.packet_ids) for g in chunks]
 
     def test_parse_error_diagnostics(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -90,7 +99,7 @@ class TestPartitionCommand:
         assert code == 1
         assert "line 3" in err and "column 2" in err
 
-    @pytest.mark.parametrize("algorithm", ["heuristic", "blind", "oracle"])
+    @pytest.mark.parametrize("algorithm", partition.ALGORITHMS)
     def test_gamma_zero_rejected(self, capsys, sfm_file, algorithm):
         code, out, err = run_cli(capsys, "partition", "--sfm", str(sfm_file), "--gamma", "0",
                                  "--algorithm", algorithm)
@@ -449,6 +458,14 @@ def test_readme_names_every_long_option():
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for sub in subparsers.choices.values() for action in sub._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = sorted(opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", readme))
     assert options and not missing, f"README.md omits {missing}"
+
+
+def test_readme_tables_every_module():
+    modules = sorted(p.stem for p in (ROOT / "src" / "gencast").glob("*.py")
+                     if p.stem != "__init__")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [m for m in modules if not re.search(rf"^\| `gencast\.{m}` \|", readme, re.M)]
+    assert modules and not missing, f"README.md module table omits {missing}"

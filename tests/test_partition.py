@@ -8,6 +8,7 @@ from gencast import (
     PartitionerConfig,
     StateFeedbackMatrix,
     blind_partition,
+    by_algorithm,
     heuristic_partition,
     heuristic_partition_with_trace,
     is_irreducible,
@@ -15,7 +16,7 @@ from gencast import (
     rank,
     validate_partition,
 )
-from gencast.partition import InsertionStep, InstanceTooLargeError
+from gencast.partition import ALGORITHMS, InsertionStep, InstanceTooLargeError
 from gencast.sfm import generation_ranks
 from gencast.sim import ChannelModel, systematic_phase
 
@@ -357,6 +358,26 @@ class TestOracle:
         # search exits without expanding anything
         easy = optimal_partition(StateFeedbackMatrix([[1, 1]]), 1)
         assert easy.nodes_explored == 0
+
+
+class TestByAlgorithm:
+    def test_each_name_gives_its_producer(self):
+        # instances with K mod M != 0 and ones where the search beats the greedy
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            sfm = random_sfm(rng, int(rng.integers(3, 8)), int(rng.integers(5, 10)),
+                             float(rng.choice([0.3, 0.5, 0.7])))
+            gamma = int(rng.integers(1, 4))
+            heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+            assert by_algorithm(sfm, gamma, "heuristic") == heur
+            assert by_algorithm(sfm, gamma, "blind") == blind_partition(sfm.n_packets,
+                                                                        heur.n_generations)
+            assert by_algorithm(sfm, gamma, "oracle") == optimal_partition(sfm, gamma).witness
+
+    def test_unknown_name_lists_choices(self, conflict_sfm):
+        with pytest.raises(ValueError, match="unknown algorithm 'greedy'") as exc:
+            by_algorithm(conflict_sfm, 1, "greedy")
+        assert all(name in str(exc.value) for name in ALGORITHMS)
 
 
 # Search-tree pin at the paper's operating point (K = N = 20, P_e = 0.2) on the
