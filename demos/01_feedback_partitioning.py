@@ -6,11 +6,12 @@ exact) under a rank cap and compare the metrics that drive the coded phase.
 """
 
 from gencast import (
+    Generation,
     PartitionerConfig,
     StateFeedbackMatrix,
     apdd_upper_bound,
     by_algorithm,
-    heuristic_partition_with_trace,
+    heuristic_partition,
     is_irreducible,
     optimal_partition,
     popularity,
@@ -31,12 +32,17 @@ print("per-packet demand:", [popularity(sfm, k) for k in range(sfm.n_packets)])
 
 gamma = 2
 cfg = PartitionerConfig(gamma_cap=gamma)
-part, traces = heuristic_partition_with_trace(sfm, cfg)
+part = heuristic_partition(sfm, cfg)
 
+# the greedy inserts each generation's packets in order; an insertion takes
+# the "raise" branch iff the rank of the growing prefix grew
 print(f"\ngreedy partition at rank cap {gamma}:")
-for m, (gen, trace) in enumerate(zip(part.generations, traces)):
-    steps = ", ".join(f"p{s.packet_id}({s.branch}->rank {s.rank_after})" for s in trace)
-    print(f"  generation {m}: packets {list(gen.packet_ids)}  [{steps}]")
+for m, gen in enumerate(part.generations):
+    ids = gen.packet_ids
+    ranks = [rank(sfm, Generation(ids[:s + 1])) for s in range(len(ids))]
+    steps = ", ".join(f"p{k}({'raise' if r > prev else 'keep'}->rank {r})"
+                      for k, prev, r in zip(ids, [0] + ranks, ranks))
+    print(f"  generation {m}: packets {list(ids)}  [{steps}]")
 
 print("valid at cap:", validate_partition(sfm, part, gamma).valid)
 print("irreducible (nothing moves earlier for free):", is_irreducible(sfm, part))

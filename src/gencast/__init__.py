@@ -31,7 +31,6 @@ from .partition import (
     blind_partition,
     by_algorithm,
     heuristic_partition,
-    heuristic_partition_with_trace,
     optimal_partition,
 )
 from .rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads

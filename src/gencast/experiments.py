@@ -4,11 +4,12 @@ An experiment spec (JSON document or built-in name) expands into a grid of
 simulation cells over (scheduler, gamma, N).  Each cell is one Monte-Carlo
 run; outputs are a per-trial CSV and an aggregate CSV.  run_oracle_gap,
 behind ``gencast oracle-gap``, compares the greedy partitioner against the
-exact solver on seeded random instances.  write_csv takes each CSV's header
-from its first row, so the row producers own the column order:
-sim.run_trial for per_trial.csv, run_simulation_sweep's (scheduler, gamma,
-N) prefix then sim.aggregate_rows for aggregate.csv, and run_oracle_gap for
-the oracle-gap CSV.
+exact solver on seeded random instances, reading both counts off one
+OracleResult, which carries the greedy incumbent the search started from.
+write_csv takes each CSV's header from its first row, so the row producers
+own the column order: sim.run_trial for per_trial.csv, run_simulation_sweep's
+(scheduler, gamma, N) prefix then sim.aggregate_rows for aggregate.csv, and
+run_oracle_gap for the oracle-gap CSV.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .partition import by_algorithm, optimal_partition
+from .partition import optimal_partition
 from .sim import (SCHEDULERS, ChannelModel, SimConfig, check_seed, run_experiment,
                   systematic_phase, trial_rng)
 
@@ -195,7 +196,7 @@ def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
         opt = optimal_partition(sfm, gamma)
         rows.append({
             "instance_seed": f"{seed}:{i}",
-            "M_heur": by_algorithm(sfm, gamma, "heuristic").n_generations,
+            "M_heur": opt.heuristic.n_generations,
             "M_opt": opt.min_generations,
             "nodes_explored": opt.nodes_explored,
         })

@@ -13,7 +13,8 @@ Three producers share the Partition output type:
   greedy output the IDNC reference partition.
 * blind_partition - consecutive equal-size chunks, the no-feedback baseline.
 * optimal_partition - exact branch-and-bound search for the minimum
-  generation count, used as a verification oracle on small instances.
+  generation count, used as a verification oracle on small instances; its
+  OracleResult also hands back the greedy partition the search started from.
 
 by_algorithm picks a producer by its name in ALGORITHMS and is the one home of
 the pairing rule: "blind" chunks into the greedy's generation count at that cap.
@@ -26,11 +27,7 @@ of receivers that want more than i of its packets.  Adding a packet carries
 its receivers up one level, and the packet fits under cap c iff its bitset
 misses levels[c - 1].  The greedy partitioner tests each candidate against
 the receivers already at the generation's rank ("full"); the exact search
-tests it against the receivers at the cap.
-
-The greedy core records plain steps, each packet and the rank after it, and
-heuristic_partition_with_trace derives its InsertionSteps from them ("raise"
-iff the rank grew).  Every rank cap passes sfm.check_cap.
+tests it against the receivers at the cap.  Every rank cap passes sfm.check_cap.
 """
 
 from __future__ import annotations
@@ -42,11 +39,9 @@ from .sfm import Generation, Partition, StateFeedbackMatrix, check_cap
 __all__ = [
     "ALGORITHMS",
     "PartitionerConfig",
-    "InsertionStep",
     "OracleResult",
     "InstanceTooLargeError",
     "heuristic_partition",
-    "heuristic_partition_with_trace",
     "blind_partition",
     "optimal_partition",
     "by_algorithm",
@@ -64,19 +59,17 @@ class PartitionerConfig:
 
 
 @dataclass(frozen=True)
-class InsertionStep:
-    """One greedy insertion: which packet, which branch, rank afterwards."""
-
-    packet_id: int
-    branch: str  # "keep" (rank unchanged) or "raise" (rank grew by one)
-    rank_after: int
-
-
-@dataclass(frozen=True)
 class OracleResult:
-    min_generations: int
+    """A minimum partition, the search nodes that proved it, and the greedy
+    partition the search started from (the witness itself when no node beat it)."""
+
     witness: Partition
     nodes_explored: int
+    heuristic: Partition
+
+    @property
+    def min_generations(self) -> int:
+        return self.witness.n_generations
 
 
 class InstanceTooLargeError(ValueError):
@@ -84,29 +77,19 @@ class InstanceTooLargeError(ValueError):
 
 
 def heuristic_partition(sfm: StateFeedbackMatrix, cfg: PartitionerConfig) -> Partition:
-    return Partition(tuple(_greedy(sfm, cfg.gamma_cap)[0]), gamma_cap=cfg.gamma_cap)
-
-
-def heuristic_partition_with_trace(sfm, cfg):
-    """Greedy partition plus the per-generation insertion trace."""
-    groups, ranks = _greedy(sfm, cfg.gamma_cap)
-    traces = tuple(tuple(InsertionStep(k, "raise" if r > prev else "keep", r)
-                         for k, prev, r in zip(members, [0] + after, after))
-                   for members, after in zip(groups, ranks))
-    return Partition(tuple(groups), gamma_cap=cfg.gamma_cap), traces
+    return Partition(tuple(_greedy(sfm, cfg.gamma_cap)), gamma_cap=cfg.gamma_cap)
 
 
 def _greedy(sfm, gamma):
-    """The greedy core: each generation's packets in insertion order, and the
-    generation's rank after each insertion."""
+    """The greedy core: each generation's packets in insertion order."""
     bits = sfm.receiver_bitsets
     everyone = (1 << sfm.n_receivers) - 1
     # candidate order: most popular first; sorted is stable, so ties keep index order
     remaining = sorted(range(sfm.n_packets), key=lambda k: -bits[k].bit_count())
 
-    groups, ranks = [], []
+    groups = []
     while remaining:
-        members, after = [], []  # after[s]: the rank after the s-th insertion
+        members = []
         levels = [0] * gamma  # levels[i]: receivers wanting more than i of the members
         full = everyone  # receivers whose count has reached the rank
         cur_rank = 0
@@ -122,7 +105,6 @@ def _greedy(sfm, gamma):
                 cur_rank += 1
             remaining.remove(chosen)
             members.append(chosen)
-            after.append(cur_rank)
             mask = bits[chosen]
             if mask:
                 for i in range(cur_rank - 1, 0, -1):
@@ -130,8 +112,7 @@ def _greedy(sfm, gamma):
                 levels[0] |= mask
                 full = levels[cur_rank - 1]
         groups.append(members)
-        ranks.append(after)
-    return groups, ranks
+    return groups
 
 
 def blind_partition(n_packets: int, n_generations: int) -> Partition:
@@ -225,7 +206,7 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
         for k, j in enumerate(best_assign):
             groups[j].append(k)
         witness = Partition(tuple(Generation(tuple(g)) for g in groups), gamma_cap=gamma)
-    return OracleResult(min_generations=best_m, witness=witness, nodes_explored=nodes)
+    return OracleResult(witness, nodes, incumbent)
 
 
 def by_algorithm(sfm: StateFeedbackMatrix, gamma: int, algorithm: str) -> Partition:

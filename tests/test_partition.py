@@ -4,23 +4,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencast import (
+    Generation,
     Partition,
     PartitionerConfig,
     StateFeedbackMatrix,
     blind_partition,
     by_algorithm,
     heuristic_partition,
-    heuristic_partition_with_trace,
     is_irreducible,
     optimal_partition,
     rank,
     validate_partition,
 )
-from gencast.partition import ALGORITHMS, InsertionStep, InstanceTooLargeError
+from gencast import partition as partition_module
+from gencast.experiments import run_oracle_gap
+from gencast.partition import ALGORITHMS, InstanceTooLargeError
 from gencast.sfm import generation_ranks
 from gencast.sim import ChannelModel, systematic_phase
 
 from conftest import random_sfm
+
+
+def insertion_steps(sfm, part):
+    """Each generation's greedy insertions as (packet, branch, rank after),
+    read off the partition: the greedy lists a generation's packets in
+    insertion order, and a step is "raise" iff the prefix rank grew."""
+    steps = []
+    for gen in part.generations:
+        ids = gen.packet_ids
+        ranks = [rank(sfm, Generation(ids[:s + 1])) for s in range(len(ids))]
+        steps.append([(k, "raise" if r > prev else "keep", r)
+                      for k, prev, r in zip(ids, [0] + ranks, ranks)])
+    return steps
+
+
+def by_algorithm_instances():
+    """Seeded (sfm, gamma) pairs, some with K mod M != 0 and some where the
+    exact search beats the greedy."""
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        sfm = random_sfm(rng, int(rng.integers(3, 8)), int(rng.integers(5, 10)),
+                         float(rng.choice([0.3, 0.5, 0.7])))
+        yield sfm, int(rng.integers(1, 4))
 
 
 def reference_greedy(sfm, gamma):
@@ -153,9 +178,9 @@ class TestHeuristic:
         # packet ever preserves the rank at cap 1, so each generation is a
         # single raise-branch insertion
         sfm = StateFeedbackMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        p, traces = heuristic_partition_with_trace(sfm, PartitionerConfig(gamma_cap=1))
+        p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=1))
         assert [g.packet_ids for g in p.generations] == [(0,), (1,), (2,)]
-        assert [[(s.packet_id, s.branch, s.rank_after) for s in t] for t in traces] == [
+        assert insertion_steps(sfm, p) == [
             [(0, "raise", 1)],
             [(1, "raise", 1)],
             [(2, "raise", 1)],
@@ -165,8 +190,8 @@ class TestHeuristic:
         # packet 2 is unwanted: it must join the first generation on the
         # keep branch before any rank is raised
         sfm = StateFeedbackMatrix([[1, 1, 0]])
-        p, traces = heuristic_partition_with_trace(sfm, PartitionerConfig(gamma_cap=1))
-        assert traces[0][0] == InsertionStep(packet_id=2, branch="keep", rank_after=0)
+        p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=1))
+        assert insertion_steps(sfm, p)[0][0] == (2, "keep", 0)
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -188,11 +213,11 @@ class TestHeuristic:
         for _ in range(40):
             sfm = random_sfm(rng, 5, 10, 0.4)
             pop = sfm.wants.sum(axis=0)
-            _, traces = heuristic_partition_with_trace(sfm, PartitionerConfig(gamma_cap=2))
-            for trace in traces:
-                for a, b in zip(trace, trace[1:]):
-                    if a.branch == b.branch:
-                        assert pop[a.packet_id] >= pop[b.packet_id]
+            p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=2))
+            for steps in insertion_steps(sfm, p):
+                for (ka, branch_a, _), (kb, branch_b, _) in zip(steps, steps[1:]):
+                    if branch_a == branch_b:
+                        assert pop[ka] >= pop[kb]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 70), st.integers(1, 24), st.sampled_from([0.05, 0.2, 0.5, 0.8]),
@@ -200,16 +225,13 @@ class TestHeuristic:
     def test_matches_count_matrix_reference(self, n, k, p, gamma, seed):
         # N up to 70 crosses the 64-bit word and covers N not a multiple of 8
         sfm = random_sfm(np.random.default_rng(seed), n, k, p)
-        part, traces = heuristic_partition_with_trace(sfm, PartitionerConfig(gamma_cap=gamma))
+        part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
         groups, steps = reference_greedy(sfm, gamma)
         assert [g.packet_ids for g in part.generations] == groups
-        assert [[(s.packet_id, s.branch, s.rank_after) for s in t] for t in traces] == steps
-        # the untraced partition is the traced one, and each generation's
-        # trace climbs to its rank one "raise" at a time
-        assert heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma)) == part
-        for r, trace in zip(generation_ranks(sfm, part), traces, strict=True):
-            assert sum(s.branch == "raise" for s in trace) == r
-            assert trace[-1].rank_after == r
+        assert insertion_steps(sfm, part) == steps
+        # each generation climbs to its rank one "raise" at a time
+        assert [sum(branch == "raise" for _, branch, _ in t) for t in steps] == \
+            generation_ranks(sfm, part)
         bits = sfm.receiver_bitsets
         rebuilt = [[(bits[j] >> i) & 1 for j in range(k)] for i in range(n)]
         assert rebuilt == sfm.wants.tolist()
@@ -219,10 +241,10 @@ class TestHeuristic:
         rng = np.random.default_rng(5)
         sfm = random_sfm(rng, 6, 15, 0.3)
         cfg = PartitionerConfig(gamma_cap=3)
-        a, ta = heuristic_partition_with_trace(sfm, cfg)
-        b, tb = heuristic_partition_with_trace(sfm, cfg)
+        a = heuristic_partition(sfm, cfg)
+        b = heuristic_partition(sfm, cfg)
         assert a == b
-        assert ta == tb
+        assert insertion_steps(sfm, a) == insertion_steps(sfm, b)
 
 
 class TestIdncReference:
@@ -359,15 +381,36 @@ class TestOracle:
         easy = optimal_partition(StateFeedbackMatrix([[1, 1]]), 1)
         assert easy.nodes_explored == 0
 
+    def test_result_carries_the_greedy_incumbent(self):
+        improved = 0
+        for sfm, gamma in by_algorithm_instances():
+            res = optimal_partition(sfm, gamma)
+            assert res.heuristic == heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+            assert res.min_generations == res.witness.n_generations
+            if res.min_generations == res.heuristic.n_generations:
+                assert res.witness is res.heuristic
+            else:
+                improved += 1
+        assert improved > 0  # both branches run
+
+    def test_oracle_gap_runs_the_greedy_once_per_instance(self, monkeypatch):
+        calls = []
+        greedy = partition_module.heuristic_partition
+
+        def counting_greedy(*args):
+            calls.append(args)
+            return greedy(*args)
+
+        monkeypatch.setattr(partition_module, "heuristic_partition", counting_greedy)
+        rows = run_oracle_gap(8, 6, 0.5, 2, 20, seed=7)
+        assert len(calls) == len(rows) == 20
+        for row, (sfm, cfg) in zip(rows, calls):
+            assert row["M_heur"] == greedy(sfm, cfg).n_generations
+
 
 class TestByAlgorithm:
     def test_each_name_gives_its_producer(self):
-        # instances with K mod M != 0 and ones where the search beats the greedy
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            sfm = random_sfm(rng, int(rng.integers(3, 8)), int(rng.integers(5, 10)),
-                             float(rng.choice([0.3, 0.5, 0.7])))
-            gamma = int(rng.integers(1, 4))
+        for sfm, gamma in by_algorithm_instances():
             heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
             assert by_algorithm(sfm, gamma, "heuristic") == heur
             assert by_algorithm(sfm, gamma, "blind") == blind_partition(sfm.n_packets,
