@@ -3,22 +3,24 @@
 Offers random_coefficients (i.i.d. uniform over the field, zero included),
 random_payloads, encode (the one function that builds a CodedPacket: the
 coefficients it is given plus the matching combination of the generation's
-payloads) and DecoderState, one receiver's decoder for one generation.
+payloads, recording by column the products c_j * x_j it summed) and
+DecoderState, one receiver's decoder for one generation.
 
 A DecoderState knows from construction which packets its receiver wants and,
 to decode payloads, the payloads it holds of the rest; a missing one is a
 ValueError there.  absorb(pkt) returns True iff the packet raised the rank,
 needed counts the innovative packets still missing, and solve() returns the
-wanted payloads once needed is 0.  A state without the held payloads, or
-fed packets with payload=None, tracks rank only; its rank trajectory equals
-the payload path's, as both depend only on the coefficients.
-for_generation builds the decoders of many receivers equal to one-by-one
-construction, checking the generation's ids once.
+wanted payloads once needed is 0.  absorb cancels a held payload with the
+packet's product only if that was made from the very array held, else makes
+and records it.  A state without the held payloads, or fed packets with
+payload=None, tracks rank only; its rank trajectory equals the payload
+path's, as both depend only on the coefficients.  for_generation builds
+many receivers' decoders equal to building each alone, checking ids once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -33,6 +35,8 @@ class CodedPacket:
     generation_id: int
     coefficients: np.ndarray  # one per generation packet, generation-local order
     payload: np.ndarray | None  # None for abstract (rank-only) packets
+    # column j -> (source array, c_j * source) as made for it; None unless from encode
+    products: dict | None = dc_field(default=None, compare=False, repr=False)
 
 
 def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
@@ -50,10 +54,13 @@ def encode(generation_payloads, coefficients, field: Field = GF256, generation_i
     if len(lengths) != 1:
         raise ValueError(f"payload lengths differ within the generation: {sorted(lengths)}")
     payload = np.zeros(lengths.pop(), dtype=np.uint8)
-    for c, src in zip(coeffs.tolist(), generation_payloads):
+    products = {}
+    for j, (c, src) in enumerate(zip(coeffs.tolist(), generation_payloads)):
         if c:
-            payload ^= field.mul_vec(c, np.asarray(src, dtype=np.uint8))
-    return CodedPacket(generation_id=generation_id, coefficients=coeffs, payload=payload)
+            src = np.asarray(src, dtype=np.uint8)
+            products[j] = src, field.mul_vec(c, src)
+            payload ^= products[j][1]
+    return CodedPacket(generation_id, coeffs, payload, products)
 
 
 def random_payloads(count, length, rng, field: Field = GF256):
@@ -149,9 +156,12 @@ class DecoderState:
         residual = None
         if pkt.payload is not None and self._held is not None:
             residual = np.asarray(pkt.payload, dtype=np.uint8).copy()
+            memo = {} if pkt.products is None else pkt.products
             for j, src in self._held:
                 if coeffs[j]:
-                    residual ^= field.mul_vec(coeffs[j], src)
+                    if (made := memo.get(j)) is None or made[0] is not src:
+                        made = memo[j] = src, field.mul_vec(coeffs[j], src)
+                    residual ^= made[1]
 
         rows = field.mul_rows
         # column order; vec is reduced in place, so each column is read after

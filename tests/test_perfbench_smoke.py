@@ -5,9 +5,10 @@ the tracer names is gone.  The exact counts it prints are pinned, so a change
 to the RNG draw order or to the absorb path fails here too.  Zero-second
 fig3-rank runs, one at the default seed and one at the held-out seed
 8675309, each make one pass and check every cell's mean_U/mean_D against
-perfbench/reference.json.  A zero-second payload-decode run decodes every
-payload of its 6 cells x 20 trials at 1024 bytes and checks each payload row
-against its rank-only row.  A traced zero-second fig3-rank run pins the absorb, slot and
+perfbench/reference.json.  A traced zero-second payload-decode run decodes every
+payload of its 6 cells x 20 trials at 1024 bytes, checks each payload row
+against its rank-only row and pins the absorb, slot, innovative and mul_vec
+byte counts.  A traced zero-second fig3-rank run pins the absorb, slot and
 innovative counts of the whole grid.  A traced oracle-k20 run checks every witness,
 colouring and M_opt <= M_heur on all 2,000 operations
 of the paper-point workload and pins the exact search's node count.
@@ -35,7 +36,7 @@ PINNED_COUNTS = {
                   "rlnc.absorb.innovative_frac": 0.9978181818181818,
                   "sim.coded_slots": 310},
     "payload-decode": {"rlnc.absorb.calls": 521, "sim.coded_slots": 118,
-                       "galois.mul_vec.bytes": 379136},
+                       "galois.mul_vec.bytes": 180864},
     "oracle-k20": {"partition.optimal.nodes": 189},
 }
 
@@ -81,10 +82,17 @@ def test_fig3_rank_matches_reference_at_held_out_seed():
 
 
 def test_payload_decode_full_workload():
+    # one traced pass decodes every payload; the draw order, the absorb path
+    # and the products each slot's decoders share fix these counts exactly
     report, result = run_workload("--workload", "payload-decode", "--seconds", "0",
-                                  "--trace", "0")
+                                  "--trace", "1")
     assert result["correct"] is True, report["errors"]
     assert result["failed"] == 0
+    counts = report["run"]["exact_counts"]
+    assert counts["rlnc.absorb.calls"] == 9930
+    assert counts["sim.coded_slots"] == 1731
+    assert counts["rlnc.absorb.innovative_frac"] == 0.997583081570997
+    assert counts["galois.mul_vec.bytes"] == 102447104
 
 
 def test_oracle_k20_full_workload():

@@ -227,6 +227,81 @@ def test_encode_uses_the_given_coefficients():
         encode(payloads, coeffs[:4], GF16)
 
 
+@st.composite
+def encode_cases(draw):
+    """A field, a generation of source arrays and one coefficient each."""
+    field = draw(st.sampled_from([GF16, GF256]))
+    g = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 6))
+    symbol = st.integers(0, field.q - 1)
+    sources = [np.array(draw(st.lists(symbol, min_size=length, max_size=length)), np.uint8)
+               for _ in range(g)]
+    return field, sources, draw(st.lists(symbol, min_size=g, max_size=g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(encode_cases())
+def test_encode_records_the_products_it_sums(case):
+    field, sources, coeffs = case
+    pkt = encode(sources, coeffs, field)
+    # a zero coefficient makes no product and records none
+    assert sorted(pkt.products) == [j for j, c in enumerate(coeffs) if c]
+    total = np.zeros(len(sources[0]), np.uint8)
+    for j, (src, prod) in pkt.products.items():
+        assert src is sources[j]
+        assert prod.tolist() == [field.mul(coeffs[j], int(v)) for v in sources[j]]
+        total ^= prod
+    assert pkt.payload.tolist() == total.tolist()
+
+
+@st.composite
+def held_copy_cases(draw):
+    """A field, g >= 2 sources, a wanted subset leaving some packet held,
+    one held packet to corrupt, a nonzero corruption and a coefficient seed."""
+    field = draw(st.sampled_from([GF16, GF256]))
+    g = draw(st.integers(2, 6))
+    wanted = draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=g - 1, unique=True))
+    bad = draw(st.sampled_from([k for k in range(g) if k not in wanted]))
+    symbols = st.lists(st.integers(0, field.q - 1), min_size=4, max_size=4)
+    sources = [np.array(draw(symbols), np.uint8) for _ in range(g)]
+    delta = np.array(draw(symbols.filter(any)), np.uint8)
+    return field, sources, wanted, bad, delta, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(held_copy_cases())
+def test_decoder_uses_only_its_own_held_arrays(case):
+    field, sources, wanted, bad, delta, seed = case
+    g = len(sources)
+
+    def encoded():
+        rng = np.random.default_rng(seed)
+        return [encode(sources, random_coefficients(g, rng, field), field)
+                for _ in range(4 * g + 16)]
+
+    def decode(held, packets):
+        state = DecoderState(0, range(g), wanted, field, held)
+        for pkt in packets:
+            state.absorb(pkt)
+        assert state.decoded  # overwhelmingly likely with the extra packets
+        return {k: v.tolist() for k, v in state.solve().items()}
+
+    # equal held copies that are other objects reuse none of the encoder's
+    # products and still decode to the sources
+    copies = {k: sources[k].copy() for k in range(g) if k not in wanted}
+    assert decode(copies, encoded()) == {k: sources[k].tolist() for k in wanted}
+    # a corrupted copy of one held source is used as held, although the
+    # packets record the true source's products for its column: the result
+    # is the one decoding makes from the held arrays alone
+    held = {k: sources[k] for k in copies}
+    held[bad] = sources[bad] ^ delta
+    packets = encoded()
+    with_records = decode(held, packets)
+    for pkt in packets:
+        pkt.products.clear()
+    assert with_records == decode(held, packets)
+
+
 def reference_rank(field, rows):
     """Rank over the field by textbook Gauss-Jordan elimination on a copy."""
     rows = [list(r) for r in rows]
