@@ -7,44 +7,19 @@ Subcommands:
   color       validate or solve hypergraph colorings
 
 Exit codes: 0 success, 1 domain error (bad file contents, infeasible
-request), 2 usage error.  simulate and oracle-gap take their seed from
---seed, then (simulate only) the spec file's seed, then a nonempty
-GENCAST_SEED environment variable, then 20200731.
+request), 2 usage error.  simulate and oracle-gap take their master seed
+from --seed, else (simulate) the spec's config.seed, else sim.DEFAULT_SEED.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
 from . import experiments, hypergraph, partition, sfm
-
-DEFAULT_SEED = 20200731
-
-
-def _resolve_seed(flag, spec_seed=None):
-    """--seed, then the spec file's seed, then $GENCAST_SEED (empty means
-    unset), then DEFAULT_SEED."""
-    if flag is not None:
-        return flag
-    if spec_seed is not None:
-        return spec_seed
-    env = os.environ.get("GENCAST_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"GENCAST_SEED must be an integer, got {env!r}") from None
-
-
-def _add_seed(p, default_help):
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master RNG seed (default: {default_help}$GENCAST_SEED, "
-                        f"then {DEFAULT_SEED})")
+from .sim import DEFAULT_SEED
 
 
 def build_parser():
@@ -69,7 +44,8 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1, help="parallel trial workers (>= 1)")
     p.add_argument("--strict-paper-rounds", action="store_true",
                    help="resend the full generation rank every round")
-    _add_seed(p, "the spec file's seed, then ")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"master RNG seed (default: the spec's config.seed, else {DEFAULT_SEED})")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle-gap", help="greedy vs exact generation counts")
@@ -79,7 +55,8 @@ def build_parser():
     p.add_argument("--gamma", type=int, default=2)
     p.add_argument("--count", type=int, default=300, help="number of random instances")
     p.add_argument("--out", default=None, help="CSV output file (default: stdout)")
-    _add_seed(p, "")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="master RNG seed (default: %(default)s)")
     p.set_defaults(func=cmd_oracle_gap)
 
     p = sub.add_parser("color", help="hypergraph coloring tools")
@@ -113,7 +90,6 @@ def cmd_simulate(args):
         raise experiments.SpecError("give exactly one of --spec FILE or --experiment NAME")
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    spec_seed = None
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
@@ -121,10 +97,11 @@ def cmd_simulate(args):
         except json.JSONDecodeError as exc:
             raise experiments.SpecError(f"spec is not valid JSON: {exc}") from exc
         spec = experiments.load_spec(doc)
-        spec_seed = doc.get("config", {}).get("seed")  # SimConfig checked it is an int
     else:
         spec = experiments.named_spec(args.experiment)
-    overrides = {"seed": _resolve_seed(args.seed, spec_seed)}
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.strict_paper_rounds:
@@ -156,7 +133,7 @@ def cmd_simulate(args):
 
 def cmd_oracle_gap(args):
     rows = experiments.run_oracle_gap(args.packets, args.receivers, args.erasure_prob,
-                                      args.gamma, args.count, _resolve_seed(args.seed))
+                                      args.gamma, args.count, args.seed)
     experiments.write_csv(args.out, rows)
     gaps = [r["M_heur"] - r["M_opt"] for r in rows]
     print(f"instances={len(rows)} mean_gap={sum(gaps) / len(gaps):.4f} max_gap={max(gaps)}",

@@ -36,7 +36,7 @@ __all__ = [
     "write_csv",
 ]
 
-EXPERIMENT_NAMES = ("fig3_U", "fig3_D", "tradeoff")
+EXPERIMENT_NAMES = ("fig3_U", "tradeoff")
 
 # element type of each sweep list of a spec
 _GRID_TYPES = {"gammas": int, "receivers": int, "schedulers": str}
@@ -69,7 +69,7 @@ class ExperimentSpec:
 
 def named_spec(name: str, **config_overrides) -> ExperimentSpec:
     """Built-in experiment definitions with the headline parameters pinned."""
-    if name in ("fig3_U", "fig3_D"):
+    if name == "fig3_U":
         cfg = SimConfig(n_packets=20, n_receivers=20, erasure_prob=0.2,
                         coded_phase_erasures=True, trials=2000, abstract_decode=True)
         spec = ExperimentSpec(config=cfg)  # gammas 1..10, N=20, both schedulers

@@ -9,7 +9,10 @@ import pytest
 
 from gencast import partition
 from gencast.cli import build_parser, main
+from gencast.experiments import (EXPERIMENT_NAMES, named_spec, run_oracle_gap,
+                                 run_simulation_sweep, write_csv)
 from gencast.sfm import load_sfm
+from gencast.sim import DEFAULT_SEED, SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -174,7 +177,7 @@ class TestSimulateCommand:
 
     def test_same_seed_byte_identical_csvs(self, capsys, tmp_path):
         spec = {
-            "experiment": "fig3_D",
+            "experiment": "fig3_U",
             "config": {"n_packets": 8, "trials": 25, "seed": 9},
             "gammas": [1, 3],
         }
@@ -231,15 +234,11 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and needle in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_negative_seed_rejected(self, capsys, tmp_path, monkeypatch, source):
+    @pytest.mark.parametrize("seed_args", [("--seed", "-1")], ids=["flag"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, seed_args):
         out_dir = tmp_path / "results"
-        argv = ["simulate", "--experiment", "fig3_U", "--trials", "2", "--out", str(out_dir)]
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            monkeypatch.setenv("GENCAST_SEED", "-1")
-        code, _, err = run_cli(capsys, *argv)
+        code, _, err = run_cli(capsys, "simulate", "--experiment", "fig3_U", "--trials", "2",
+                               "--out", str(out_dir), *seed_args)
         assert code == 1
         assert err.startswith("error: ") and "seed" in err
         assert not out_dir.exists()
@@ -297,26 +296,13 @@ class TestOracleGapCommand:
         assert err.startswith("error: ") and "count" in err
         assert out == ""
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_negative_seed_rejected(self, capsys, monkeypatch, source):
-        argv = ["oracle-gap", "--packets", "6", "--count", "5"]  # CSV on stdout
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            monkeypatch.setenv("GENCAST_SEED", "-1")
-        code, out, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("seed_args", [("--seed", "-1")], ids=["flag"])
+    def test_negative_seed_rejected(self, capsys, seed_args):
+        code, out, err = run_cli(capsys, "oracle-gap", "--packets", "6", "--count", "5",
+                                 *seed_args)  # CSV on stdout
         assert code == 1
         assert err.startswith("error: ") and "seed must be a non-negative integer, got -1" in err
         assert out == ""
-
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("GENCAST_SEED", "77")
-        code1, out1, _ = run_cli(capsys, "oracle-gap", "--packets", "5",
-                                 "--receivers", "3", "--count", "5")
-        code2, out2, _ = run_cli(capsys, "oracle-gap", "--packets", "5",
-                                 "--receivers", "3", "--count", "5", "--seed", "77")
-        assert code1 == code2 == 0
-        assert out1 == out2
 
 
 SEED_COMMANDS = {
@@ -337,38 +323,17 @@ def seeded_run(capsys, tmp_path, *argv):
 
 @pytest.mark.parametrize("command", list(SEED_COMMANDS.values()), ids=list(SEED_COMMANDS))
 class TestSeedResolution:
-    """--seed, then the spec file's seed, then $GENCAST_SEED, then 20200731."""
+    """--seed, else (simulate) the spec's config.seed, else sim.DEFAULT_SEED."""
 
-    def test_default_seed_is_20200731(self, capsys, tmp_path, monkeypatch, command):
-        monkeypatch.delenv("GENCAST_SEED", raising=False)
+    def test_default_seed_is_20200731(self, capsys, tmp_path, command):
         default = seeded_run(capsys, tmp_path, *command)
         assert default[0] == 0
         assert default == seeded_run(capsys, tmp_path, *command, "--seed", "20200731")
         assert default != seeded_run(capsys, tmp_path, *command, "--seed", "0")
 
-    def test_empty_env_is_unset(self, capsys, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("GENCAST_SEED", "")
-        assert seeded_run(capsys, tmp_path, *command) == seeded_run(
-            capsys, tmp_path, *command, "--seed", "20200731")
 
-    def test_env_then_flag(self, capsys, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("GENCAST_SEED", "77")
-        from_env = seeded_run(capsys, tmp_path, *command)
-        from_flag = seeded_run(capsys, tmp_path, *command, "--seed", "5")
-        monkeypatch.delenv("GENCAST_SEED")
-        assert from_env == seeded_run(capsys, tmp_path, *command, "--seed", "77")
-        assert from_flag == seeded_run(capsys, tmp_path, *command, "--seed", "5")
-        assert from_env != from_flag
-
-    def test_non_integer_env_rejected(self, capsys, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("GENCAST_SEED", "abc")
-        code, out, err = seeded_run(capsys, tmp_path, *command)
-        assert code == 1
-        assert err == "error: GENCAST_SEED must be an integer, got 'abc'\n"
-        assert not out
-
-
-def test_spec_seed_between_flag_and_env(capsys, tmp_path, monkeypatch):
+def test_spec_seed_between_flag_and_env(capsys, tmp_path):
+    """The spec's config.seed is used as is, and --seed overrides it."""
     def spec_file(config):
         path = tmp_path / f"spec{len(list(tmp_path.iterdir()))}.json"
         path.write_text(json.dumps({"experiment": "fig3_U", "gammas": [2],
@@ -377,14 +342,45 @@ def test_spec_seed_between_flag_and_env(capsys, tmp_path, monkeypatch):
 
     seeded = ["simulate", *spec_file({"seed": 5})]
     unseeded = ["simulate", *spec_file({})]
-    monkeypatch.setenv("GENCAST_SEED", "77")
     from_spec = seeded_run(capsys, tmp_path, *seeded)
     from_flag = seeded_run(capsys, tmp_path, *seeded, "--seed", "9")
-    monkeypatch.delenv("GENCAST_SEED")
     assert from_spec == seeded_run(capsys, tmp_path, *unseeded, "--seed", "5")
     assert from_flag == seeded_run(capsys, tmp_path, *unseeded, "--seed", "9")
     assert from_spec[0] == from_flag[0] == 0
     assert from_spec != from_flag
+    assert seeded_run(capsys, tmp_path, *unseeded) == seeded_run(
+        capsys, tmp_path, *unseeded, "--seed", str(DEFAULT_SEED))
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_cli_and_library_write_the_same_csvs(capsys, tmp_path, name):
+    """Without --seed, simulate runs the library's spec as is."""
+    assert SimConfig().seed == named_spec(name).config.seed == DEFAULT_SEED == 20200731
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+    code, _, _ = run_cli(capsys, "simulate", "--experiment", name, "--trials", "3",
+                         "--out", str(cli_dir))
+    assert code == 0
+    run_simulation_sweep(named_spec(name, trials=3), lib_dir)
+    for csv_name in ("per_trial.csv", "aggregate.csv"):
+        assert (cli_dir / csv_name).read_bytes() == (lib_dir / csv_name).read_bytes()
+
+
+def test_oracle_gap_cli_and_library_agree(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "oracle-gap", "--packets", "6", "--count", "20",
+                         "--out", str(tmp_path / "cli.csv"))
+    assert code == 0
+    write_csv(tmp_path / "lib.csv", run_oracle_gap(6, 6, 0.5, 2, 20, seed=DEFAULT_SEED))
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_dropped_fig3_d_alias_is_refused(capsys, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"experiment": "fig3_D"}))
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(spec_path), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown experiment 'fig3_D'; choose from {EXPERIMENT_NAMES}\n"
+    assert not out_dir.exists()
 
 
 class TestColorCommand:
@@ -461,6 +457,30 @@ def test_readme_names_every_long_option():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = sorted(opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", readme))
     assert options and not missing, f"README.md omits {missing}"
+
+
+def readme_flag_choices(readme):
+    """(subcommand, option, the README's choices, the parser's choices) for
+    every `--option {a,b,...}` in the README's per-subcommand flag list."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = readme.split("Flags, per subcommand:", 1)[1].split("\n\n", 2)[1]
+    rows = []
+    for command, text in re.findall(r"^\* `([\w-]+)`:(.*?)(?=^\* |\Z)", flags, re.M | re.S):
+        actions = {opt: a for a in subparsers.choices[command]._actions for opt in a.option_strings}
+        for option, listed in re.findall(r"`(--[\w-]+) \{([^}]*)\}`", text):
+            parsed = getattr(actions.get(option), "choices", None)
+            rows.append((command, option, listed.split(","), list(parsed or ())))
+    return rows
+
+
+def test_readme_flag_choices_match_the_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = readme_flag_choices(readme)
+    assert rows and all(listed == parsed for _, _, listed, parsed in rows), rows
+    stale = readme.replace("{fig3_U,tradeoff}", "{fig3_U,fig3_D,tradeoff}")
+    assert [row[:2] for row in readme_flag_choices(stale) if row[2] != row[3]] == [
+        ("simulate", "--experiment")]
 
 
 def test_readme_tables_every_module():

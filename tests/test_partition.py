@@ -20,7 +20,7 @@ from gencast import partition as partition_module
 from gencast.experiments import run_oracle_gap
 from gencast.partition import ALGORITHMS, InstanceTooLargeError
 from gencast.sfm import generation_ranks
-from gencast.sim import ChannelModel, systematic_phase
+from gencast.sim import ChannelModel, systematic_phase, trial_rng
 
 from conftest import random_sfm
 
@@ -473,3 +473,52 @@ def test_search_tree_pinned_at_paper_point(gamma):
             greedy = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
             assert (res.nodes_explored, groups) == (
                 0, tuple(g.packet_ids for g in greedy.generations)), i
+
+
+def milp_min_generations(sfm, gamma, max_generations):
+    """Minimum generation count by an integer program solved with HiGHS,
+    independent of the search: binary x[k, m] puts packet k in generation m,
+    binary y[m] opens generation m, over m < max_generations."""
+    optimize = pytest.importorskip("scipy.optimize")
+    wants = sfm.wants
+    n, k, m = wants.shape[0], sfm.n_packets, max_generations
+    x = np.arange(k * m).reshape(k, m)  # variable index of x[k, m]; y[m] follows
+    y = k * m + np.arange(m)
+    rows, lower, upper = [], [], []
+
+    def constrain(coeffs, lo, hi):
+        row = np.zeros(k * m + m)
+        for var, coeff in coeffs:
+            row[var] = coeff
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+
+    for packet in range(k):  # each packet in exactly one generation
+        constrain([(x[packet, j], 1) for j in range(m)], 1, 1)
+    for receiver in range(n):  # each receiver wants at most gamma per open generation
+        wanted = np.flatnonzero(wants[receiver])
+        for j in range(m):
+            constrain([(x[w, j], 1) for w in wanted] + [(y[j], -gamma)], -np.inf, 0)
+    for j in range(m - 1):  # generations open in order
+        constrain([(y[j], 1), (y[j + 1], -1)], 0, np.inf)
+    ub = np.ones(k * m + m)
+    for packet in range(k):  # packet k opens at most generation k
+        ub[x[packet, packet + 1:]] = 0
+    cost = np.concatenate([np.zeros(k * m), np.ones(m)])
+    res = optimize.milp(cost, integrality=np.ones_like(cost),
+                        bounds=optimize.Bounds(np.zeros_like(cost), ub),
+                        constraints=optimize.LinearConstraint(np.array(rows), lower, upper))
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_search_matches_milp_at_paper_point(gamma):
+    # every instance drawn at K = N = 20, P_e = 0.2, none skipped
+    channel = ChannelModel(0.2)
+    for i in range(30):
+        sfm = systematic_phase(20, 20, channel, trial_rng(31337, i))
+        res = optimal_partition(sfm, gamma, max_packets=20)
+        assert res.min_generations == milp_min_generations(
+            sfm, gamma, res.heuristic.n_generations), i
