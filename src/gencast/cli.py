@@ -7,8 +7,10 @@ Subcommands:
   color       validate or solve hypergraph colorings
 
 Exit codes: 0 success, 1 domain error (bad file contents, infeasible
-request), 2 usage error.  simulate and oracle-gap take their master seed
-from --seed, else (simulate) the spec's config.seed, else sim.DEFAULT_SEED.
+request), 2 usage error.  simulate builds its spec with experiments.load_spec
+from --spec FILE or {"experiment": NAME}, with --seed and --trials as config
+overrides.  simulate and oracle-gap take their master seed from --seed, else
+(simulate) the spec's config.seed, else sim.DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import experiments, hypergraph, partition, sfm
 from .sim import DEFAULT_SEED
@@ -42,8 +43,6 @@ def build_parser():
     p.add_argument("--out", default="results", help="output directory for CSVs")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
     p.add_argument("--workers", type=int, default=1, help="parallel trial workers (>= 1)")
-    p.add_argument("--strict-paper-rounds", action="store_true",
-                   help="resend the full generation rank every round")
     p.add_argument("--seed", type=int, default=None,
                    help=f"master RNG seed (default: the spec's config.seed, else {DEFAULT_SEED})")
     p.set_defaults(func=cmd_simulate)
@@ -90,41 +89,31 @@ def cmd_simulate(args):
         raise experiments.SpecError("give exactly one of --spec FILE or --experiment NAME")
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    doc = {"experiment": args.experiment}
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise experiments.SpecError(f"spec is not valid JSON: {exc}") from exc
-        spec = experiments.load_spec(doc)
-    else:
-        spec = experiments.named_spec(args.experiment)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.strict_paper_rounds:
-        overrides["strict_paper_rounds"] = True
-    spec = replace(spec, config=replace(spec.config, **overrides))
+    overrides = {"seed": args.seed, "trials": args.trials}
+    spec = experiments.load_spec(doc, **{k: v for k, v in overrides.items() if v is not None})
 
     agg = experiments.run_simulation_sweep(spec, args.out, workers=args.workers)
     gaps = experiments.headline_gaps(agg)
-    if gaps:
-        best_u = max(gaps, key=lambda g: g["du_pct"])
-        best_d = max(gaps, key=lambda g: g["dd_pct"])
-        print(f"best U reduction: {best_u['du_pct']:.1f}% at gamma={best_u['gamma']} "
-              f"N={best_u['N']}")
-        print(f"best D reduction: {best_d['dd_pct']:.1f}% at gamma={best_d['gamma']} "
-              f"N={best_d['N']}")
-    else:
-        by_gamma = {}
+    for scheduler in dict.fromkeys(g["scheduler"] for g in gaps):
+        for metric, key in (("U", "du_pct"), ("D", "dd_pct")):
+            best = max((g for g in gaps if g["scheduler"] == scheduler), key=lambda g: g[key])
+            print(f"best {metric} reduction ({scheduler} over blind_rr): {best[key]:.1f}% "
+                  f"at gamma={best['gamma']} N={best['N']}")
+    if not gaps:
+        groups = {}
         for row in agg:
-            by_gamma.setdefault(row["N"], []).append((row["gamma"], row["mean_U"],
-                                                      row["mean_apdd_bound"]))
-        for n, cells in sorted(by_gamma.items()):
+            groups.setdefault((row["N"], row["scheduler"]), []).append(
+                (row["gamma"], row["mean_U"], row["mean_apdd_bound"]))
+        for (n, scheduler), cells in sorted(groups.items()):
             cells.sort()
-            print(f"N={n}: mean_U {cells[0][1]:.2f} -> {cells[-1][1]:.2f}, "
+            print(f"N={n} {scheduler}: mean_U {cells[0][1]:.2f} -> {cells[-1][1]:.2f}, "
                   f"delay bound {cells[0][2]:.2f} -> {cells[-1][2]:.2f} "
                   f"across gamma {cells[0][0]}..{cells[-1][0]}")
     print(f"CSV written to {args.out}/per_trial.csv and {args.out}/aggregate.csv")

@@ -1,15 +1,15 @@
 """Named experiments, parameter sweeps, and CSV emission.
 
-An experiment spec (JSON document or built-in name) expands into a grid of
-simulation cells over (scheduler, gamma, N).  Each cell is one Monte-Carlo
-run; outputs are a per-trial CSV and an aggregate CSV.  run_oracle_gap,
-behind ``gencast oracle-gap``, compares the greedy partitioner against the
-exact solver on seeded random instances, reading both counts off one
-OracleResult, which carries the greedy incumbent the search started from.
-write_csv takes each CSV's header from its first row, so the row producers
-own the column order: sim.run_trial for per_trial.csv, run_simulation_sweep's
-(scheduler, gamma, N) prefix then sim.aggregate_rows for aggregate.csv, and
-run_oracle_gap for the oracle-gap CSV.
+A spec document names one of EXPERIMENTS, themselves spec documents, and
+overrides its keys; load_spec expands it into a grid of (scheduler, gamma, N)
+cells, each one Monte-Carlo run; outputs are a per-trial and an aggregate
+CSV.  run_oracle_gap, behind ``gencast oracle-gap``, compares the greedy
+partitioner against the exact solver on seeded random instances, reading both
+counts off one OracleResult, which carries the greedy incumbent the search
+started from.  write_csv takes each CSV's header from its first row, so the
+row producers own the column order: sim.run_trial for per_trial.csv,
+run_simulation_sweep's (scheduler, gamma, N) prefix then sim.aggregate_rows
+for aggregate.csv, and run_oracle_gap for the oracle-gap CSV.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .partition import optimal_partition
-from .sim import (SCHEDULERS, ChannelModel, SimConfig, check_seed, run_experiment,
-                  systematic_phase, trial_rng)
+from .sim import (ChannelModel, SimConfig, check_seed, run_experiment, systematic_phase,
+                  trial_rng)
 
 __all__ = [
     "ExperimentSpec",
     "SpecError",
+    "EXPERIMENTS",
     "EXPERIMENT_NAMES",
     "load_spec",
     "named_spec",
@@ -36,7 +37,19 @@ __all__ = [
     "write_csv",
 ]
 
-EXPERIMENT_NAMES = ("fig3_U", "tradeoff")
+# each named experiment, as the spec document a user would write; a document
+# naming it overrides its keys, and its config key by key
+EXPERIMENTS = {
+    "fig3_U": {"config": {"n_packets": 20, "erasure_prob": 0.2, "coded_phase_erasures": True,
+                          "trials": 2000, "abstract_decode": True},
+               "gammas": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "receivers": [20],
+               "schedulers": ["feedback_rr", "blind_rr"]},
+    "tradeoff": {"config": {"n_packets": 20, "erasure_prob": 0.2, "coded_phase_erasures": False,
+                            "trials": 1000, "abstract_decode": True},
+                 "gammas": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "receivers": [5, 20],
+                 "schedulers": ["feedback_rr"]},
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 # element type of each sweep list of a spec
 _GRID_TYPES = {"gammas": int, "receivers": int, "schedulers": str}
@@ -51,7 +64,7 @@ class ExperimentSpec:
     config: SimConfig = field(default_factory=SimConfig)
     gammas: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
     receivers: tuple[int, ...] = (20,)
-    schedulers: tuple[str, ...] = SCHEDULERS
+    schedulers: tuple[str, ...] = ("feedback_rr", "blind_rr")
 
     def __post_init__(self):
         for key in _GRID_TYPES:
@@ -68,20 +81,8 @@ class ExperimentSpec:
 
 
 def named_spec(name: str, **config_overrides) -> ExperimentSpec:
-    """Built-in experiment definitions with the headline parameters pinned."""
-    if name == "fig3_U":
-        cfg = SimConfig(n_packets=20, n_receivers=20, erasure_prob=0.2,
-                        coded_phase_erasures=True, trials=2000, abstract_decode=True)
-        spec = ExperimentSpec(config=cfg)  # gammas 1..10, N=20, both schedulers
-    elif name == "tradeoff":
-        cfg = SimConfig(n_packets=20, n_receivers=20, erasure_prob=0.2,
-                        coded_phase_erasures=False, trials=1000, abstract_decode=True)
-        spec = ExperimentSpec(config=cfg, receivers=(5, 20), schedulers=("feedback_rr",))
-    else:
-        raise SpecError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
-    if config_overrides:
-        spec = replace(spec, config=replace(spec.config, **config_overrides))
-    return spec
+    """The named experiment's spec, its config overridden as load_spec does."""
+    return load_spec({"experiment": name}, **config_overrides)
 
 
 # SimConfig fields a spec may override; every cell takes gamma, n_receivers and
@@ -90,10 +91,12 @@ _CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"gamma", "n_receivers", "s
 _SPEC_KEYS = {"experiment", "config", "gammas", "receivers", "schedulers"}
 
 
-def load_spec(doc) -> ExperimentSpec:
-    """Build a spec from a parsed JSON document, validating its keys, the
-    sweep lists' element types and every cell of the grid; each config value
-    passes SimConfig's input rule, whose error names the field."""
+def load_spec(doc, **config_overrides) -> ExperimentSpec:
+    """Build a spec from a parsed JSON document: its named experiment's
+    document, overridden by doc's keys, then by config_overrides on top of
+    its config.  Checks the keys, the sweep lists' element types and every
+    cell of the grid; each config value passes SimConfig's input rule, whose
+    error names the field."""
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     unknown = sorted(set(doc) - _SPEC_KEYS)
@@ -101,25 +104,29 @@ def load_spec(doc) -> ExperimentSpec:
         raise SpecError(f"unknown spec keys: {unknown}; allowed: {sorted(_SPEC_KEYS)}")
     if "experiment" not in doc:
         raise SpecError(f"spec needs an 'experiment' key, one of {EXPERIMENT_NAMES}")
+    name = doc["experiment"]
+    if type(name) is not str or name not in EXPERIMENTS:
+        raise SpecError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     cfg_doc = doc.get("config", {})
     if not isinstance(cfg_doc, dict):
         raise SpecError("'config' must be an object of SimConfig overrides")
+    base = EXPERIMENTS[name]
+    cfg_doc = {**base["config"], **cfg_doc, **config_overrides}
     unknown = sorted(set(cfg_doc) - _CONFIG_KEYS)
     if unknown:
         raise SpecError(f"config keys {unknown} are not allowed; allowed: "
                         f"{sorted(_CONFIG_KEYS)}; gamma, n_receivers and scheduler come "
                         "from the 'gammas', 'receivers' and 'schedulers' lists")
-    grid = {key: doc[key] for key in _GRID_TYPES if key in doc}
+    grid = {key: doc.get(key, base[key]) for key in _GRID_TYPES}
     for key, value in grid.items():
         kind = _GRID_TYPES[key]
         # type() rather than isinstance(): JSON true/false must not pass as ints
         if not isinstance(value, list) or any(type(v) is not kind for v in value):
             raise SpecError(
                 f"'{key}' must be a JSON list of {kind.__name__} values, got {value!r}")
-    base = named_spec(doc["experiment"])
     try:
-        return replace(base, config=replace(base.config, **cfg_doc),
-                       **{key: tuple(value) for key, value in grid.items()})
+        return ExperimentSpec(config=SimConfig(**cfg_doc),
+                              **{key: tuple(value) for key, value in grid.items()})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid spec value: {exc}") from exc
 
@@ -164,23 +171,20 @@ def run_simulation_sweep(spec: ExperimentSpec, out_dir, workers: int = 1):
 
 
 def headline_gaps(agg_rows):
-    """Per (gamma, N): relative U and D reduction of feedback over blind."""
-    cells = {(r["scheduler"], r["gamma"], r["N"]): r for r in agg_rows}
+    """Per (gamma, N) and scheduler other than blind_rr, ordered by (N, gamma,
+    scheduler): its relative U and D reduction over blind_rr at that point."""
+    blind = {(r["gamma"], r["N"]): r for r in agg_rows if r["scheduler"] == "blind_rr"}
     gaps = []
-    for (scheduler, gamma, n), row in sorted(
-        cells.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0])
-    ):
-        if scheduler != "feedback_rr":
-            continue
-        blind = cells.get(("blind_rr", gamma, n))
-        if blind is None or blind["mean_U"] == 0 or blind["mean_D"] == 0:
-            continue
-        gaps.append({
-            "gamma": gamma,
-            "N": n,
-            "du_pct": 100.0 * (blind["mean_U"] - row["mean_U"]) / blind["mean_U"],
-            "dd_pct": 100.0 * (blind["mean_D"] - row["mean_D"]) / blind["mean_D"],
-        })
+    for row in sorted(agg_rows, key=lambda r: (r["N"], r["gamma"], r["scheduler"])):
+        base = blind.get((row["gamma"], row["N"]))
+        if row["scheduler"] != "blind_rr" and base and base["mean_U"] and base["mean_D"]:
+            gaps.append({
+                "scheduler": row["scheduler"],
+                "gamma": row["gamma"],
+                "N": row["N"],
+                "du_pct": 100.0 * (base["mean_U"] - row["mean_U"]) / base["mean_U"],
+                "dd_pct": 100.0 * (base["mean_D"] - row["mean_D"]) / base["mean_D"],
+            })
     return gaps
 
 

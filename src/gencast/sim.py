@@ -6,12 +6,11 @@ trial order plus aggregate_rows of them) and SlotDraws, the block reader of
 the coded slots' random draws.  Phase one broadcasts every packet once,
 uncoded; its erasures form the state feedback matrix.  Phase two sends coded
 packets generation by generation in round-robin rounds until every receiver
-decodes all it wants, under one of two round policies:
+decodes all it wants, under one of the SCHEDULERS:
 
 * feedback_rr - the sender knows the SFM: round 1 sends rank(G_m) packets of
   each generation; each later round sends, per unfinished generation, what
-  its worst pending receiver still needs (the rank again under
-  strict_paper_rounds).
+  its worst pending receiver still needs (strict_rr resends the rank).
 * blind_rr - the sender never saw the SFM: every round sends one packet of
   every nonempty generation until the whole block is complete.
 
@@ -51,7 +50,7 @@ __all__ = [
     "DEFAULT_SEED",
 ]
 
-SCHEDULERS = ("feedback_rr", "blind_rr")
+SCHEDULERS = ("feedback_rr", "blind_rr", "strict_rr")
 DEFAULT_SEED = 20200731
 
 
@@ -134,13 +133,12 @@ class SimConfig:
     scheduler: str = "feedback_rr"
     coded_phase_erasures: bool = True
     payload_len: int = 32
-    strict_paper_rounds: bool = False
     abstract_decode: bool = False
 
     def __post_init__(self):
         for name in ("n_packets", "n_receivers", "gamma", "trials", "payload_len", "field_order"):
             object.__setattr__(self, name, check_cap(getattr(self, name), name))
-        for name in ("coded_phase_erasures", "strict_paper_rounds", "abstract_decode"):
+        for name in ("coded_phase_erasures", "abstract_decode"):
             if not isinstance(flag := getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {flag!r}")
             object.__setattr__(self, name, bool(flag))
@@ -172,10 +170,9 @@ def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
 
     blind_rr cycles over the nonempty generations.  feedback_rr sends each
     generation with a pending receiver its rank in round 1, then the largest
-    needed among its pending decoders (its rank again under
-    strict_paper_rounds).  A quota is read at its generation's turn, which
-    equals reading it at the round's start: only a generation's own slots
-    change its pending set.
+    needed among its pending decoders; strict_rr sends its rank every round.
+    A quota is read at its generation's turn, which equals reading it at the
+    round's start: only a generation's own slots change its pending set.
     """
     if cfg.scheduler == "blind_rr":
         nonempty = [m for m, ids in enumerate(gen_ids) if ids]
@@ -188,7 +185,7 @@ def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
             if waiting:
                 quota = ranks[m] if resend else max(s.needed for s in waiting.values())
                 yield from [m] * quota
-        resend = cfg.strict_paper_rounds
+        resend = cfg.scheduler == "strict_rr"
 
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:

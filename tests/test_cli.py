@@ -12,7 +12,7 @@ from gencast.cli import build_parser, main
 from gencast.experiments import (EXPERIMENT_NAMES, named_spec, run_oracle_gap,
                                  run_simulation_sweep, write_csv)
 from gencast.sfm import load_sfm
-from gencast.sim import DEFAULT_SEED, SimConfig
+from gencast.sim import DEFAULT_SEED, SCHEDULERS, SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,7 +41,7 @@ def zero_sfm_file(tmp_path):
 
 # a JSON value of a kind SimConfig refuses, for every field a spec's config may set
 _COUNTS = ("n_packets", "field_order", "trials", "payload_len")
-_FLAGS = ("coded_phase_erasures", "strict_paper_rounds", "abstract_decode")
+_FLAGS = ("coded_phase_erasures", "abstract_decode")
 BAD_CONFIG_KINDS = [
     pytest.param({name: value}, name, id=f"{name}-{label}")
     for names, kinds in [
@@ -49,6 +49,9 @@ BAD_CONFIG_KINDS = [
         (_FLAGS, [(0, "0"), (1, "1")]),
         (_COUNTS + ("seed",), [(2.5, "2.5"), (16.0, "16.0")]),
         (_COUNTS + _FLAGS + ("seed", "erasure_prob"), [("2", "str"), (None, "null")]),
+        # the round rule is the scheduler list; the old flag is an unknown key
+        (("strict_paper_rounds",), [(True, "true"), (0, "0"), (1, "1"), ("2", "str"),
+                                    (None, "null")]),
     ]
     for name in names
     for value, label in kinds
@@ -260,12 +263,56 @@ class TestSimulateCommand:
         assert (out_dir / "aggregate.csv").exists()
 
     def test_strict_paper_rounds_flag(self, capsys, tmp_path):
+        # the strict round rule is the strict_rr scheduler of a spec, not a flag
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"experiment": "fig3_U", "gammas": [2],
+                                         "schedulers": ["strict_rr"]}))
         out_dir = tmp_path / "strict"
-        code, _, _ = run_cli(capsys, "simulate", "--experiment", "fig3_U",
-                             "--trials", "4", "--out", str(out_dir), "--seed", "3",
-                             "--strict-paper-rounds")
+        code, _, _ = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                             "--trials", "4", "--out", str(out_dir), "--seed", "3")
         assert code == 0
-        assert (out_dir / "per_trial.csv").exists()
+        with open(out_dir / "per_trial.csv") as fh:
+            assert {r["scheduler"] for r in csv.DictReader(fh)} == {"strict_rr"}
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--experiment", "fig3_U", "--strict-paper-rounds"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("schedulers", [["strict_rr", "blind_rr"],
+                                            ["feedback_rr", "strict_rr", "blind_rr"]])
+    def test_summary_compares_each_scheduler_with_blind(self, capsys, tmp_path, schedulers):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"experiment": "fig3_U", "gammas": [1, 5],
+                                         "config": {"trials": 20, "seed": 4},
+                                         "schedulers": schedulers}))
+        out_dir = tmp_path / "results"
+        code, out, _ = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                               "--out", str(out_dir))
+        assert code == 0
+        with open(out_dir / "aggregate.csv") as fh:
+            cells = {(r["scheduler"], int(r["gamma"])): r for r in csv.DictReader(fh)}
+        lines = out.splitlines()
+        expected = []
+        for scheduler in schedulers[:-1]:
+            for metric in ("U", "D"):
+                mean = {(s, gamma): float(cells[s, gamma][f"mean_{metric}"])
+                        for s in (scheduler, "blind_rr") for gamma in (1, 5)}
+                gaps = {gamma: 100 * (mean["blind_rr", gamma] - mean[scheduler, gamma])
+                        / mean["blind_rr", gamma] for gamma in (1, 5)}
+                gamma = max(gaps, key=gaps.get)
+                expected.append(f"best {metric} reduction ({scheduler} over blind_rr): "
+                                f"{gaps[gamma]:.1f}% at gamma={gamma} N=20")
+        assert lines[:-1] == expected
+
+    def test_summary_without_blind_groups_by_scheduler(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"experiment": "tradeoff", "gammas": [1, 5],
+                                         "receivers": [6], "config": {"trials": 10},
+                                         "schedulers": ["feedback_rr", "strict_rr"]}))
+        code, out, _ = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                               "--out", str(tmp_path / "results"))
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+            "N=6 feedback_rr", "N=6 strict_rr"]
 
 
 class TestOracleGapCommand:
@@ -383,6 +430,17 @@ def test_dropped_fig3_d_alias_is_refused(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name", [3, None, ["fig3_U"], {"fig3_U": 1}],
+                         ids=["int", "null", "list", "object"])
+def test_non_string_experiment_is_refused(capsys, tmp_path, name):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"experiment": name}))
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                             "--out", str(tmp_path / "results"))
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}\n"
+
+
 class TestColorCommand:
     @pytest.mark.parametrize("mode, text", [("solve", "3 1\n0 1 2\n"), ("solve", "4 0\n"),
                                             ("validate", "3 1\n0 1 2\n")],
@@ -481,6 +539,13 @@ def test_readme_flag_choices_match_the_parser():
     stale = readme.replace("{fig3_U,tradeoff}", "{fig3_U,fig3_D,tradeoff}")
     assert [row[:2] for row in readme_flag_choices(stale) if row[2] != row[3]] == [
         ("simulate", "--experiment")]
+
+
+def test_readme_simulation_semantics_names_every_scheduler():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    semantics = readme.split("## Simulation semantics", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in SCHEDULERS if f"`{name}`" not in semantics]
+    assert not missing, f"README.md Simulation semantics omits {missing}"
 
 
 def test_readme_tables_every_module():

@@ -233,13 +233,12 @@ class TestSchedulers:
         # resending the full rank every round wastes slots once receivers
         # are partially served; the residual policy should win in the mean
         means = {}
-        for strict in (False, True):
+        for scheduler in ("feedback_rr", "strict_rr"):
             cfg = SimConfig(n_packets=12, n_receivers=8, gamma=2, erasure_prob=0.3,
-                            seed=30, trials=150, abstract_decode=True,
-                            strict_paper_rounds=strict)
+                            seed=30, trials=150, abstract_decode=True, scheduler=scheduler)
             _, agg = run_experiment(cfg)
-            means[strict] = agg["mean_U"]
-        assert means[True] >= means[False]
+            means[scheduler] = agg["mean_U"]
+        assert means["strict_rr"] >= means["feedback_rr"]
 
     def test_strict_rounds_identical_when_erasure_free(self):
         # without erasures everything decodes in round 1, so the round-two
@@ -247,9 +246,11 @@ class TestSchedulers:
         cfg = SimConfig(n_packets=10, n_receivers=4, gamma=2, erasure_prob=0.2,
                         coded_phase_erasures=False, seed=31, trials=30,
                         abstract_decode=True)
-        base = run_experiment(cfg)
-        strict = run_experiment(replace(cfg, strict_paper_rounds=True))
-        assert base == strict
+        base_rows, base_agg = run_experiment(cfg)
+        strict_rows, strict_agg = run_experiment(replace(cfg, scheduler="strict_rr"))
+        assert base_agg == strict_agg
+        assert [{**row, "scheduler": None} for row in base_rows] == \
+            [{**row, "scheduler": None} for row in strict_rows]
 
     def test_gamma_equals_k_schedulers_converge(self):
         # single generation: both schedulers send one coded packet at a time
@@ -293,7 +294,7 @@ class TestSlotSchedule:
 
     def test_strict_rounds_resend_ranks(self):
         round_one = [0, 0, 2, 3, 3, 3]
-        assert self.slots(18, strict_paper_rounds=True) == round_one * 3
+        assert self.slots(18, scheduler="strict_rr") == round_one * 3
 
     def test_nothing_pending_sends_nothing(self):
         cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3)
@@ -399,14 +400,18 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="^erasure_prob must be a real number"):
                 SimConfig(erasure_prob=bad)
         # the flags take bool or numpy.bool_ only, never truthiness
-        for name in ("coded_phase_erasures", "strict_paper_rounds", "abstract_decode"):
+        for name in ("coded_phase_erasures", "abstract_decode"):
             for bad in (0, 1, "no", None, np.int64(1)):
                 with pytest.raises(ValueError, match=f"^{name} must be a bool"):
                     SimConfig(**{name: bad})
         cfg = SimConfig(field_order=np.int64(16), erasure_prob=np.float32(0.25),
-                        abstract_decode=np.bool_(True), strict_paper_rounds=np.bool_(False))
+                        abstract_decode=np.bool_(True), coded_phase_erasures=np.bool_(False))
         assert type(cfg.field_order) is int and cfg.field_order == 16
-        assert cfg.abstract_decode is True and cfg.strict_paper_rounds is False
+        assert cfg.abstract_decode is True and cfg.coded_phase_erasures is False
+        # the round rule is a scheduler name, not a flag
+        assert SimConfig(scheduler="strict_rr").scheduler == "strict_rr"
+        with pytest.raises(TypeError, match="strict_paper_rounds"):
+            SimConfig(strict_paper_rounds=True)
 
 
 class TestTrialCounts:
@@ -521,22 +526,25 @@ def test_slot_draws_span_several_blocks(n):
 # sha256 of per_trial.csv and aggregate.csv for fig3_U sweeps (gammas 1, 3, 6,
 # both schedulers, 25 trials, seed 11) on paths perfbench/reference.json does
 # not check; per_trial.csv recorded with per-slot Generator draws before the
-# block reader replaced them, aggregate.csv before the CSV header came from the rows
+# block reader replaced them, aggregate.csv before the CSV header came from the
+# rows.  Each case is a fragment of the spec document.
 SWEEP_DIGESTS = {
-    "gf16": ({"field_order": 16},
+    "gf16": ({"config": {"field_order": 16}},
              "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20",
              "dae794458c9ce2ee97e9b993d6749aeeb37d75b22a99d76c4cc442580973ecf6"),
-    "no-erasures": ({"coded_phase_erasures": False},
+    "no-erasures": ({"config": {"coded_phase_erasures": False}},
                     "045dd4b360a4ad18f614de10014cb019a680b3ab83d49de4445d68cbf0520446",
                     "f5bf4dc45838da792e5e4f9b614e780fd36a8444cb14ce37a8dd0f761305b199"),
-    "strict-rounds": ({"strict_paper_rounds": True},
+    # recorded when the strict round rule was a flag on feedback_rr, so its
+    # CSVs named the scheduler feedback_rr
+    "strict-rounds": ({"schedulers": ["strict_rr", "blind_rr"]},
                       "021df11b328b4293000134c0a12c0b39e16aff787f03c1cdc6a80a4c0d0be14a",
                       "d2fc68f91feb39e19552c356996dac8aee6d8f45b0732d427e24de302e6389a0"),
-    "payload": ({"abstract_decode": False, "payload_len": 16},
+    "payload": ({"config": {"abstract_decode": False, "payload_len": 16}},
                 "8bc16f7ca29f2e9832f5d2f6da62e68d3a0c34527d57f6580b17f6263feeaad0",
                 "d26533a81a74ea42698ee626990a46a4e98e1fb86ae1ae2d7689c190c3010f24"),
     # payload decoding over GF(16) reads the same draws as rank-only GF(16)
-    "payload-gf16": ({"abstract_decode": False, "payload_len": 16, "field_order": 16},
+    "payload-gf16": ({"config": {"abstract_decode": False, "payload_len": 16, "field_order": 16}},
                      "5b86b8d37cbed46c2400e90d1fff77372a6dadd2c8effbfa993f0e3250076f20",
                      "dae794458c9ce2ee97e9b993d6749aeeb37d75b22a99d76c4cc442580973ecf6"),
 }
@@ -544,9 +552,10 @@ SWEEP_DIGESTS = {
 
 @pytest.mark.parametrize("case", SWEEP_DIGESTS)
 def test_sweep_bytes_pinned(case, tmp_path):
-    overrides, *digests = SWEEP_DIGESTS[case]
-    spec = load_spec({"experiment": "fig3_U", "gammas": [1, 3, 6],
-                      "config": {"trials": 25, "seed": 11, **overrides}})
+    fragment, *digests = SWEEP_DIGESTS[case]
+    spec = load_spec({"experiment": "fig3_U", "gammas": [1, 3, 6], **fragment},
+                     trials=25, seed=11)
     run_simulation_sweep(spec, tmp_path)
-    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("per_trial.csv", "aggregate.csv")] == digests
+    assert [hashlib.sha256(
+        (tmp_path / name).read_bytes().replace(b"strict_rr", b"feedback_rr")).hexdigest()
+        for name in ("per_trial.csv", "aggregate.csv")] == digests
