@@ -51,8 +51,9 @@ EXPERIMENTS = {
 }
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
-# element type of each sweep list of a spec
-_GRID_TYPES = {"gammas": int, "receivers": int, "schedulers": str}
+# each sweep list of a spec: the SimConfig field its values set, and their type
+_GRID = {"gammas": ("gamma", int), "receivers": ("n_receivers", int),
+         "schedulers": ("scheduler", str)}
 
 
 class SpecError(ValueError):
@@ -67,7 +68,7 @@ class ExperimentSpec:
     schedulers: tuple[str, ...] = ("feedback_rr", "blind_rr")
 
     def __post_init__(self):
-        for key in _GRID_TYPES:
+        for key in _GRID:
             if not getattr(self, key):
                 raise SpecError(f"'{key}' sweep list must be nonempty")
         self.cells()  # SimConfig rejects a bad cell before any cell runs
@@ -87,16 +88,16 @@ def named_spec(name: str, **config_overrides) -> ExperimentSpec:
 
 # SimConfig fields a spec may override; every cell takes gamma, n_receivers and
 # scheduler from the sweep lists, which would overwrite a config value
-_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"gamma", "n_receivers", "scheduler"}
+_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {name for name, _ in _GRID.values()}
 _SPEC_KEYS = {"experiment", "config", "gammas", "receivers", "schedulers"}
 
 
 def load_spec(doc, **config_overrides) -> ExperimentSpec:
     """Build a spec from a parsed JSON document: its named experiment's
     document, overridden by doc's keys, then by config_overrides on top of
-    its config.  Checks the keys, the sweep lists' element types and every
-    cell of the grid; each config value passes SimConfig's input rule, whose
-    error names the field."""
+    its config.  Checks the keys, that each sweep list is nonempty and typed,
+    and every cell of the grid; each config value passes SimConfig's input
+    rule, whose error names the field."""
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     unknown = sorted(set(doc) - _SPEC_KEYS)
@@ -117,15 +118,17 @@ def load_spec(doc, **config_overrides) -> ExperimentSpec:
         raise SpecError(f"config keys {unknown} are not allowed; allowed: "
                         f"{sorted(_CONFIG_KEYS)}; gamma, n_receivers and scheduler come "
                         "from the 'gammas', 'receivers' and 'schedulers' lists")
-    grid = {key: doc.get(key, base[key]) for key in _GRID_TYPES}
+    grid = {key: doc.get(key, base[key]) for key in _GRID}
     for key, value in grid.items():
-        kind = _GRID_TYPES[key]
+        kind = _GRID[key][1]
         # type() rather than isinstance(): JSON true/false must not pass as ints
-        if not isinstance(value, list) or any(type(v) is not kind for v in value):
+        if not isinstance(value, list) or not value or any(type(v) is not kind for v in value):
             raise SpecError(
-                f"'{key}' must be a JSON list of {kind.__name__} values, got {value!r}")
+                f"'{key}' must be a nonempty JSON list of {kind.__name__} values, got {value!r}")
+    # the base config is the grid's first cell, so no default the grid replaces is checked
+    first = {_GRID[key][0]: value[0] for key, value in grid.items()}
     try:
-        return ExperimentSpec(config=SimConfig(**cfg_doc),
+        return ExperimentSpec(config=SimConfig(**cfg_doc, **first),
                               **{key: tuple(value) for key, value in grid.items()})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid spec value: {exc}") from exc

@@ -1,9 +1,9 @@
 """GF(2^m) arithmetic with log/antilog tables (m = 4 or 8).
 
 Addition is XOR.  The dense q x q product table mul_table, gathered from
-exp/log tables of the primitive element x, backs the payload operations;
-mul_rows holds its rows as bytes, one per multiplier, so scalar code reads
-mul_rows[a][b] = a*b as a plain int with no call per element.
+exp/log tables of the primitive element x, backs the payload operations; its
+rows as bytes are mul_rows (mul_rows[a][b] = a*b) and, zero-padded to 256
+bytes, translate_rows: bytes.translate(translate_rows[a]) multiplies by a.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class Field:
         tab.setflags(write=False)
         self.mul_table = tab
         self.mul_rows = tuple(row.tobytes() for row in tab)
+        self.translate_rows = tuple(row.ljust(256, b"\0") for row in self.mul_rows)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

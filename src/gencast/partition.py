@@ -216,5 +216,6 @@ def by_algorithm(sfm: StateFeedbackMatrix, gamma: int, algorithm: str) -> Partit
         raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {', '.join(ALGORITHMS)}")
     if algorithm == "oracle":
         return optimal_partition(sfm, gamma).witness
-    heur = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
-    return blind_partition(sfm.n_packets, heur.n_generations) if algorithm == "blind" else heur
+    if algorithm == "blind":  # the greedy's generations counted, not built as a Partition
+        return blind_partition(sfm.n_packets, len(_greedy(sfm, check_cap(gamma))))
+    return heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))

@@ -10,12 +10,14 @@ A DecoderState knows from construction which packets its receiver wants and,
 to decode payloads, the payloads it holds of the rest; a missing one is a
 ValueError there.  absorb(pkt) returns True iff the packet raised the rank,
 needed counts the innovative packets still missing, and solve() returns the
-wanted payloads once needed is 0.  absorb cancels a held payload with the
-packet's product only if that was made from the very array held, else makes
-and records it.  A state without the held payloads, or fed packets with
-payload=None, tracks rank only; its rank trajectory equals the payload
-path's, as both depend only on the coefficients.  for_generation builds
-many receivers' decoders equal to building each alone, checking ids once.
+wanted payloads once needed is 0.  absorb reduces the unknown coefficients as
+one int, byte j for column j: each step XORs in the row pivoted on the lowest
+nonzero byte, times that byte by one bytes.translate.  It cancels a held
+payload with the packet's product only if that was made from the very array
+held, else makes and records it.  A state without the held payloads, or fed
+packets with payload=None, tracks rank only; its rank trajectory equals the
+payload path's, as both depend only on the coefficients.  for_generation
+builds many receivers' decoders equal to building each alone, checking ids once.
 """
 
 from __future__ import annotations
@@ -75,13 +77,13 @@ class DecoderState:
     are the packets this receiver still needs from it (both pass
     sfm.check_generation_ids); known_payloads maps packet ids, at least the
     generation's other ones, to the payloads held, or is None for rank-only
-    decoding.  Unknown j (in generation order) owns _basis[j], the stored row
-    with pivot column j, or None; a stored row is zero before its pivot and 1
-    at it.
+    decoding.  Unknown column j (in generation order) owns _basis[j], the
+    stored row with pivot j, or None: bytes over the generation's columns,
+    zero before j and at every held column, 1 at j.
     """
 
     __slots__ = ("generation_id", "generation_ids", "unknown_ids", "field", "needed",
-                 "_unknown_cols", "_basis", "_payloads", "_held")
+                 "_unknown_cols", "_mask", "_basis", "_payloads", "_held")
 
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256,
                  known_payloads=None):
@@ -116,7 +118,8 @@ class DecoderState:
         self._unknown_cols, self.unknown_ids = zip(*unknowns) if unknowns else ((), ())
         self.field = field
         self.needed = len(unknowns)
-        self._basis = [None] * self.needed  # coefficient rows (lists of ints)
+        self._mask = sum(255 << 8 * j for j in self._unknown_cols)  # the unknown columns' bytes
+        self._basis = [None] * len(ids)
         # the payload of each stored row and the (column, payload) of each
         # held packet; None when decoding rank-only
         self._payloads = self._held = None
@@ -125,69 +128,64 @@ class DecoderState:
             if missing := [pid for _, pid in held if pid not in known_payloads]:
                 raise ValueError(f"known payloads missing for packets {missing}")
             self._held = [(j, np.asarray(known_payloads[pid], np.uint8)) for j, pid in held]
-            self._payloads = [None] * self.needed
+            self._payloads = [None] * len(ids)
 
     @property
     def rank(self):
-        return len(self._basis) - self.needed
+        return len(self.unknown_ids) - self.needed
 
     @property
     def decoded(self):
         return self.needed == 0
 
     def absorb(self, pkt: CodedPacket) -> bool:
-        """Fold a coded packet in (a rank-only state ignores its payload);
-        True iff the rank increased."""
+        """Fold a coded packet in (a rank-only state ignores its payload); True
+        iff the rank increased.  A coefficient outside the field is a ValueError."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(
                 f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
             )
         if not self.needed:
             return False
-        coeffs = pkt.coefficients.tolist()
+        coeffs = pkt.coefficients
+        coeffs = coeffs.tobytes() if coeffs.dtype == np.uint8 else bytes(coeffs.tolist())
         if len(coeffs) != len(self.generation_ids):
             raise ValueError(
                 f"coefficient vector length {len(coeffs)} != generation size "
                 f"{len(self.generation_ids)}"
             )
-        field = self.field
-        vec = [coeffs[j] for j in self._unknown_cols]
+        field, tables = self.field, self.field.translate_rows
+        if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
+            raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
+        vec = int.from_bytes(coeffs, "little") & self._mask
 
         residual = None
         if pkt.payload is not None and self._held is not None:
             residual = np.asarray(pkt.payload, dtype=np.uint8).copy()
             memo = {} if pkt.products is None else pkt.products
             for j, src in self._held:
-                if coeffs[j]:
+                if c := coeffs[j]:
                     if (made := memo.get(j)) is None or made[0] is not src:
-                        made = memo[j] = src, field.mul_vec(coeffs[j], src)
+                        made = memo[j] = src, field.mul_vec(c, src)
                     residual ^= made[1]
 
-        rows = field.mul_rows
-        # column order; vec is reduced in place, so each column is read after
-        # the eliminations of the columns before it
-        for pivot, f in enumerate(vec):
-            if not f:
-                continue
-            row = self._basis[pivot]
+        basis = self._basis
+        while vec:
+            pivot = ((vec & -vec).bit_length() - 1) >> 3  # the lowest nonzero column
+            f = vec >> 8 * pivot & 255
+            row = basis[pivot]
             if row is None:
-                break  # the first nonzero column without a stored row
-            fr = rows[f]
-            vec[pivot:] = [v ^ fr[r] for v, r in zip(vec[pivot:], row[pivot:])]
+                break
+            vec ^= int.from_bytes(row.translate(tables[f]), "little")
             if residual is not None and self._payloads[pivot] is not None:
                 residual ^= field.mul_vec(f, self._payloads[pivot])
         else:
             return False  # linearly dependent
 
-        fi = field.inv(vec[pivot])
-        if fi != 1:
-            fr = rows[fi]
-            vec[pivot:] = [fr[v] for v in vec[pivot:]]
-            if residual is not None:
-                residual = field.mul_vec(fi, residual)
-        self._basis[pivot] = vec
+        fi = field.inv(f)
+        basis[pivot] = vec.to_bytes(len(coeffs), "little").translate(tables[fi])
         if residual is not None:
-            self._payloads[pivot] = residual
+            self._payloads[pivot] = residual if fi == 1 else field.mul_vec(fi, residual)
         self.needed -= 1
         return True
 
@@ -200,13 +198,14 @@ class DecoderState:
             raise RuntimeError(
                 f"cannot solve at rank {self.rank} with {len(self.unknown_ids)} unknowns"
             )
+        cols = self._unknown_cols
         sol = list(self._payloads or [None] * len(self._basis))
-        if any(prow is None for prow in sol):
+        if any(sol[j] is None for j in cols):
             raise RuntimeError("state was advanced without payloads; nothing to solve")
-        # sol starts as the stored rows: never update in place
-        for j in reversed(range(len(sol))):
+        # sol starts as the stored rows' payloads: never update in place
+        for i, j in reversed(list(enumerate(cols))):
             row = self._basis[j]
-            for c in range(j + 1, len(sol)):
+            for c in cols[i + 1:]:
                 if row[c]:
                     sol[j] = sol[j] ^ self.field.mul_vec(row[c], sol[c])
-        return dict(zip(self.unknown_ids, sol))
+        return {pid: sol[j] for j, pid in zip(cols, self.unknown_ids)}

@@ -143,6 +143,20 @@ class TestSimulateCommand:
         }
         assert "best U reduction" in out
 
+    def test_grid_alone_sets_gamma(self, capsys, tmp_path):
+        # no cell runs the default gamma=2, so a one-packet block is valid
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"experiment": "fig3_U", "gammas": [1],
+                                         "config": {"n_packets": 1, "trials": 3}}))
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "simulate", "--spec", str(spec_path),
+                               "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        with open(out_dir / "aggregate.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["scheduler"], r["gamma"]) for r in rows] == [("feedback_rr", "1"),
+                                                                ("blind_rr", "1")]
+
     def test_erasure_free_u_equals_total_rank(self, capsys, tmp_path):
         spec = {
             "experiment": "fig3_U",
@@ -204,8 +218,9 @@ class TestSimulateCommand:
         ({"schedulers": ["feedback_rr", 1]}, "schedulers"),
         ({"schedulers": ["round_robin"]}, "scheduler"),
         ({"gammas": [1, 25]}, "gamma=25"),
+        ({"schedulers": []}, "nonempty"),
     ], ids=["gammas-string", "gammas-bool", "gammas-float", "receivers-scalar",
-            "schedulers-non-string", "schedulers-unknown", "gamma-above-k"])
+            "schedulers-non-string", "schedulers-unknown", "gamma-above-k", "schedulers-empty"])
     def test_bad_grid_rejected_before_any_cell_runs(self, capsys, tmp_path, grid, needle):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "fig3_U",

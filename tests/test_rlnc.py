@@ -323,26 +323,38 @@ def reference_rank(field, rows):
 @st.composite
 def decoder_cases(draw):
     """A field, generation ids in a shuffled order, a wanted subset in any
-    order, source payloads and up to 2g + 2 coefficient rows."""
+    order, source payloads, up to 2g + 2 coefficient rows, and a column and
+    a value outside the field (GF(16) bytes, or int64 values beyond a byte)."""
     field = draw(st.sampled_from([GF16, GF256]))
-    g = draw(st.integers(1, 6))
+    g = draw(st.integers(1, 10))
     ids = draw(st.permutations(range(10, 10 + g)))
     wanted = draw(st.lists(st.sampled_from(ids), unique=True))
     symbol = st.integers(0, field.q - 1)
     payloads = {pid: draw(st.lists(symbol, min_size=4, max_size=4)) for pid in ids}
     rows = draw(st.lists(st.lists(symbol, min_size=g, max_size=g), max_size=2 * g + 2))
-    return field, ids, wanted, payloads, rows
+    bad = draw(st.integers(field.q, 255) if field.q < 256 else
+               st.one_of(st.integers(-(2**40), -1), st.integers(256, 2**40)))
+    return field, ids, wanted, payloads, rows, draw(st.integers(0, g - 1)), bad
 
 
 @settings(max_examples=200, deadline=None)
 @given(decoder_cases())
 def test_decoder_rank_innovation_and_solve(case):
-    field, ids, wanted, payloads, rows = case
+    field, ids, wanted, payloads, rows, bad_col, bad = case
     known = {pid: np.array(payloads[pid], np.uint8) for pid in ids if pid not in wanted}
     state = DecoderState(0, ids, wanted, field, known)
-    # the same system rank-only, with numpy ids and the wanted ids reversed
+    # the same system rank-only, with numpy ids, the wanted ids reversed and
+    # int64 coefficients
     abstract = DecoderState(0, np.array(ids), np.array(wanted[::-1], dtype=int), field)
     assert state.unknown_ids == abstract.unknown_ids == tuple(p for p in ids if p in wanted)
+    # a coefficient outside the field, in any column, is rejected before any
+    # change while something is still needed
+    outside = np.zeros(len(ids), np.uint8 if 0 <= bad < 256 else np.int64)
+    outside[bad_col] = bad
+    for decoder in (state, abstract) if wanted else ():
+        with pytest.raises(ValueError, match="outside GF|range"):
+            decoder.absorb(CodedPacket(0, outside, np.zeros(4, np.uint8)))
+        assert (decoder.rank, decoder.needed) == (0, len(wanted))
     wanted_cols = [ids.index(pid) for pid in wanted]
     prev = 0
     for n, row in enumerate(rows, 1):
@@ -351,7 +363,7 @@ def test_decoder_rank_innovation_and_solve(case):
             coded = [a ^ field.mul(c, b) for a, b in zip(coded, payloads[pid])]
         innovative = state.absorb(
             CodedPacket(0, np.array(row, np.uint8), np.array(coded, np.uint8)))
-        assert abstract.absorb(CodedPacket(0, np.array(row, np.uint8), None)) == innovative
+        assert abstract.absorb(CodedPacket(0, np.array(row, np.int64), None)) == innovative
         assert (abstract.rank, abstract.needed) == (state.rank, state.needed)
         expected = reference_rank(field, [[r[j] for j in wanted_cols] for r in rows[:n]])
         assert state.rank == expected

@@ -186,6 +186,31 @@ class TestSchedulers:
         # round 1 = chunk {0,1} then chunk {2,3}; decode lands on slot 2
         assert result.completion_time == 2
 
+    @pytest.mark.parametrize("q", [16, 256])
+    @pytest.mark.parametrize("gamma", [1, 2, 5])
+    def test_blind_delay_matches_its_expectation(self, q, gamma):
+        # blind_rr sends the j-th slot of generation m (from 0) of M at
+        # (j - 1) * M + m + 1 whatever the decoders say, and a receiver wanting
+        # c of its packets decodes it after J_c of its slots, with
+        # E J_c = sum over x = 1..c of 1 / ((1 - Pe) (1 - q^-x)); so
+        # E[D | SFM, partition] = sum c ((E J_c - 1) M + m + 1) / sum c, and
+        # the paired per-trial D - E[D] has mean 0 unless the decoder
+        # mis-ranks or the schedule drifts
+        cfg = SimConfig(n_packets=20, n_receivers=20, gamma=gamma, erasure_prob=0.2,
+                        field_order=q, scheduler="blind_rr", abstract_decode=True, seed=31337)
+        diffs = []
+        for trial in range(300):
+            row = run_trial(cfg, trial)
+            sfm = systematic_phase(20, 20, ChannelModel(0.2),
+                                   gencast.sim.trial_rng(cfg.seed, trial))
+            counts = gencast.sfm.generation_counts(sfm, blind_partition(20, row["M"]))
+            jumps = np.cumsum([0] + [1 / (0.8 * (1 - q ** -x)) for x in range(1, 21)])
+            expected = sum(c * ((jumps[c] - 1) * row["M"] + m + 1)
+                           for r_counts in counts.tolist() for m, c in enumerate(r_counts))
+            diffs.append(float(row["D"]) - expected / max(int(counts.sum()), 1))
+        z = np.mean(diffs) / (np.std(diffs, ddof=1) / np.sqrt(len(diffs)))
+        assert abs(z) < 3, f"blind_rr mean D off its expectation by {z:.2f} standard errors"
+
     def test_feedback_skips_satisfied_generations(self):
         sfm = StateFeedbackMatrix([[0, 0, 0, 1]])
         part = blind_partition(4, 2)
