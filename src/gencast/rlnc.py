@@ -140,13 +140,13 @@ class DecoderState:
 
     def absorb(self, pkt: CodedPacket) -> bool:
         """Fold a coded packet in (a rank-only state ignores its payload); True
-        iff the rank increased.  A coefficient outside the field is a ValueError."""
+        iff the rank increased.  A packet of another generation, of the wrong
+        length or with a coefficient outside the field is a ValueError, also
+        for a state that needs nothing more."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(
                 f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
             )
-        if not self.needed:
-            return False
         coeffs = pkt.coefficients
         coeffs = coeffs.tobytes() if coeffs.dtype == np.uint8 else bytes(coeffs.tolist())
         if len(coeffs) != len(self.generation_ids):
@@ -157,6 +157,8 @@ class DecoderState:
         field, tables = self.field, self.field.translate_rows
         if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
             raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
+        if not self.needed:  # checked like any packet, but nothing left to gain
+            return False
         vec = int.from_bytes(coeffs, "little") & self._mask
 
         residual = None

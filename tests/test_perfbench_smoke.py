@@ -37,7 +37,7 @@ PINNED_COUNTS = {
                   "sim.coded_slots": 310},
     "payload-decode": {"rlnc.absorb.calls": 521, "sim.coded_slots": 118,
                        "galois.mul_vec.bytes": 180864},
-    "oracle-k20": {"partition.optimal.nodes": 189},
+    "oracle-k20": {"partition.optimal.nodes": 88},
 }
 
 
@@ -99,7 +99,7 @@ def test_oracle_k20_full_workload():
     report, result = run_workload("--workload", "oracle-k20", "--trace", "1")
     assert result["correct"] is True, report["errors"]
     assert result["failed"] == 0
-    assert report["run"]["exact_counts"]["partition.optimal.nodes"] == 3450148
+    assert report["run"]["exact_counts"]["partition.optimal.nodes"] == 72409
 
 
 def test_fig3_rank_trace_counts():

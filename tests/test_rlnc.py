@@ -347,14 +347,25 @@ def test_decoder_rank_innovation_and_solve(case):
     # int64 coefficients
     abstract = DecoderState(0, np.array(ids), np.array(wanted[::-1], dtype=int), field)
     assert state.unknown_ids == abstract.unknown_ids == tuple(p for p in ids if p in wanted)
-    # a coefficient outside the field, in any column, is rejected before any
-    # change while something is still needed
+    # a packet of another generation, of the wrong length or with a
+    # coefficient outside the field (in any column) is rejected before any
+    # change, also by a state that wants nothing or has decoded
     outside = np.zeros(len(ids), np.uint8 if 0 <= bad < 256 else np.int64)
     outside[bad_col] = bad
-    for decoder in (state, abstract) if wanted else ():
-        with pytest.raises(ValueError, match="outside GF|range"):
-            decoder.absorb(CodedPacket(0, outside, np.zeros(4, np.uint8)))
-        assert (decoder.rank, decoder.needed) == (0, len(wanted))
+    zeros = np.zeros(4, np.uint8)
+    bad_packets = [(CodedPacket(0, outside, zeros), "outside GF|range"),
+                   (CodedPacket(0, np.zeros(len(ids) + 1, np.uint8), zeros), "length"),
+                   (CodedPacket(1, np.zeros(len(ids), np.uint8), zeros), "generation")]
+
+    def rejects_bad_packets(decoder):
+        before = decoder.rank, decoder.needed
+        for pkt, match in bad_packets:
+            with pytest.raises(ValueError, match=match):
+                decoder.absorb(pkt)
+        return (decoder.rank, decoder.needed) == before
+
+    assert rejects_bad_packets(state) and rejects_bad_packets(abstract)
+    assert (state.rank, state.needed) == (0, len(wanted))
     wanted_cols = [ids.index(pid) for pid in wanted]
     prev = 0
     for n, row in enumerate(rows, 1):
@@ -371,6 +382,7 @@ def test_decoder_rank_innovation_and_solve(case):
         assert state.needed == len(wanted) - expected
         prev = expected
     assert state.decoded == (prev == len(wanted))
+    assert rejects_bad_packets(state) and rejects_bad_packets(abstract)
     if state.decoded:
         solved = state.solve()
         assert sorted(solved) == sorted(wanted)

@@ -211,6 +211,31 @@ class TestSchedulers:
         z = np.mean(diffs) / (np.std(diffs, ddof=1) / np.sqrt(len(diffs)))
         assert abs(z) < 3, f"blind_rr mean D off its expectation by {z:.2f} standard errors"
 
+    @pytest.mark.parametrize("erasures", [False, True])
+    @pytest.mark.parametrize("scheduler", ["feedback_rr", "strict_rr"])
+    def test_delay_at_least_the_erasure_free_delay(self, scheduler, erasures):
+        # round 1 sends generation m (from 0) only after the S_{m-1} slots
+        # that carry the ranks before it, and a receiver wanting c of its
+        # packets needs c of its slots, so D >= D_ef = sum c (S_{m-1} + c) /
+        # sum c, with equality when no slot is erased or non-innovative
+        equal = 0
+        for gamma in (1, 2, 5):
+            cfg = SimConfig(n_packets=20, n_receivers=20, gamma=gamma, erasure_prob=0.2,
+                            scheduler=scheduler, coded_phase_erasures=erasures,
+                            abstract_decode=True, seed=31337)
+            for trial in range(150):
+                row = run_trial(cfg, trial)
+                sfm = systematic_phase(20, 20, ChannelModel(0.2),
+                                       gencast.sim.trial_rng(cfg.seed, trial))
+                part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+                counts = gencast.sfm.generation_counts(sfm, part)
+                before = np.cumsum(counts.max(axis=0)) - counts.max(axis=0)  # S_{m-1}
+                d_ef = Fraction(int((counts * (before + counts)).sum()), int(counts.sum()))
+                assert row["D"] >= d_ef, (gamma, trial)
+                equal += row["D"] == d_ef
+        if not erasures:  # then only a non-innovative slot delays: 413 of 450 are equal
+            assert equal >= 400
+
     def test_feedback_skips_satisfied_generations(self):
         sfm = StateFeedbackMatrix([[0, 0, 0, 1]])
         part = blind_partition(4, 2)
