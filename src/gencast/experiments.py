@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,10 +62,10 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    config: SimConfig = field(default_factory=SimConfig)
-    gammas: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-    receivers: tuple[int, ...] = (20,)
-    schedulers: tuple[str, ...] = ("feedback_rr", "blind_rr")
+    config: SimConfig
+    gammas: tuple[int, ...]
+    receivers: tuple[int, ...]
+    schedulers: tuple[str, ...]
 
     def __post_init__(self):
         for key in _GRID:

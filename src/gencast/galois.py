@@ -1,9 +1,8 @@
 """GF(2^m) arithmetic with log/antilog tables (m = 4 or 8).
 
-Addition is XOR.  The dense q x q product table mul_table, gathered from
-exp/log tables of the primitive element x, backs the payload operations; its
-rows as bytes are mul_rows (mul_rows[a][b] = a*b) and, zero-padded to 256
-bytes, translate_rows: bytes.translate(translate_rows[a]) multiplies by a.
+Addition is XOR.  The q x q product table mul_table, from exp/log tables of
+the primitive element x, backs mul and mul_vec; its rows as bytes, zero-padded
+to 256, are translate_rows: b.translate(translate_rows[a]) is a times bytes b.
 """
 
 from __future__ import annotations
@@ -46,14 +45,13 @@ class Field:
         tab[0, :] = tab[:, 0] = 0
         tab.setflags(write=False)
         self.mul_table = tab
-        self.mul_rows = tuple(row.tobytes() for row in tab)
-        self.translate_rows = tuple(row.ljust(256, b"\0") for row in self.mul_rows)
+        self.translate_rows = tuple(row.tobytes().ljust(256, b"\0") for row in tab)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_rows[a][b]
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:

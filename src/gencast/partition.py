@@ -95,11 +95,12 @@ def _greedy(sfm, gamma):
     everyone = (1 << sfm.n_receivers) - 1
     # candidate order: most popular first; sorted is stable, so ties keep index order
     remaining = sorted(range(sfm.n_packets), key=lambda k: -bits[k].bit_count())
+    depth = min(gamma, sfm.n_packets)  # no generation's rank exceeds K
 
     groups = []
     while remaining:
         members = []
-        levels = [0] * gamma  # levels[i]: receivers wanting more than i of the members
+        levels = [0] * depth  # levels[i]: receivers wanting more than i of the members
         full = everyone  # receivers whose count has reached the rank
         cur_rank = 0
         while remaining:

@@ -6,18 +6,18 @@ coefficients it is given plus the matching combination of the generation's
 payloads, recording by column the products c_j * x_j it summed) and
 DecoderState, one receiver's decoder for one generation.
 
-A DecoderState knows from construction which packets its receiver wants and,
-to decode payloads, the payloads it holds of the rest; a missing one is a
-ValueError there.  absorb(pkt) returns True iff the packet raised the rank,
-needed counts the innovative packets still missing, and solve() returns the
-wanted payloads once needed is 0.  absorb reduces the unknown coefficients as
-one int, byte j for column j: each step XORs in the row pivoted on the lowest
-nonzero byte, times that byte by one bytes.translate.  It cancels a held
-payload with the packet's product only if that was made from the very array
-held, else makes and records it.  A state without the held payloads, or fed
-packets with payload=None, tracks rank only; its rank trajectory equals the
-payload path's, as both depend only on the coefficients.  for_generation
-builds many receivers' decoders equal to building each alone, checking ids once.
+A DecoderState knows from construction which packets its receiver wants and
+whether it decodes payloads: it does iff built with known_payloads, the
+payloads it holds of the rest (a missing one is a ValueError there), and then
+refuses a packet without one; else it tracks rank only, along the payload
+path's rank trajectory (both depend only on the coefficients).  absorb(pkt)
+returns True iff the packet raised the rank, needed counts the innovative
+packets still missing, and solve() returns the wanted payloads at full rank.
+absorb reduces the unknown coefficients as one int, byte j for column j: each
+step XORs in the row pivoted on the lowest nonzero byte, times that byte by
+one bytes.translate.  It reuses a packet's recorded product only if made from
+the very array held, else makes its own; only encode writes the record.
+for_generation builds many receivers' decoders equal to building each alone.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class DecoderState:
     generation_ids fixes the generation-local coefficient order; wanted_ids
     are the packets this receiver still needs from it (both pass
     sfm.check_generation_ids); known_payloads maps packet ids, at least the
-    generation's other ones, to the payloads held, or is None for rank-only
-    decoding.  Unknown column j (in generation order) owns _basis[j], the
-    stored row with pivot j, or None: bytes over the generation's columns,
-    zero before j and at every held column, 1 at j.
+    generation's other ones, to the payloads held ({} if none), or is None
+    for rank-only decoding.  Unknown column j (in generation order) owns
+    _basis[j], the stored row with pivot j, or None: bytes over the
+    generation's columns, zero before j and at every held column, 1 at j.
     """
 
     __slots__ = ("generation_id", "generation_ids", "unknown_ids", "field", "needed",
@@ -123,7 +123,7 @@ class DecoderState:
         # the payload of each stored row and the (column, payload) of each
         # held packet; None when decoding rank-only
         self._payloads = self._held = None
-        if known_payloads is not None or self.needed == len(ids):
+        if known_payloads is not None:
             held = [(j, pid) for j, pid in enumerate(ids) if pid not in self.unknown_ids]
             if missing := [pid for _, pid in held if pid not in known_payloads]:
                 raise ValueError(f"known payloads missing for packets {missing}")
@@ -141,8 +141,8 @@ class DecoderState:
     def absorb(self, pkt: CodedPacket) -> bool:
         """Fold a coded packet in (a rank-only state ignores its payload); True
         iff the rank increased.  A packet of another generation, of the wrong
-        length or with a coefficient outside the field is a ValueError, also
-        for a state that needs nothing more."""
+        length, with a coefficient outside the field or, to a payload state,
+        without a payload is a ValueError, also for a state that needs nothing."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(
                 f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
@@ -157,19 +157,20 @@ class DecoderState:
         field, tables = self.field, self.field.translate_rows
         if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
             raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
+        if (held := self._held) is not None and pkt.payload is None:
+            raise ValueError("a state decoding payloads needs a packet with a payload")
         if not self.needed:  # checked like any packet, but nothing left to gain
             return False
         vec = int.from_bytes(coeffs, "little") & self._mask
 
         residual = None
-        if pkt.payload is not None and self._held is not None:
+        if held is not None:
             residual = np.asarray(pkt.payload, dtype=np.uint8).copy()
-            memo = {} if pkt.products is None else pkt.products
-            for j, src in self._held:
+            records = pkt.products or {}
+            for j, src in held:
                 if c := coeffs[j]:
-                    if (made := memo.get(j)) is None or made[0] is not src:
-                        made = memo[j] = src, field.mul_vec(c, src)
-                    residual ^= made[1]
+                    made = records.get(j)
+                    residual ^= made[1] if made and made[0] is src else field.mul_vec(c, src)
 
         basis = self._basis
         while vec:
@@ -179,7 +180,7 @@ class DecoderState:
             if row is None:
                 break
             vec ^= int.from_bytes(row.translate(tables[f]), "little")
-            if residual is not None and self._payloads[pivot] is not None:
+            if residual is not None:
                 residual ^= field.mul_vec(f, self._payloads[pivot])
         else:
             return False  # linearly dependent
@@ -196,14 +197,14 @@ class DecoderState:
 
         Back-substitutes through the echelon basis from the last pivot up.
         """
+        if self._payloads is None and self.unknown_ids:
+            raise RuntimeError("state was built without payloads; nothing to solve")
         if self.needed:
             raise RuntimeError(
                 f"cannot solve at rank {self.rank} with {len(self.unknown_ids)} unknowns"
             )
         cols = self._unknown_cols
-        sol = list(self._payloads or [None] * len(self._basis))
-        if any(sol[j] is None for j in cols):
-            raise RuntimeError("state was advanced without payloads; nothing to solve")
+        sol = list(self._payloads or ())  # empty when rank-only, with no unknowns
         # sol starts as the stored rows' payloads: never update in place
         for i, j in reversed(list(enumerate(cols))):
             row = self._basis[j]

@@ -151,9 +151,9 @@ def test_criterion_5_full_rank_probability():
             rng = np.random.default_rng(1000 * q + d)
             draws = rng.integers(0, q, size=(trials, d, d), dtype=np.uint8)
             hits = 0
-            ids = list(range(d))
-            for i in range(trials):
-                st = DecoderState(0, ids, ids, field)
+            # one rank-only decoder per trial, wanting all d packets, its ids checked once
+            wants = dict.fromkeys(range(trials), [1] * d)
+            for i, st in DecoderState.for_generation(0, range(d), wants, field).items():
                 block = draws[i]
                 for j in range(d):
                     st.absorb(CodedPacket(0, block[j], None))

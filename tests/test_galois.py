@@ -69,14 +69,22 @@ def reference_mul(a, b, m, poly):
 
 
 def test_mul_table_matches_scalar_mul():
-    # every q^2 product of the table, its bytes rows and mul, against the
-    # shift-and-add reference
+    # every q^2 product of the table, its translate rows (zero past q) and
+    # mul, against the shift-and-add reference
     for field, poly in ((GF16, 0x13), (GF256, 0x11D)):
         ref = [[reference_mul(a, b, field.m, poly) for b in range(field.q)]
                for a in range(field.q)]
         assert field.mul_table.tolist() == ref
-        assert [list(row) for row in field.mul_rows] == ref
+        assert len(field.translate_rows) == field.q
+        for row, want in zip(field.translate_rows, ref):
+            assert list(row[:field.q]) == want and row[field.q:] == bytes(256 - field.q)
         assert [[field.mul(a, b) for b in range(field.q)] for a in range(field.q)] == ref
+
+
+def test_scalar_mul_rejects_an_element_outside_the_field():
+    # translate_rows is zero-padded for bytes.translate; mul does not read it
+    with pytest.raises(IndexError):
+        GF16.mul(3, 200)
 
 
 @pytest.mark.parametrize("field, poly", [(GF16, 0x13), (GF256, 0x11D)], ids=["GF16", "GF256"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,19 @@ class TestHeuristic:
             gamma = int(sfm.wants.sum(axis=1).max()) or 1
             p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
             assert p.n_generations == 1
+
+    def test_cap_above_k_allocates_as_k_does(self, conflict_sfm):
+        # no generation's rank exceeds K, so the levels stop there
+        big = 10**7
+        tracemalloc.start()
+        try:
+            part = heuristic_partition(conflict_sfm, PartitionerConfig(gamma_cap=big))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        at_k = heuristic_partition(conflict_sfm, PartitionerConfig(conflict_sfm.n_packets))
+        assert part.generations == at_k.generations and part.gamma_cap == big
+        assert peak < 2**20
 
     def test_golden_trace_all_popularity_tied(self):
         # every packet has popularity 2; lowest index wins each tie, and no

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencast.galois import GF16, GF256
+from gencast.galois import GF16, GF256, Field
 from gencast.rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
 
 # pinned output of encode() under seed 2024 (generation of 4 packets,
@@ -119,6 +119,56 @@ class TestAbsorb:
             DecoderState.for_generation(0, [5, 1, 4, 2], {0: [0, 1, 1, 0, 0, 0]},
                                         known_payloads=held)
 
+    def test_state_without_known_payloads_is_rank_only(self):
+        # a state wanting every packet holds none, but decodes payloads only
+        # when built with known_payloads={}
+        payloads = random_payloads(2, 4, np.random.default_rng(0))
+        st = DecoderState(0, [0, 1], [0, 1])
+        rng = np.random.default_rng(1)
+        while not st.decoded:
+            st.absorb(encode(payloads, random_coefficients(2, rng)))
+        with pytest.raises(RuntimeError, match="without payloads"):
+            st.solve()
+
+    def test_payload_state_refuses_a_packet_without_payload(self):
+        payloads = random_payloads(3, 4, np.random.default_rng(0))
+        st = DecoderState(0, [0, 1, 2], [1, 2], known_payloads={0: payloads[0]})
+        bare = CodedPacket(0, np.array([1, 2, 3], np.uint8), None)
+        rng = np.random.default_rng(2)
+        while True:
+            before = st.rank, st.needed
+            with pytest.raises(ValueError, match="payload"):
+                st.absorb(bare)
+            assert (st.rank, st.needed) == before
+            if st.decoded:
+                break
+            st.absorb(encode(payloads, random_coefficients(3, rng)))
+        assert all((got == payloads[k]).all() for k, got in st.solve().items())
+
+    def test_receivers_holding_the_same_arrays_make_their_own_products(self):
+        # each of two receivers holding packets 0 and 1 makes its two held
+        # products and one pivot scaling for a packet whose record is cleared
+        field = Field(8)
+        calls = []
+        mul_vec = field.mul_vec
+
+        def counted(c, vec):
+            calls.append(c)
+            return mul_vec(c, vec)
+
+        field.mul_vec = counted
+        payloads = random_payloads(3, 4, np.random.default_rng(0))
+        held = {0: payloads[0], 1: payloads[1]}
+        states = [DecoderState(0, [0, 1, 2], [2], field, held) for _ in range(2)]
+        pkt = encode(payloads, np.array([1, 2, 3], np.uint8), field)
+        pkt.products.clear()
+        calls.clear()
+        for state in states:
+            assert state.absorb(pkt)
+        assert len(calls) == 6
+        assert pkt.products == {}
+        assert all((st.solve()[2] == payloads[2]).all() for st in states)
+
     def test_rank_only_state_ignores_payloads(self):
         payloads = random_payloads(2, 4, np.random.default_rng(0))
         st = DecoderState(0, [0, 1], [1])
@@ -166,7 +216,7 @@ class TestSolve:
 
     def test_single_unknown_inverse(self):
         src = np.array([9, 0, 255, 17], dtype=np.uint8)
-        st = DecoderState(0, [4], [4])
+        st = DecoderState(0, [4], [4], known_payloads={})
         c = 0x37
         coded = GF256.mul_vec(c, src)
         st.absorb(CodedPacket(0, np.array([c], np.uint8), coded))
@@ -289,7 +339,14 @@ def test_decoder_uses_only_its_own_held_arrays(case):
     # equal held copies that are other objects reuse none of the encoder's
     # products and still decode to the sources
     copies = {k: sources[k].copy() for k in range(g) if k not in wanted}
-    assert decode(copies, encoded()) == {k: sources[k].tolist() for k in wanted}
+    packets = encoded()
+    assert decode(copies, packets) == {k: sources[k].tolist() for k in wanted}
+    # and leave every packet's record as encode made it
+    for pkt in packets:
+        assert sorted(pkt.products) == [j for j, c in enumerate(pkt.coefficients) if c]
+        for j, (src, prod) in pkt.products.items():
+            assert src is sources[j]
+            assert prod.tolist() == field.mul_vec(pkt.coefficients[j], src).tolist()
     # a corrupted copy of one held source is used as held, although the
     # packets record the true source's products for its column: the result
     # is the one decoding makes from the held arrays alone
