@@ -14,7 +14,6 @@ from gencast import (
     heuristic_partition,
     is_irreducible,
     optimal_partition,
-    popularity,
     rank,
     total_rank,
     validate_partition,
@@ -28,7 +27,7 @@ sfm = StateFeedbackMatrix([
 ])
 print("feedback matrix (rows = receivers, 1 = still wanted):")
 print(sfm.wants)
-print("per-packet demand:", [popularity(sfm, k) for k in range(sfm.n_packets)])
+print("per-packet demand:", sfm.wants.sum(axis=0).tolist())
 
 gamma = 2
 cfg = PartitionerConfig(gamma_cap=gamma)

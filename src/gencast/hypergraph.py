@@ -147,10 +147,7 @@ def coloring_to_partition(c: Coloring) -> Partition:
 
 def partition_to_coloring(p: Partition) -> Coloring:
     """Generation index becomes the color of each member packet."""
-    ids = p.all_packet_ids()
-    if sorted(ids) != list(range(len(ids))):
-        raise ValueError("partition must disjointly cover packets 0..K-1")
-    assignment = [0] * len(ids)
+    assignment = [0] * p.n_packets
     for m, g in enumerate(p.generations):
         for k in g.packet_ids:
             assignment[k] = m

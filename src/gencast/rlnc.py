@@ -1,21 +1,24 @@
 """Random linear coding within a generation, and incremental decoding.
 
 Offers random_coefficients (i.i.d. uniform over the field, zero included),
-random_payloads, encode (the one function that builds a CodedPacket: the
-coefficients it is given plus the matching combination of the generation's
-payloads, recording by column the products c_j * x_j it summed) and
+random_payloads, encode (a CodedPacket with a payload: the coefficients it
+is given plus the matching combination of the generation's payloads,
+recording by column the products c_j * x_j it summed; a rank-only packet is
+built directly as CodedPacket(m, coefficients, None)) and
 DecoderState, one receiver's decoder for one generation.
 
 A DecoderState knows from construction which packets its receiver wants and
 whether it decodes payloads: it does iff built with known_payloads, the
-payloads it holds of the rest (a missing one is a ValueError there), and then
-refuses a packet without one; else it tracks rank only, along the payload
-path's rank trajectory (both depend only on the coefficients).  absorb(pkt)
-returns True iff the packet raised the rank, needed counts the innovative
-packets still missing, and solve() returns the wanted payloads at full rank.
-absorb reduces the unknown coefficients as one int, byte j for column j: each
-step XORs in the row pivoted on the lowest nonzero byte, times that byte by
-one bytes.translate.  It reuses a packet's recorded product only if made from
+payloads it holds of the rest (a missing one, or held lengths that differ,
+is a ValueError there), and then refuses a packet without a payload or with
+one whose length differs from the held payloads' (else the first packet's);
+else it tracks rank only, along the payload path's rank trajectory (both
+depend only on the coefficients).  absorb(pkt) returns True iff the packet
+raised the rank, needed counts the innovative packets still missing, and
+solve() returns the wanted payloads at full rank.  absorb reduces the
+unknown coefficients as one int, byte j for column j: each step XORs in the
+row pivoted on the lowest nonzero byte, times that byte by one
+bytes.translate.  It reuses a packet's recorded product only if made from
 the very array held, else makes its own; only encode writes the record.
 for_generation builds many receivers' decoders equal to building each alone.
 """
@@ -83,7 +86,7 @@ class DecoderState:
     """
 
     __slots__ = ("generation_id", "generation_ids", "unknown_ids", "field", "needed",
-                 "_unknown_cols", "_mask", "_basis", "_payloads", "_held")
+                 "_unknown_cols", "_mask", "_basis", "_payloads", "_held", "_length")
 
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256,
                  known_payloads=None):
@@ -120,14 +123,18 @@ class DecoderState:
         self.needed = len(unknowns)
         self._mask = sum(255 << 8 * j for j in self._unknown_cols)  # the unknown columns' bytes
         self._basis = [None] * len(ids)
-        # the payload of each stored row and the (column, payload) of each
-        # held packet; None when decoding rank-only
-        self._payloads = self._held = None
+        # the payload of each stored row, the (column, payload) of each held
+        # packet and the one payload length, set by the held payloads or else
+        # by the first packet; None when decoding rank-only
+        self._payloads = self._held = self._length = None
         if known_payloads is not None:
             held = [(j, pid) for j, pid in enumerate(ids) if pid not in self.unknown_ids]
             if missing := [pid for _, pid in held if pid not in known_payloads]:
                 raise ValueError(f"known payloads missing for packets {missing}")
             self._held = [(j, np.asarray(known_payloads[pid], np.uint8)) for j, pid in held]
+            if len(lengths := {len(x) for _, x in self._held}) > 1:
+                raise ValueError(f"held payload lengths differ: {sorted(lengths)}")
+            self._length = lengths.pop() if lengths else None
             self._payloads = [None] * len(ids)
 
     @property
@@ -142,7 +149,8 @@ class DecoderState:
         """Fold a coded packet in (a rank-only state ignores its payload); True
         iff the rank increased.  A packet of another generation, of the wrong
         length, with a coefficient outside the field or, to a payload state,
-        without a payload is a ValueError, also for a state that needs nothing."""
+        without a payload or with a payload of another length is a ValueError,
+        also for a state that needs nothing."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(
                 f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
@@ -157,8 +165,14 @@ class DecoderState:
         field, tables = self.field, self.field.translate_rows
         if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
             raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
-        if (held := self._held) is not None and pkt.payload is None:
-            raise ValueError("a state decoding payloads needs a packet with a payload")
+        if (held := self._held) is not None:
+            if pkt.payload is None:
+                raise ValueError("a state decoding payloads needs a packet with a payload")
+            if self._length is None:
+                self._length = len(pkt.payload)
+            elif len(pkt.payload) != self._length:
+                raise ValueError(f"payload length {len(pkt.payload)} != the decoder's payload "
+                                 f"length {self._length}")
         if not self.needed:  # checked like any packet, but nothing left to gain
             return False
         vec = int.from_bytes(coeffs, "little") & self._mask

@@ -7,9 +7,12 @@ groups the K packets into disjoint generations; the rank of a generation is
 the largest number of its packets wanted by any single receiver, which is the
 number of coded packets that receiver needs to decode the generation.
 
-Every metric of a partition derives from one N x M count matrix,
-generation_counts: rank is its column max, total rank the sum of ranks, and
-the delay bound (delay_bound) the sum of r(r+1)/2 over ranks.
+A Partition is a disjoint cover of packets 0..K-1 by construction: it
+checks the cover once, when it is built, so nothing downstream checks it
+again.  Every metric of a partition derives from one N x M count matrix,
+generation_counts, which only checks that the partition's K is the SFM's:
+rank is its column max, total rank the sum of ranks, and the delay bound
+(delay_bound) the sum of r(r+1)/2 over ranks.
 
 It holds the one input rule, check_ids for ids and colours and check_cap for
 rank caps, and the one reader and writer (read_rows, format_rows) of the
@@ -20,8 +23,10 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +38,6 @@ __all__ = [
     "generation_counts",
     "generation_ranks",
     "rank",
-    "popularity",
     "validate_partition",
     "total_rank",
     "delay_bound",
@@ -158,64 +162,41 @@ class Generation:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered list of generations; gamma_cap records the rank budget it was
-    built for (None when the producer had no cap, e.g. the blind splitter)."""
+    """Ordered list of generations that disjointly cover packets 0..K-1, each
+    id once (a generation may be empty); gamma_cap records the rank budget it
+    was built for (None when the producer had no cap, e.g. the blind splitter)."""
 
     generations: tuple[Generation, ...]
     gamma_cap: int | None = None
+    n_packets: int = field(init=False, repr=False, compare=False)  # K
 
     def __post_init__(self):
         gens = tuple(g if isinstance(g, Generation) else Generation(g) for g in self.generations)
         object.__setattr__(self, "generations", gens)
         if self.gamma_cap is not None:
             object.__setattr__(self, "gamma_cap", check_cap(self.gamma_cap))
+        ids = [i for g in gens for i in g.packet_ids]
+        if sorted(ids) != list(range(len(ids))):
+            duplicated = sorted(i for i, n in Counter(ids).items() if n > 1)
+            missing = sorted(set(range(max(ids))).difference(ids))
+            raise ValueError(f"partition does not disjointly cover packets 0..{max(ids)}: "
+                             f"duplicated ids {duplicated}, missing ids {missing}")
+        object.__setattr__(self, "n_packets", len(ids))
 
     @property
     def n_generations(self):
         return len(self.generations)
 
-    def all_packet_ids(self):
-        return [i for g in self.generations for i in g.packet_ids]
-
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """Outcome of validate_partition; valid iff every violation list is empty."""
+    """Outcome of validate_partition; valid iff no generation exceeds the cap."""
 
-    out_of_range: tuple[int, ...] = ()
-    duplicated: tuple[int, ...] = ()
-    missing: tuple[int, ...] = ()
     rank_violations: tuple[tuple[int, int], ...] = ()  # (generation index, rank)
 
     @property
-    def cover_ok(self):
-        return not (self.out_of_range or self.duplicated or self.missing)
-
-    @property
     def valid(self):
-        return self.cover_ok and not self.rank_violations
-
-
-def _cover_and_counts(sfm, p):
-    """Cover violations of p, plus the want counts of its in-range packet ids."""
-    n_packets = sfm.n_packets
-    seen, out_of_range, duplicated, rows, cols = set(), [], [], [], []
-    for m, g in enumerate(p.generations):
-        for i in g.packet_ids:
-            if not 0 <= i < n_packets:
-                out_of_range.append(i)
-                continue
-            if i in seen:
-                duplicated.append(i)
-            seen.add(i)
-            rows.append(i)
-            cols.append(m)
-    missing = [i for i in range(n_packets) if i not in seen]
-    membership = np.zeros((n_packets, p.n_generations), dtype=np.int64)
-    membership[rows, cols] = 1
-    report = PartitionReport(out_of_range=tuple(out_of_range), duplicated=tuple(duplicated),
-                             missing=tuple(missing))
-    return report, sfm.wants @ membership
+        return not self.rank_violations
 
 
 def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
@@ -223,16 +204,14 @@ def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
     receiver n still wants.
 
     Every partition metric derives from it: a generation's rank is its
-    column max.  Raises ValueError unless p disjointly covers packets 0..K-1.
+    column max.  Raises ValueError when p covers a different K than sfm.
     """
-    report, counts = _cover_and_counts(sfm, p)
-    if not report.cover_ok:
-        raise ValueError(
-            "partition does not disjointly cover the packet block: "
-            f"duplicated={report.duplicated} missing={report.missing} "
-            f"out_of_range={report.out_of_range}"
-        )
-    return counts
+    if p.n_packets != sfm.n_packets:
+        raise ValueError(f"partition covers K={p.n_packets} packets, SFM has K={sfm.n_packets}")
+    membership = np.zeros((sfm.n_packets, p.n_generations), dtype=np.int64)
+    rows = list(chain.from_iterable(g.packet_ids for g in p.generations))
+    membership[rows, np.repeat(np.arange(p.n_generations), [len(g) for g in p.generations])] = 1
+    return sfm.wants @ membership
 
 
 def generation_ranks(sfm, p: Partition) -> list[int]:
@@ -247,21 +226,15 @@ def rank(sfm: StateFeedbackMatrix, g: Generation) -> int:
     return int(sfm.wants[:, list(g.packet_ids)].sum(axis=1).max(initial=0))
 
 
-def popularity(sfm: StateFeedbackMatrix, k: int) -> int:
-    """Number of receivers that still want packet k."""
-    (k,) = check_ids((k,), where="popularity query")
-    if k >= sfm.n_packets:
-        raise ValueError(f"packet id {k} out of range for K={sfm.n_packets}")
-    return int(sfm.wants[:, k].sum())
-
-
 def validate_partition(sfm, p: Partition, gamma: int) -> PartitionReport:
-    """Check that p disjointly covers all K packets and respects the rank cap."""
+    """Every generation of p whose rank exceeds gamma, as (index, rank) pairs.
+
+    p covers its block by construction; like generation_counts, this raises
+    ValueError when p covers a different K than sfm.
+    """
     gamma = check_cap(gamma)
-    report, counts = _cover_and_counts(sfm, p)
-    ranks = counts.max(axis=0).tolist()
-    violations = tuple((m, r) for m, r in enumerate(ranks) if r > gamma)
-    return replace(report, rank_violations=violations)
+    ranks = generation_ranks(sfm, p)
+    return PartitionReport(tuple((m, r) for m, r in enumerate(ranks) if r > gamma))
 
 
 def total_rank(sfm, p: Partition) -> int:
@@ -359,6 +332,7 @@ def partition_to_json(p: Partition) -> str:
 
 
 def partition_from_json(text: str) -> Partition:
+    """The Partition of a partition JSON document; a non-cover is a ValueError."""
     doc = json.loads(text)
     groups = doc.get("generations") if isinstance(doc, dict) else None
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):

@@ -314,7 +314,7 @@ class TestBlind:
 
     def test_consecutive_cover(self):
         p = blind_partition(11, 4)
-        assert p.all_packet_ids() == list(range(11))
+        assert [k for g in p.generations for k in g.packet_ids] == list(range(11))
 
 
 class TestOracle:

@@ -145,6 +145,24 @@ class TestAbsorb:
             st.absorb(encode(payloads, random_coefficients(3, rng)))
         assert all((got == payloads[k]).all() for k, got in st.solve().items())
 
+    def test_payload_length_is_fixed_once(self):
+        # by the first packet when nothing is held, else by the held payloads;
+        # a packet of another length is refused before it changes the state
+        four, six = np.zeros(4, np.uint8), np.zeros(6, np.uint8)
+        held = DecoderState(0, [0, 1], [1], known_payloads={0: np.zeros(3, np.uint8)})
+        for st, first, expect in ((DecoderState(0, [0, 1], [0, 1], known_payloads={}), four, 4),
+                                  (held, None, 3)):
+            if first is not None:
+                assert st.absorb(CodedPacket(0, np.array([1, 2], np.uint8), first))
+            for coeffs in ([3, 5], [0, 5], [1, 0]):
+                before = st.rank, st.needed
+                with pytest.raises(ValueError, match=f"payload length 6 != the decoder's "
+                                                     f"payload length {expect}$"):
+                    st.absorb(CodedPacket(0, np.array(coeffs, np.uint8), six))
+                assert (st.rank, st.needed) == before
+        with pytest.raises(ValueError, match=r"held payload lengths differ: \[3, 4\]"):
+            DecoderState(0, [0, 1, 2], [2], known_payloads={0: np.zeros(3, np.uint8), 1: four})
+
     def test_receivers_holding_the_same_arrays_make_their_own_products(self):
         # each of two receivers holding packets 0 and 1 makes its two held
         # products and one pivot scaling for a packet whose record is cleared

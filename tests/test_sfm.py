@@ -24,7 +24,6 @@ from gencast import (
     parse_sfm,
     partition_from_json,
     partition_to_json,
-    popularity,
     rank,
     total_rank,
     validate_partition,
@@ -93,8 +92,8 @@ def _json_partition(**doc):
                                            **doc}, default=int))
 
 
-# entry point -> (call on one id or colour v, result for v = np.int64(3)); v
-# sits next to a valid 0 where the entry point takes several
+# entry point -> (call on one id or colour v, result for v = np.int64(3)), each
+# with v next to a valid 0
 ID_ENTRY_POINTS = {
     "Generation": (lambda v: Generation((0, v)).packet_ids, (0, 3)),
     "DecoderState.generation_ids": (lambda v: DecoderState(0, (0, v), (0,)).generation_ids,
@@ -103,7 +102,6 @@ ID_ENTRY_POINTS = {
     "Hypergraph": (lambda v: tuple(sorted(Hypergraph(4, (frozenset({0, v}),)).edges[0])),
                    (0, 3)),
     "Coloring": (lambda v: Coloring((0, v)).assignment, (0, 3)),
-    "popularity": (lambda v: popularity(RULE_SFM, v), 1),
     "partition_from_json": (lambda v: _json_partition(generations=[[0, v], [1], [2]])
                             .generations[0].packet_ids, (0, 3)),
 }
@@ -138,7 +136,7 @@ class TestInputRule:
         call, expected = ID_ENTRY_POINTS[entry]
         got = call(np.int64(3))
         assert got == expected
-        assert all(type(i) is int for i in (got if isinstance(got, tuple) else (got,)))
+        assert all(type(i) is int for i in got)
 
     @pytest.mark.parametrize("entry", GENERATION_ENTRY_POINTS)
     @pytest.mark.parametrize("bad, message", [(-1, "negative packet id in generation"),
@@ -182,6 +180,14 @@ class TestInputRule:
         with pytest.raises(ValueError):
             _json_partition(**doc)
 
+    @pytest.mark.parametrize("groups, ids", [
+        ([[0, 1], [1]], "0..1: duplicated ids [1], missing ids []"),
+        ([[0], [2]], "0..2: duplicated ids [], missing ids [1]"),
+    ])
+    def test_partition_json_rejects_a_non_cover(self, groups, ids):
+        with pytest.raises(ValueError, match=re.escape(f"does not disjointly cover packets {ids}")):
+            _json_partition(generations=groups)
+
 
 class TestRank:
     def test_empty_generation_is_zero(self):
@@ -219,18 +225,6 @@ class TestRank:
             assert rank(sfm, whole) == int(sfm.wants.sum(axis=1).max())
 
 
-class TestPopularity:
-    def test_zero_column(self):
-        assert popularity(StateFeedbackMatrix([[0, 1], [0, 0]]), 0) == 0
-
-    def test_column_sum(self):
-        assert popularity(StateFeedbackMatrix([[1], [1], [0]]), 0) == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            popularity(StateFeedbackMatrix([[1]]), 3)
-
-
 class TestValidatePartition:
     def test_single_generation_whole_block(self):
         sfm = StateFeedbackMatrix([[1, 1, 0], [0, 1, 1]])
@@ -238,24 +232,36 @@ class TestValidatePartition:
         assert validate_partition(sfm, p, gamma=2).valid
 
     def test_shared_packet_is_cover_violation(self):
-        sfm = StateFeedbackMatrix([[1, 1]])
-        p = Partition(gens([0, 1], [1]))
-        report = validate_partition(sfm, p, gamma=2)
-        assert report.duplicated == (1,)
-        assert not report.valid
+        # a Partition is a disjoint cover by construction
+        with pytest.raises(ValueError, match=re.escape(
+                "does not disjointly cover packets 0..1: duplicated ids [1], missing ids []")):
+            Partition(gens([0, 1], [1]))
 
     def test_rank_violation_reported(self):
         sfm = StateFeedbackMatrix([[1, 1]])
         p = Partition(gens([0, 1]))
         report = validate_partition(sfm, p, gamma=1)
-        assert report.cover_ok
         assert report.rank_violations == ((0, 2),)
         assert not report.valid
 
     def test_missing_packet(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "does not disjointly cover packets 0..2: duplicated ids [], missing ids [1]")):
+            Partition(gens([0, 2]))
+
+    def test_partition_of_another_block_size(self):
         sfm = StateFeedbackMatrix([[1, 1, 1]])
-        report = validate_partition(sfm, Partition(gens([0, 2])), gamma=3)
-        assert report.missing == (1,)
+        for p in (Partition(gens([0, 1])), Partition(gens([0, 1], [2, 3]))):
+            message = f"partition covers K={p.n_packets} packets, SFM has K=3"
+            with pytest.raises(ValueError, match=message):
+                generation_counts(sfm, p)
+            with pytest.raises(ValueError, match=message):
+                validate_partition(sfm, p, gamma=3)
+
+    def test_empty_generations_allowed(self):
+        p = Partition(gens([], [1, 0], []))
+        assert p.n_packets == 2 and p.n_generations == 3
+        assert Partition(()).n_packets == 0
 
     def test_accepts_exactly_rank_capped_covers(self):
         rng = np.random.default_rng(9)
@@ -407,28 +413,40 @@ def test_metrics_agree_with_brute_force_counts(cover, gamma):
     assert total_rank(sfm, p) == sum(ranks)
     assert apdd_upper_bound(sfm, p) == sum(r * (r + 1) // 2 for r in ranks)
     report = validate_partition(sfm, p, gamma)
-    assert report.cover_ok
     assert report.rank_violations == tuple((m, r) for m, r in enumerate(ranks) if r > gamma)
 
 
 @PROPERTY_SETTINGS
 @given(covers(), st.sampled_from(["duplicated", "missing", "out_of_range"]), st.data())
 def test_non_covers_rejected(cover, fault, data):
+    # a duplicate or a gap fails when the Partition is built; ids that are
+    # 0..K'-1 for another K' fail against the SFM instead
     sfm, p = cover
+    k = sfm.n_packets
     groups = [list(g.packet_ids) for g in p.generations if g.packet_ids]
     if fault == "duplicated":
-        groups.append([data.draw(st.integers(0, sfm.n_packets - 1))])
+        extra = data.draw(st.integers(0, k - 1))
+        groups.append([extra])
+        ids = rf"duplicated ids \[{extra}\], missing ids \[\]"
     elif fault == "missing":
         victim = data.draw(st.sampled_from(groups))
-        victim.pop(data.draw(st.integers(0, len(victim) - 1)))
+        lost = victim.pop(data.draw(st.integers(0, len(victim) - 1)))
+        ids = rf"duplicated ids \[\], missing ids \[{lost}\]"
     else:
-        data.draw(st.sampled_from(groups)).append(data.draw(st.integers(sfm.n_packets, 99)))
-    broken = Partition(gens(*groups))
-    with pytest.raises(ValueError, match="does not disjointly cover"):
-        generation_counts(sfm, broken)
-    report = validate_partition(sfm, broken, sfm.n_packets)
-    assert not report.cover_ok
-    assert getattr(report, fault)
+        extra = data.draw(st.integers(k, 99))
+        data.draw(st.sampled_from(groups)).append(extra)
+        ids = rf"duplicated ids \[\], missing ids \[{', '.join(map(str, range(k, extra)))}\]"
+    flat = sorted(i for g in groups for i in g)
+    if flat == list(range(len(flat))):  # a cover of another K
+        broken = Partition(gens(*groups))
+        message = f"partition covers K={len(flat)} packets, SFM has K={k}"
+        with pytest.raises(ValueError, match=message):
+            generation_counts(sfm, broken)
+        with pytest.raises(ValueError, match=message):
+            validate_partition(sfm, broken, k)
+    else:
+        with pytest.raises(ValueError, match=f"disjointly cover packets 0..{flat[-1]}: {ids}$"):
+            Partition(gens(*groups))
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -210,6 +211,35 @@ class TestSchedulers:
             diffs.append(float(row["D"]) - expected / max(int(counts.sum()), 1))
         z = np.mean(diffs) / (np.std(diffs, ddof=1) / np.sqrt(len(diffs)))
         assert abs(z) < 3, f"blind_rr mean D off its expectation by {z:.2f} standard errors"
+
+    @pytest.mark.parametrize("q", [16, 256])
+    def test_feedback_slots_match_their_expectation(self, q):
+        # at gamma = 1 feedback_rr sends one slot per round to each generation
+        # with a pending receiver, and a receiver decodes at its first
+        # unerased slot with a nonzero coefficient on its one wanted packet,
+        # so the last slot completes the block and U = sum over m of S_m,
+        # generation m's slot count, with P(S_m <= s) = prod over its packets
+        # k of sum_j C(s, j) (1 - 1/q)^j q^-(s-j) (1 - Pe^j)^n_k (n_k
+        # receivers want k) and E[U | SFM, partition] = sum_m sum_s P(S_m > s)
+        # a receiver misses a slot w.p. <= 0.25, so P(S_m >= 80) < 20 * 0.25^79
+        pe, n, horizon = 0.2, 20, 80
+        s, j = np.arange(horizon)[:, None], np.arange(horizon)[None, :]
+        binom = np.array([[math.comb(a, b) for b in range(horizon)] for a in range(horizon)],
+                         dtype=float) * (1 - 1 / q) ** j * (1 / q) ** np.maximum(s - j, 0)
+        # cdf[c, s]: all c receivers of one packet decoded within s slots
+        cdf = np.stack([binom @ (1 - pe ** np.arange(horizon)) ** c for c in range(n + 1)])
+        cfg = SimConfig(n_packets=n, n_receivers=n, gamma=1, erasure_prob=pe, field_order=q,
+                        scheduler="feedback_rr", abstract_decode=True, seed=31337)
+        diffs = []
+        for trial in range(1000):
+            sfm = systematic_phase(n, n, ChannelModel(pe), gencast.sim.trial_rng(cfg.seed, trial))
+            demand = sfm.wants.sum(axis=0)
+            part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=1))
+            expected = sum((1 - cdf[demand[list(g.packet_ids)]].prod(axis=0)).sum()
+                           for g in part.generations)
+            diffs.append(run_trial(cfg, trial)["U"] - expected)
+        z = np.mean(diffs) / (np.std(diffs, ddof=1) / np.sqrt(len(diffs)))
+        assert abs(z) < 3, f"feedback_rr mean U off its expectation by {z:.2f} standard errors"
 
     @pytest.mark.parametrize("erasures", [False, True])
     @pytest.mark.parametrize("scheduler", ["feedback_rr", "strict_rr"])
@@ -466,15 +496,15 @@ class TestRunExperiment:
 
 class TestTrialCounts:
     def test_one_count_matrix_per_trial(self):
-        # cover, ranks, U and D of a trial all come from one count matrix
+        # ranks, U and D of a trial all come from one count matrix
         calls = []
-        build = gencast.sfm._cover_and_counts
+        build = gencast.sim.generation_counts
 
         def counted(sfm, p):
             calls.append(p)
             return build(sfm, p)
 
-        with mock.patch.object(gencast.sfm, "_cover_and_counts", counted):
+        with mock.patch.object(gencast.sim, "generation_counts", counted):
             for scheduler in SCHEDULERS:
                 cfg = SimConfig(n_packets=20, n_receivers=20, gamma=3, erasure_prob=0.2,
                                 seed=1, abstract_decode=True, scheduler=scheduler)
