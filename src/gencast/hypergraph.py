@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import optimal_partition
-from .sfm import (Generation, Partition, SfmParseError, StateFeedbackMatrix, check_cap,
+from .sfm import (Partition, SfmParseError, StateFeedbackMatrix, check_cap,
                   check_ids, format_rows, read_rows)
 
 __all__ = [
@@ -113,8 +113,8 @@ def is_valid_coloring(h: Hypergraph, c: Coloring, gamma: int) -> ColoringReport:
             f"coloring covers {len(c.assignment)} vertices, hypergraph has {h.n_vertices}"
         )
     violations = []
-    for m in range(c.n_colors):
-        cls = {v for v, col in enumerate(c.assignment) if col == m}
+    for m, members in _color_classes(c):
+        cls = set(members)
         for n, e in enumerate(h.edges):
             if len(cls & e) > gamma:
                 violations.append((m, n))
@@ -134,12 +134,19 @@ def is_uniform(h: Hypergraph, omega: int) -> bool:
     return all(len(e) == omega for e in h.edges)
 
 
-def coloring_to_partition(c: Coloring) -> Partition:
-    """Color classes become generations; empty classes are dropped."""
-    classes = [[] for _ in range(c.n_colors)]
+def _color_classes(c: Coloring):
+    """(color, vertices) of every color in use, by ascending color: the work
+    follows the vertex count, never the largest color value."""
+    classes = {}
     for v, col in enumerate(c.assignment):
-        classes[col].append(v)
-    gens = tuple(Generation(tuple(cls)) for cls in classes if cls)
+        classes.setdefault(col, []).append(v)
+    return sorted(classes.items())
+
+
+def coloring_to_partition(c: Coloring) -> Partition:
+    """Color classes become generations, by ascending color; unused colors
+    give no generation."""
+    gens = tuple(cls for _, cls in _color_classes(c))
     if not gens:
         raise ValueError("cannot build a partition from an empty coloring")
     return Partition(gens, gamma_cap=None)

@@ -9,6 +9,10 @@ Three producers share the Partition output type:
   packet (which raises the rank by exactly one) when no rank-preserving
   packet exists.  Generations close only when full, so the output is
   irreducible: nothing can move to an earlier generation for free.
+  It scans the candidates once per rank and resumes past each insertion:
+  at a fixed rank the set of receivers already at the rank only grows, so a
+  packet once rejected stays rejected; only a raise restarts the scan at
+  the most popular remaining packet.
   At gamma_cap = 1 every generation is instantly decodable, which makes the
   greedy output the IDNC reference partition.
 * blind_partition - consecutive equal-size chunks, the no-feedback baseline.
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sfm import Generation, Partition, StateFeedbackMatrix, check_cap
+from .sfm import Partition, StateFeedbackMatrix, check_cap
 
 __all__ = [
     "ALGORITHMS",
@@ -94,7 +98,8 @@ def _greedy(sfm, gamma):
     bits = sfm.receiver_bitsets
     everyone = (1 << sfm.n_receivers) - 1
     # candidate order: most popular first; sorted is stable, so ties keep index order
-    remaining = sorted(range(sfm.n_packets), key=lambda k: -bits[k].bit_count())
+    popularity = [b.bit_count() for b in bits]
+    remaining = sorted(range(sfm.n_packets), key=popularity.__getitem__, reverse=True)
     depth = min(gamma, sfm.n_packets)  # no generation's rank exceeds K
 
     groups = []
@@ -104,23 +109,27 @@ def _greedy(sfm, gamma):
         full = everyone  # receivers whose count has reached the rank
         cur_rank = 0
         while remaining:
-            # a packet keeps the rank iff none of its receivers is already full
+            # one scan per rank (full only grows at a fixed rank): a packet keeps
+            # the rank iff none of its receivers is full
+            rejected = []
             for chosen in remaining:
-                if not bits[chosen] & full:
-                    break
-            else:
-                if cur_rank == gamma:
-                    break  # every remaining packet would exceed the cap
-                chosen = remaining[0]
-                cur_rank += 1
-            remaining.remove(chosen)
-            members.append(chosen)
-            mask = bits[chosen]
-            if mask:
-                for i in range(cur_rank - 1, 0, -1):
-                    levels[i] |= levels[i - 1] & mask
-                levels[0] |= mask
-                full = levels[cur_rank - 1]
+                mask = bits[chosen]
+                if mask & full:
+                    rejected.append(chosen)
+                    continue
+                members.append(chosen)
+                if mask:
+                    for i in range(cur_rank - 1, 0, -1):
+                        levels[i] |= levels[i - 1] & mask
+                    levels[0] |= mask
+                    full = levels[cur_rank - 1]
+            remaining = rejected
+            if cur_rank == gamma:
+                break  # every remaining packet would exceed the cap
+            # raise: no receiver is above the old rank yet, so the next scan
+            # restarts at the front and inserts the most popular remaining packet
+            cur_rank += 1
+            full = 0
         groups.append(members)
     return groups
 
@@ -139,7 +148,7 @@ def blind_partition(n_packets: int, n_generations: int) -> Partition:
     start = 0
     for m in range(n_generations):
         size = base + (1 if m < extra else 0)
-        gens.append(Generation(tuple(range(start, start + size))))
+        gens.append(range(start, start + size))
         start += size
     return Partition(tuple(gens), gamma_cap=None)
 
@@ -170,16 +179,16 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
         )
 
     K = sfm.n_packets
-    # signed: the uint8 want-matrix sums to uint64, which wraps when negated
-    demand = sfm.wants.sum(axis=1, dtype=np.int64)
     # a receiver wanting w packets needs at least ceil(w / gamma) generations
-    lower_bound = max(1, -(-int(demand.max()) // gamma))
+    lower_bound = max(1, -(-int(sfm.wants.sum(axis=1).max()) // gamma))
     incumbent = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
     best_m = incumbent.n_generations
     best_assign = None
     nodes = 0
 
     if best_m > lower_bound:
+        # signed: the uint8 want-matrix sums to uint64, which wraps when negated
+        demand = sfm.wants.sum(axis=1, dtype=np.int64)
         order = np.argsort(-(demand @ sfm.wants), kind="stable").tolist()  # heaviest first
         bits = [sfm.receiver_bitsets[k] for k in order]
         top = gamma - 1
@@ -224,7 +233,7 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
         for k, j in zip(order, best_assign):
             groups[j].append(k)
         groups = sorted(sorted(g) for g in groups)  # nonempty and disjoint: by smallest id
-        witness = Partition(tuple(Generation(tuple(g)) for g in groups), gamma_cap=gamma)
+        witness = Partition(tuple(groups), gamma_cap=gamma)
     return OracleResult(witness, nodes, incumbent)
 
 

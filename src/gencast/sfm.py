@@ -9,7 +9,12 @@ number of coded packets that receiver needs to decode the generation.
 
 A Partition is a disjoint cover of packets 0..K-1 by construction: it
 checks the cover once, when it is built, so nothing downstream checks it
-again.  Every metric of a partition derives from one N x M count matrix,
+again.  The build walks the generations once: the ids of groups not given
+as Generations are checked once, as one flat list, and skip Generation's own
+check, since a cover holds each id once.  A non-cover's error prints a run
+of missing ids as a..b, so it never grows with the largest id.
+
+Every metric of a partition derives from one N x M count matrix,
 generation_counts, which only checks that the partition's K is the SFM's:
 rank is its column max, total rank the sum of ranks, and the delay bound
 (delay_bound) the sum of r(r+1)/2 over ranks.
@@ -160,6 +165,13 @@ class Generation:
         return iter(self.packet_ids)
 
 
+def _checked_generation(ids):
+    """A Generation of ids known to pass check_generation_ids, not checked again."""
+    g = object.__new__(Generation)
+    object.__setattr__(g, "packet_ids", ids)
+    return g
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered list of generations that disjointly cover packets 0..K-1, each
@@ -171,16 +183,27 @@ class Partition:
     n_packets: int = field(init=False, repr=False, compare=False)  # K
 
     def __post_init__(self):
-        gens = tuple(g if isinstance(g, Generation) else Generation(g) for g in self.generations)
-        object.__setattr__(self, "generations", gens)
+        ids, gens = [], []  # a Generation as it is, any other group as a slice of ids
+        for g in self.generations:
+            if isinstance(g, Generation):
+                ids.extend(g.packet_ids)
+                gens.append(g)
+            else:
+                start = len(ids)
+                ids.extend(g)
+                gens.append(slice(start, len(ids)))
+        ids = check_ids(ids, where="partition")
         if self.gamma_cap is not None:
             object.__setattr__(self, "gamma_cap", check_cap(self.gamma_cap))
-        ids = [i for g in gens for i in g.packet_ids]
         if sorted(ids) != list(range(len(ids))):
+            distinct = sorted(set(ids))
             duplicated = sorted(i for i, n in Counter(ids).items() if n > 1)
-            missing = sorted(set(range(max(ids))).difference(ids))
-            raise ValueError(f"partition does not disjointly cover packets 0..{max(ids)}: "
-                             f"duplicated ids {duplicated}, missing ids {missing}")
+            gaps = [(a + 1, b - 1) for a, b in zip([-1] + distinct, distinct) if b - a > 1]
+            missing = ", ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in gaps)
+            raise ValueError(f"partition does not disjointly cover packets 0..{distinct[-1]}: "
+                             f"duplicated ids {duplicated}, missing ids [{missing}]")
+        object.__setattr__(self, "generations", tuple(
+            g if isinstance(g, Generation) else _checked_generation(ids[g]) for g in gens))
         object.__setattr__(self, "n_packets", len(ids))
 
     @property

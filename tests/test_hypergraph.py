@@ -143,6 +143,14 @@ class TestColoringPartitionMaps:
             again = coloring_to_partition(partition_to_coloring(p))
             assert again == Partition(p.generations)
 
+    def test_large_colour_values_are_relabelled(self):
+        # the work follows the colours in use, not the largest colour value
+        h = Hypergraph(3, (frozenset({0, 1, 2}), frozenset({1, 2})))
+        small, large = Coloring((0, 1, 1)), Coloring((0, 10**6, 10**6))
+        assert coloring_to_partition(large) == coloring_to_partition(small)
+        assert is_valid_coloring(h, small, 1).violations == ((1, 0), (1, 1))
+        assert is_valid_coloring(h, large, 1).violations == ((10**6, 0), (10**6, 1))
+
     def test_incomplete_partition_rejected(self):
         with pytest.raises(ValueError):
             partition_to_coloring(Partition(((0, 2),)))

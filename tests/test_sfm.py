@@ -435,7 +435,9 @@ def test_non_covers_rejected(cover, fault, data):
     else:
         extra = data.draw(st.integers(k, 99))
         data.draw(st.sampled_from(groups)).append(extra)
-        ids = rf"duplicated ids \[\], missing ids \[{', '.join(map(str, range(k, extra)))}\]"
+        # the gap k..extra-1 prints as one run, a single id as itself
+        gap = str(k) if extra == k + 1 else f"{k}..{extra - 1}"
+        ids = rf"duplicated ids \[\], missing ids \[{re.escape(gap)}\]"
     flat = sorted(i for g in groups for i in g)
     if flat == list(range(len(flat))):  # a cover of another K
         broken = Partition(gens(*groups))
@@ -447,6 +449,49 @@ def test_non_covers_rejected(cover, fault, data):
     else:
         with pytest.raises(ValueError, match=f"disjointly cover packets 0..{flat[-1]}: {ids}$"):
             Partition(gens(*groups))
+
+
+# fault -> the id that replaces one id of a group, or None for a change of ids
+PLAIN_GROUP_FAULTS = {"negative": -1, "bool": True, "numpy bool": np.bool_(True), "float": 1.0,
+                      "within": None, "across": None, "missing": None}
+
+
+@PROPERTY_SETTINGS
+@given(covers(), st.sampled_from(sorted(PLAIN_GROUP_FAULTS)), st.data())
+def test_plain_groups_pass_one_check(cover, fault, data):
+    # groups given as lists are checked once, as one flat list of ids
+    _, p = cover
+    groups = [[np.int64(i) if data.draw(st.booleans()) else i for i in g.packet_ids]
+              for g in p.generations]
+    built = Partition(tuple(groups), gamma_cap=2)
+    assert built == Partition(p.generations, gamma_cap=2)
+    assert [type(i) for g in built.generations for i in g.packet_ids] == [int] * p.n_packets
+    victim = data.draw(st.sampled_from([g for g in groups if g]))
+    if fault == "within":
+        victim.append(data.draw(st.sampled_from(victim)))
+    elif fault == "across":
+        groups.append([data.draw(st.sampled_from(victim))])
+    elif fault == "missing":  # an id below the largest: dropping the largest leaves a cover
+        if p.n_packets == 1:
+            groups.append([2])
+        else:
+            lost = data.draw(st.integers(0, p.n_packets - 2))
+            next(g for g in groups if lost in g).remove(lost)
+    else:
+        victim[data.draw(st.integers(0, len(victim) - 1))] = PLAIN_GROUP_FAULTS[fault]
+    with pytest.raises(ValueError):
+        Partition(tuple(groups))
+
+
+def test_cover_error_prints_missing_runs():
+    with pytest.raises(ValueError, match=re.escape(
+            "0..9: duplicated ids [5], missing ids [1, 3..4, 7..8]")):
+        Partition(((0, 2), (5, 6, 9), (5,)))
+    # the message and its cost follow the ids given, not the largest id
+    with pytest.raises(ValueError) as err:
+        Partition(((0, 10**6),))
+    assert str(err.value).endswith("missing ids [1..999999]")
+    assert len(str(err.value)) < 200
 
 
 @PROPERTY_SETTINGS
