@@ -75,10 +75,6 @@ class Coloring:
     def __post_init__(self):
         object.__setattr__(self, "assignment", check_ids(self.assignment, "color", "coloring"))
 
-    @property
-    def n_colors(self):
-        return max(self.assignment) + 1 if self.assignment else 0
-
 
 @dataclass(frozen=True)
 class ColoringReport:

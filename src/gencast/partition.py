@@ -9,6 +9,8 @@ Three producers share the Partition output type:
   packet (which raises the rank by exactly one) when no rank-preserving
   packet exists.  Generations close only when full, so the output is
   irreducible: nothing can move to an earlier generation for free.
+  The packets nobody wants keep any rank, so they open the first
+  generation, in index order, and every generation's scans start at rank 1.
   It scans the candidates once per rank and resumes past each insertion:
   at a fixed rank the set of receivers already at the rank only grows, so a
   packet once rejected stays rejected; only a raise restarts the scan at
@@ -96,19 +98,24 @@ def heuristic_partition(sfm: StateFeedbackMatrix, cfg: PartitionerConfig) -> Par
 def _greedy(sfm, gamma):
     """The greedy core: each generation's packets in insertion order."""
     bits = sfm.receiver_bitsets
-    everyone = (1 << sfm.n_receivers) - 1
     # candidate order: most popular first; sorted is stable, so ties keep index order
     popularity = [b.bit_count() for b in bits]
-    remaining = sorted(range(sfm.n_packets), key=popularity.__getitem__, reverse=True)
+    order = sorted(range(sfm.n_packets), key=popularity.__getitem__, reverse=True)
     depth = min(gamma, sfm.n_packets)  # no generation's rank exceeds K
 
+    # the packets nobody wants come last in that order and keep any rank, so
+    # they open the first generation and the scans start at rank 1
+    wanted = len(order) - popularity.count(0)
+    members, remaining = order[wanted:], order[:wanted]
     groups = []
-    while remaining:
-        members = []
+    while True:
         levels = [0] * depth  # levels[i]: receivers wanting more than i of the members
-        full = everyone  # receivers whose count has reached the rank
         cur_rank = 0
-        while remaining:
+        while remaining and cur_rank < gamma:
+            # raise: no receiver is above the old rank yet, so the scan inserts
+            # the most popular remaining packet first
+            cur_rank += 1
+            full = 0  # receivers whose count has reached the rank
             # one scan per rank (full only grows at a fixed rank): a packet keeps
             # the rank iff none of its receivers is full
             rejected = []
@@ -118,20 +125,15 @@ def _greedy(sfm, gamma):
                     rejected.append(chosen)
                     continue
                 members.append(chosen)
-                if mask:
-                    for i in range(cur_rank - 1, 0, -1):
-                        levels[i] |= levels[i - 1] & mask
-                    levels[0] |= mask
-                    full = levels[cur_rank - 1]
+                for i in range(cur_rank - 1, 0, -1):
+                    levels[i] |= levels[i - 1] & mask
+                levels[0] |= mask
+                full = levels[cur_rank - 1]
             remaining = rejected
-            if cur_rank == gamma:
-                break  # every remaining packet would exceed the cap
-            # raise: no receiver is above the old rank yet, so the next scan
-            # restarts at the front and inserts the most popular remaining packet
-            cur_rank += 1
-            full = 0
         groups.append(members)
-    return groups
+        if not remaining:
+            return groups
+        members = []  # the remaining packets would all exceed the cap: open the next generation
 
 
 def blind_partition(n_packets: int, n_generations: int) -> Partition:
@@ -180,7 +182,7 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
 
     K = sfm.n_packets
     # a receiver wanting w packets needs at least ceil(w / gamma) generations
-    lower_bound = max(1, -(-int(sfm.wants.sum(axis=1).max()) // gamma))
+    lower_bound = max(1, -(-max(sfm.wants.sum(axis=1).tolist()) // gamma))
     incumbent = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
     best_m = incumbent.n_generations
     best_assign = None

@@ -11,8 +11,11 @@ A Partition is a disjoint cover of packets 0..K-1 by construction: it
 checks the cover once, when it is built, so nothing downstream checks it
 again.  The build walks the generations once: the ids of groups not given
 as Generations are checked once, as one flat list, and skip Generation's own
-check, since a cover holds each id once.  A non-cover's error prints a run
-of missing ids as a..b, so it never grows with the largest id.
+check, since a cover holds each id once.  The cover is tested without
+sorting: K non-negative ids whose largest is K-1 and which are all distinct
+are exactly 0..K-1.  A non-cover's error prints a run of missing ids as
+a..b, and a negative-id error names at most five of them, so neither grows
+with the ids given.
 
 Every metric of a partition derives from one N x M count matrix,
 generation_counts, which only checks that the partition's K is the SFM's:
@@ -94,7 +97,9 @@ def check_ids(values, what="packet id", where="generation") -> tuple[int, ...]:
             raise ValueError(f"{what}s must be integers, got {ids[ints.index(None)]!r}")
         ids = ints
     if ids and min(ids) < 0:
-        raise ValueError(f"negative {what} in {where}: {ids}")
+        bad = [i for i in ids if i < 0]
+        shown = ", ".join(map(str, bad[:5])) + (", ..." if len(bad) > 5 else "")
+        raise ValueError(f"negative {what} in {where}: {shown} ({len(bad)} of {len(ids)} ids)")
     return ids
 
 
@@ -168,7 +173,7 @@ class Generation:
 def _checked_generation(ids):
     """A Generation of ids known to pass check_generation_ids, not checked again."""
     g = object.__new__(Generation)
-    object.__setattr__(g, "packet_ids", ids)
+    g.__dict__["packet_ids"] = ids  # the frozen field, written without __setattr__
     return g
 
 
@@ -193,18 +198,21 @@ class Partition:
                 ids.extend(g)
                 gens.append(slice(start, len(ids)))
         ids = check_ids(ids, where="partition")
+        fields = self.__dict__  # the frozen fields, written without __setattr__
         if self.gamma_cap is not None:
-            object.__setattr__(self, "gamma_cap", check_cap(self.gamma_cap))
-        if sorted(ids) != list(range(len(ids))):
+            fields["gamma_cap"] = check_cap(self.gamma_cap)
+        n = len(ids)
+        # ids are non-negative ints, so n distinct ones below n are exactly 0..n-1
+        if n and (max(ids) != n - 1 or len(set(ids)) != n):
             distinct = sorted(set(ids))
-            duplicated = sorted(i for i, n in Counter(ids).items() if n > 1)
+            duplicated = sorted(i for i, c in Counter(ids).items() if c > 1)
             gaps = [(a + 1, b - 1) for a, b in zip([-1] + distinct, distinct) if b - a > 1]
             missing = ", ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in gaps)
             raise ValueError(f"partition does not disjointly cover packets 0..{distinct[-1]}: "
                              f"duplicated ids {duplicated}, missing ids [{missing}]")
-        object.__setattr__(self, "generations", tuple(
-            g if isinstance(g, Generation) else _checked_generation(ids[g]) for g in gens))
-        object.__setattr__(self, "n_packets", len(ids))
+        fields["generations"] = tuple(
+            g if isinstance(g, Generation) else _checked_generation(ids[g]) for g in gens)
+        fields["n_packets"] = n
 
     @property
     def n_generations(self):

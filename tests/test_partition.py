@@ -214,6 +214,24 @@ class TestHeuristic:
         p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=1))
         assert insertion_steps(sfm, p)[0][0] == (2, "keep", 0)
 
+    @pytest.mark.parametrize("wants, gamma, groups", [
+        # packets 1 and 5 are unwanted: they open the first generation, in index order
+        ([[1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0]], 1, [(1, 5, 0), (4,), (2, 3)]),
+        ([[1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0]], 2, [(1, 5, 0, 4), (2, 3)]),
+        ([[1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0]], 3, [(1, 5, 0, 4, 2, 3)]),
+        ([[0, 0, 0], [0, 0, 0]], 1, [(0, 1, 2)]),
+        ([[0, 0, 0], [0, 0, 0]], 3, [(0, 1, 2)]),
+        ([[0], [0]], 2, [(0,)]),
+        ([[1]], 1, [(0,)]),
+        ([[0, 1]], 1, [(0, 1)]),
+        ([[1, 0], [1, 0]], 1, [(1, 0)]),
+    ])
+    def test_unwanted_packets_open_the_first_generation(self, wants, gamma, groups):
+        sfm = StateFeedbackMatrix(wants)
+        part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+        assert [g.packet_ids for g in part.generations] == groups
+        assert reference_greedy(sfm, gamma)[0] == groups
+
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
             PartitionerConfig(gamma_cap=0)

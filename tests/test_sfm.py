@@ -56,8 +56,19 @@ class TestConstruction:
             Generation((1, 1))
 
     def test_generation_rejects_negative_ids(self):
-        with pytest.raises(ValueError, match="negative packet id in generation: \\(0, -1\\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                "negative packet id in generation: -1 (1 of 2 ids)")):
             Generation((0, -1))
+
+    def test_negative_id_error_names_at_most_five_ids(self):
+        # the message names the offending ids, not every id it was given
+        with pytest.raises(ValueError) as err:
+            Partition((range(10**5), [-1]))
+        assert str(err.value) == "negative packet id in partition: -1 (1 of 100001 ids)"
+        assert len(str(err.value)) < 200
+        with pytest.raises(ValueError, match=re.escape(
+                "negative color in coloring: -1, -2, -3, -4, -5, ... (7 of 8 ids)")):
+            Coloring((0, -1, -2, -3, -4, -5, -6, -7))
 
     def test_generation_normalises_numpy_integers(self):
         g = Generation((np.int64(3), np.uint8(0), 4))
@@ -492,6 +503,14 @@ def test_cover_error_prints_missing_runs():
         Partition(((0, 10**6),))
     assert str(err.value).endswith("missing ids [1..999999]")
     assert len(str(err.value)) < 200
+
+
+def test_a_duplicate_that_fills_a_gap_is_no_cover():
+    # as many ids as a cover and the right largest id, but one id twice
+    for groups in (((0,), (0, 2)), ((0, 0, 2),), gens([0], [0, 2])):
+        with pytest.raises(ValueError, match=re.escape(
+                "0..2: duplicated ids [0], missing ids [1]")):
+            Partition(groups)
 
 
 @PROPERTY_SETTINGS
