@@ -1,8 +1,7 @@
 """A committed mutant suite: small, deliberate faults in src/ and the tests
 that must catch each one.
 
-    python tests/mutants.py          # run every mutant
-    python tests/mutants.py NAME...  # run the named mutants
+    python tests/mutants.py
 
 Each mutant names a file under the repository root, an exact old text that
 occurs once in it, the new text that replaces it, and the pytest ids that
@@ -188,26 +187,21 @@ def run_tests(tests, src: Path, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
 
 
-def main(argv) -> int:
-    names = argv or list(MUTANTS)
-    if unknown := [n for n in names if n not in MUTANTS]:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="gencast-mutants-") as tmp:
         tmp = Path(tmp)
         pristine = tmp / "pristine"
         shutil.copytree(ROOT / "src", pristine / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        tests = sorted({t for n in names for t in MUTANTS[n].tests})
+        tests = sorted({t for m in MUTANTS.values() for t in m.tests})
         baseline = run_tests(tests, pristine / "src", tmp)
         if baseline.returncode != 0:
             print(baseline.stdout[-3000:], baseline.stderr[-3000:], sep="\n")
             print("the mutants' tests fail on the unmutated source", file=sys.stderr)
             return 2
         survivors = []
-        for name in names:
-            mutant = MUTANTS[name]
+        for name, mutant in MUTANTS.items():
             work = tmp / name
             shutil.copytree(pristine, work)
             apply(mutant, work)
@@ -224,10 +218,10 @@ def main(argv) -> int:
                 print(result.stdout[-2000:], result.stderr[-2000:], sep="\n")
             print(f"{verdict:10s} {name} ({time.perf_counter() - t0:.1f} s)", flush=True)
             shutil.rmtree(work)
-    print(f"{len(names) - len(survivors)} of {len(names)} mutants killed "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
