@@ -39,6 +39,7 @@ class Field:
         exp[q - 1:2 * (q - 1)] = exp[:q - 1]
         self.exp = exp
         self.log = log
+        self.inverse = (0, *(exp[q - 1 - log[a]] for a in range(1, q)))  # 1/a, for inv and rlnc
         # mul_table[a, b] = a*b; log[0] is a placeholder, so row/column 0 are set apart
         lg = np.array(log, dtype=np.uint16)
         tab = np.array(exp, dtype=np.uint8)[lg[:, None] + lg]
@@ -56,7 +57,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.exp[(self.q - 1) - self.log[a]]
+        return self.inverse[a]
 
     def mul_vec(self, c: int, vec: np.ndarray) -> np.ndarray:
         """Elementwise c * vec for a field-element array, as a new array."""

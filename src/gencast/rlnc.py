@@ -4,23 +4,24 @@ Offers random_coefficients (i.i.d. uniform over the field, zero included),
 random_payloads, encode (a CodedPacket with a payload: the coefficients it
 is given plus the matching combination of the generation's payloads,
 recording by column the products c_j * x_j it summed; a rank-only packet is
-built directly as CodedPacket(m, coefficients, None)) and
-DecoderState, one receiver's decoder for one generation.
+built directly as CodedPacket(m, coefficients, None)) and DecoderState, one
+receiver's decoder for one generation.
 
 A DecoderState knows from construction which packets its receiver wants and
 whether it decodes payloads: it does iff built with known_payloads, the
-payloads it holds of the rest (a missing one, or held lengths that differ,
-is a ValueError there), and then refuses a packet without a payload or with
-one whose length differs from the held payloads' (else the first packet's);
-else it tracks rank only, along the payload path's rank trajectory (both
-depend only on the coefficients).  absorb(pkt) returns True iff the packet
-raised the rank, needed counts the innovative packets still missing, and
-solve() returns the wanted payloads at full rank.  absorb reduces the
-unknown coefficients as one int, byte j for column j: each step XORs in the
-row pivoted on the lowest nonzero byte, times that byte by one
-bytes.translate.  It reuses a packet's recorded product only if made from
-the very array held, else makes its own; only encode writes the record.
-for_generation builds many receivers' decoders equal to building each alone.
+payloads it holds of the rest (a missing one, or held lengths that differ, is
+a ValueError there); else it tracks rank only, along the payload path's rank
+trajectory (both depend only on the coefficients).  absorb(pkt) returns True
+iff the packet raised the rank, needed counts the innovative packets still
+missing, and solve() returns the wanted payloads at full rank.  absorb
+reduces the unknown coefficients as one int, byte j for column j: each step
+XORs in the row pivoted on the lowest nonzero byte, times that byte by one
+bytes.translate.  The first absorb to accept a packet keeps that read of its
+coefficients on it for every later decoder, so an in-place change after it
+goes unseen.  Every decoder checks the generation id and length, and the
+field unless the kept read passed it.  absorb reuses a recorded product only
+if made from the very array held, else makes its own; only encode writes the
+record.  for_generation builds many receivers' decoders as if built alone.
 """
 
 from __future__ import annotations
@@ -37,11 +38,19 @@ __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "rand
 
 @dataclass(frozen=True)
 class CodedPacket:
+    """A coded packet.  The first DecoderState.absorb to accept it sets read, for
+    every later one: (coefficients as bytes, their little-endian int, its field)."""
+
     generation_id: int
     coefficients: np.ndarray  # one per generation packet, generation-local order
     payload: np.ndarray | None  # None for abstract (rank-only) packets
     # column j -> (source array, c_j * source) as made for it; None unless from encode
     products: dict | None = dc_field(default=None, compare=False, repr=False)
+    read: tuple | None = dc_field(default=None, init=False, compare=False, repr=False)
+
+    def __init__(self, generation_id, coefficients, payload, products=None):
+        self.__dict__.update(generation_id=generation_id, coefficients=coefficients,
+                             payload=payload, products=products)  # not via __setattr__
 
 
 def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
@@ -150,21 +159,23 @@ class DecoderState:
         iff the rank increased.  A packet of another generation, of the wrong
         length, with a coefficient outside the field or, to a payload state,
         without a payload or with a payload of another length is a ValueError,
-        also for a state that needs nothing."""
+        also for a state that needs nothing.  Reuses a packet's accepted read."""
         if pkt.generation_id != self.generation_id:
-            raise ValueError(
-                f"packet for generation {pkt.generation_id}, state holds {self.generation_id}"
-            )
-        coeffs = pkt.coefficients
-        coeffs = coeffs.tobytes() if coeffs.dtype == np.uint8 else bytes(coeffs.tolist())
+            raise ValueError(f"packet for generation {pkt.generation_id}, state holds "
+                             f"{self.generation_id}")
+        if (read := pkt.read) is None:  # not yet read by an absorb that accepted it
+            coeffs = pkt.coefficients
+            coeffs = coeffs.tobytes() if coeffs.dtype.char == "B" else bytes(coeffs.tolist())
+            read = coeffs, int.from_bytes(coeffs, "little"), None
+        coeffs, whole, checked = read
         if len(coeffs) != len(self.generation_ids):
-            raise ValueError(
-                f"coefficient vector length {len(coeffs)} != generation size "
-                f"{len(self.generation_ids)}"
-            )
+            raise ValueError(f"coefficient vector length {len(coeffs)} != generation size "
+                             f"{len(self.generation_ids)}")
         field, tables = self.field, self.field.translate_rows
-        if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
-            raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
+        if checked is not field:
+            if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
+                raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
+            pkt.__dict__["read"] = coeffs, whole, field  # for every later absorb
         if (held := self._held) is not None:
             if pkt.payload is None:
                 raise ValueError("a state decoding payloads needs a packet with a payload")
@@ -175,7 +186,7 @@ class DecoderState:
                                  f"length {self._length}")
         if not self.needed:  # checked like any packet, but nothing left to gain
             return False
-        vec = int.from_bytes(coeffs, "little") & self._mask
+        vec = whole & self._mask
 
         residual = None
         if held is not None:
@@ -199,7 +210,7 @@ class DecoderState:
         else:
             return False  # linearly dependent
 
-        fi = field.inv(f)
+        fi = field.inverse[f]
         basis[pivot] = vec.to_bytes(len(coeffs), "little").translate(tables[fi])
         if residual is not None:
             self._payloads[pivot] = residual if fi == 1 else field.mul_vec(fi, residual)

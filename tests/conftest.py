@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from gencast import StateFeedbackMatrix
+
+# for tests/mutants.py: a killed mutant needs one failing example, not the simplest
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture

@@ -8,9 +8,12 @@ occurs once in it, the new text that replaces it, and the pytest ids that
 must kill it.  The runner copies src/ to a temporary directory, runs the
 mutants' tests once on the unmutated copy (they must pass), then applies one
 mutant at a time and runs its tests with `pytest -x` against the copy.  A
-mutant is killed when a test fails.  The exit code is 1 if any mutant
-survives and 2 if the unmutated copy fails its tests.  Hypothesis runs with
-a fixed seed, so a run is repeatable.
+mutant is killed when a test fails, or runs so long (HANG_S) that it is
+taken to hang: a decoder row left unnormalised makes elimination cycle.
+The exit code is 1 if any mutant survives and 2 if the unmutated copy fails
+its tests.  Hypothesis runs with a fixed seed, so a run is repeatable, and
+with the `mutants` profile of tests/conftest.py, which does not shrink a
+failing example: the verdict needs one.
 
 Tier-1 checks only that each old text occurs exactly once in today's source
 (tests/test_mutants.py); a refactor that moves the text updates the mutant
@@ -29,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+HANG_S = 60  # a run that ends is over in 4 s on a 2-core Xeon: one this long is taken to hang
 
 
 class Mutant(NamedTuple):
@@ -162,9 +166,21 @@ MUTANTS = {
     # a decoder keeps the held columns in the reduced coefficient vector
     "decoder-keeps-held-columns": Mutant(
         RLNC,
-        'vec = int.from_bytes(coeffs, "little") & self._mask',
-        'vec = int.from_bytes(coeffs, "little")',
+        "vec = whole & self._mask",
+        "vec = whole",
         ("tests/test_rlnc.py::TestAbsorb::test_known_payload_substitution",)),
+    # a packet that passed one field's check passes every field's
+    "field-check-remembered-without-its-field": Mutant(
+        RLNC,
+        "if checked is not field:",
+        "if checked is None:",
+        ("tests/test_rlnc.py::test_a_packet_shared_by_decoders_acts_as_a_fresh_copy_on_each",)),
+    # a new basis row is scaled by its pivot, not by the pivot's inverse
+    "row-normalised-by-pivot": Mutant(
+        RLNC,
+        "fi = field.inverse[f]",
+        "fi = f",
+        ("tests/test_rlnc.py::test_decoder_rank_innovation_and_solve",)),
 }
 
 
@@ -177,14 +193,17 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def run_tests(tests, src: Path, cwd: Path) -> subprocess.CompletedProcess:
+def run_tests(tests, src: Path, cwd: Path, timeout=None) -> subprocess.CompletedProcess:
     """pytest -x on tests (ids relative to ROOT), importing gencast from src;
-    cwd holds whatever the run writes (the Hypothesis example database)."""
+    cwd holds whatever the run writes (the Hypothesis example database).
+    subprocess.TimeoutExpired after timeout seconds, the run killed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "-o", f"pythonpath={src}", "-o", "addopts=", f"--rootdir={ROOT}",
-           "--hypothesis-seed=0", *(str(ROOT / t) for t in tests)]
-    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+           "--hypothesis-seed=0", "--hypothesis-profile=mutants",
+           *(str(ROOT / t) for t in tests)]
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def main() -> int:
@@ -206,8 +225,13 @@ def main() -> int:
             shutil.copytree(pristine, work)
             apply(mutant, work)
             t0 = time.perf_counter()
-            result = run_tests(mutant.tests, work / "src", work)
-            if result.returncode == 1:
+            try:
+                result = run_tests(mutant.tests, work / "src", work, HANG_S)
+            except subprocess.TimeoutExpired:
+                result = None
+            if result is None:
+                verdict = "killed (hung)"
+            elif result.returncode == 1:
                 verdict = "killed"
             elif result.returncode == 0:
                 verdict = "SURVIVED"

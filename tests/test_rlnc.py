@@ -522,3 +522,69 @@ def test_for_generation_matches_one_by_one(case):
                 for s in (state, single[r]):
                     with pytest.raises(RuntimeError, match="without payloads"):
                         s.solve()
+
+
+@st.composite
+def shared_packet_cases(draw):
+    """Decoders over GF(16) and GF(256) of generations 0 and 1 (1-3 packets),
+    rank-only or decoding 2-byte payloads, wanting any subset, some decoded
+    before the packets come; then packets of either generation, 1-3
+    coefficient bytes each (often outside GF(16)), with a 2- or 3-byte
+    payload of GF(16) symbols or none."""
+    specs = []
+    for _ in range(draw(st.integers(2, 6))):
+        g = draw(st.integers(1, 3))
+        specs.append((draw(st.sampled_from([GF16, GF256])), draw(st.integers(0, 1)), g,
+                      draw(st.lists(st.integers(0, g - 1), unique=True)),
+                      draw(st.booleans()), draw(st.booleans())))
+    byte = st.one_of(st.integers(0, 15), st.integers(0, 255))
+    packets = draw(st.lists(st.tuples(
+        st.integers(0, 1), st.lists(byte, min_size=1, max_size=3),
+        st.one_of(st.none(), st.lists(st.integers(0, 15), min_size=2, max_size=3))),
+        max_size=8))
+    return specs, packets
+
+
+def shared_packet_decoder(field, generation_id, g, wanted, payloads, decoded_first):
+    held = {k: np.full(2, k + 1, np.uint8) for k in range(g) if k not in wanted}
+    state = DecoderState(generation_id, range(g), wanted, field, held if payloads else None)
+    for unit in np.eye(g, dtype=np.uint8) if decoded_first else ():
+        state.absorb(CodedPacket(generation_id, unit, np.zeros(2, np.uint8)))
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_packet_cases())
+def test_a_packet_shared_by_decoders_acts_as_a_fresh_copy_on_each(case):
+    # one packet absorbed in turn by several decoders, twice over, does to
+    # each what a fresh copy of it does to a twin: the same return value,
+    # counters, error text and solution; so a packet refused once (outside
+    # one decoder's field, of the wrong length or generation) is refused
+    # again by every decoder it does not fit
+    specs, packets = case
+    shared = [shared_packet_decoder(*spec) for spec in specs]
+    twins = [shared_packet_decoder(*spec) for spec in specs]
+
+    def outcome(state, pkt):
+        try:
+            got = state.absorb(pkt)
+        except ValueError as err:
+            got = str(err)
+        return got, state.needed, state.rank
+
+    def solution(state):
+        try:
+            return {k: v.tolist() for k, v in state.solve().items()}
+        except RuntimeError as err:
+            return str(err)
+
+    def packet(generation_id, coeffs, payload):
+        return CodedPacket(generation_id, np.array(coeffs, np.uint8),
+                           None if payload is None else np.array(payload, np.uint8))
+
+    for spec in packets:
+        pkt = packet(*spec)
+        for _ in range(2):
+            for state, twin in zip(shared, twins):
+                assert outcome(state, pkt) == outcome(twin, packet(*spec))
+    assert [solution(s) for s in shared] == [solution(t) for t in twins]
