@@ -45,7 +45,6 @@ from .sfm import (
     parse_sfm,
     partition_from_json,
     partition_to_json,
-    rank,
     total_rank,
     validate_partition,
 )

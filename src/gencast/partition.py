@@ -146,13 +146,8 @@ def blind_partition(n_packets: int, n_generations: int) -> Partition:
             f"need 1 <= M <= K, got M={n_generations} K={n_packets}"
         )
     base, extra = divmod(n_packets, n_generations)
-    gens = []
-    start = 0
-    for m in range(n_generations):
-        size = base + (1 if m < extra else 0)
-        gens.append(range(start, start + size))
-        start += size
-    return Partition(tuple(gens), gamma_cap=None)
+    starts = [m * base + min(m, extra) for m in range(n_generations + 1)]  # chunk m's first id
+    return Partition(tuple(map(range, starts, starts[1:])))
 
 
 def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult:
@@ -174,23 +169,24 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
     A witness found by the search lists its generations by smallest packet
     id, with ids ascending inside each generation.
     """
-    gamma = check_cap(gamma)
+    gamma = (cfg := PartitionerConfig(gamma_cap=gamma)).gamma_cap  # the one cap check
     if sfm.n_packets > max_packets:
         raise InstanceTooLargeError(
             f"K={sfm.n_packets} exceeds the exact-search cap of {max_packets} packets"
         )
 
     K = sfm.n_packets
+    # each receiver's want count, for the bound and the branching order; signed:
+    # the uint8 want-matrix sums to uint64, which wraps when negated
+    demand = sfm.wants.sum(axis=1, dtype=np.int64)
     # a receiver wanting w packets needs at least ceil(w / gamma) generations
-    lower_bound = max(1, -(-max(sfm.wants.sum(axis=1).tolist()) // gamma))
-    incumbent = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
+    lower_bound = max(1, -(-max(demand.tolist()) // gamma))
+    incumbent = heuristic_partition(sfm, cfg)
     best_m = incumbent.n_generations
     best_assign = None
     nodes = 0
 
     if best_m > lower_bound:
-        # signed: the uint8 want-matrix sums to uint64, which wraps when negated
-        demand = sfm.wants.sum(axis=1, dtype=np.int64)
         order = np.argsort(-(demand @ sfm.wants), kind="stable").tolist()  # heaviest first
         bits = [sfm.receiver_bitsets[k] for k in order]
         top = gamma - 1

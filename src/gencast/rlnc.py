@@ -1,27 +1,19 @@
 """Random linear coding within a generation, and incremental decoding.
 
-Offers random_coefficients (i.i.d. uniform over the field, zero included),
-random_payloads, encode (a CodedPacket with a payload: the coefficients it
-is given plus the matching combination of the generation's payloads,
-recording by column the products c_j * x_j it summed; a rank-only packet is
-built directly as CodedPacket(m, coefficients, None)) and DecoderState, one
-receiver's decoder for one generation.
-
-A DecoderState knows from construction which packets its receiver wants and
-whether it decodes payloads: it does iff built with known_payloads, the
-payloads it holds of the rest (a missing one, or held lengths that differ, is
-a ValueError there); else it tracks rank only, along the payload path's rank
-trajectory (both depend only on the coefficients).  absorb(pkt) returns True
-iff the packet raised the rank, needed counts the innovative packets still
-missing, and solve() returns the wanted payloads at full rank.  absorb
-reduces the unknown coefficients as one int, byte j for column j: each step
-XORs in the row pivoted on the lowest nonzero byte, times that byte by one
-bytes.translate.  The first absorb to accept a packet keeps that read of its
-coefficients on it for every later decoder, so an in-place change after it
-goes unseen.  Every decoder checks the generation id and length, and the
-field unless the kept read passed it.  absorb reuses a recorded product only
-if made from the very array held, else makes its own; only encode writes the
-record.  for_generation builds many receivers' decoders as if built alone.
+random_coefficients draws coefficients i.i.d. uniform over the field, zero
+included; encode combines a generation's payloads into a CodedPacket,
+recording by column the products c_j * x_j it summed (a rank-only packet is
+built directly as CodedPacket(m, coefficients, None)).  DecoderState is one
+receiver's decoder for one generation: it decodes payloads iff built with
+known_payloads, else tracks rank only, along the same rank trajectory (both
+depend only on the coefficients).  absorb reduces the unknown coefficients as
+one int, byte j for column j: each step XORs in the row pivoted on the lowest
+nonzero byte, times that byte by one bytes.translate.  A packet keeps, for
+every later decoder, the first accepted read of its coefficients and the
+field its payload's symbols were last found in, so an in-place change after
+either goes unseen.  absorb reuses a recorded product only if made from the
+very array held, else makes its own; only encode writes the record.
+for_generation builds many receivers' decoders as if built alone.
 """
 
 from __future__ import annotations
@@ -36,17 +28,19 @@ from .sfm import check_generation_ids
 __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "random_payloads"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodedPacket:
-    """A coded packet.  The first DecoderState.absorb to accept it sets read, for
-    every later one: (coefficients as bytes, their little-endian int, its field)."""
+    """A coded packet, equal only to itself.  DecoderState.absorb sets, for every
+    later one, read: (coefficients as bytes, their little-endian int, the field
+    they passed), and payload_field: the field the payload's symbols passed."""
 
     generation_id: int
     coefficients: np.ndarray  # one per generation packet, generation-local order
     payload: np.ndarray | None  # None for abstract (rank-only) packets
     # column j -> (source array, c_j * source) as made for it; None unless from encode
-    products: dict | None = dc_field(default=None, compare=False, repr=False)
-    read: tuple | None = dc_field(default=None, init=False, compare=False, repr=False)
+    products: dict | None = dc_field(default=None, repr=False)
+    read: tuple | None = dc_field(default=None, init=False, repr=False)
+    payload_field: Field | None = dc_field(default=None, init=False, repr=False)
 
     def __init__(self, generation_id, coefficients, payload, products=None):
         self.__dict__.update(generation_id=generation_id, coefficients=coefficients,
@@ -82,14 +76,31 @@ def random_payloads(count, length, rng, field: Field = GF256):
     return [rng.integers(0, field.q, size=length, dtype=np.uint8) for _ in range(count)]
 
 
+def _outside(field: Field, data: bytes) -> bool:
+    """True iff a byte of data is not a symbol of field: times 1, it becomes 0."""
+    return data.translate(field.translate_rows[1]) != data
+
+
+def _checked_payloads(known_payloads, ids, field):
+    """known_payloads' payloads of ids as uint8 arrays by id (None stays None);
+    a symbol outside field is a ValueError."""
+    if known_payloads is None:
+        return None
+    known = {pid: np.asarray(known_payloads[pid], np.uint8) for pid in ids if pid in known_payloads}
+    if bad := [pid for pid, x in known.items() if _outside(field, x.tobytes())]:
+        raise ValueError(f"known payloads of packets {bad} hold symbols outside GF({field.q})")
+    return known
+
+
 class DecoderState:
     """Per (receiver, generation) incremental Gaussian elimination.
 
     generation_ids fixes the generation-local coefficient order; wanted_ids
     are the packets this receiver still needs from it (both pass
     sfm.check_generation_ids); known_payloads maps packet ids, at least the
-    generation's other ones, to the payloads held ({} if none), or is None
-    for rank-only decoding.  Unknown column j (in generation order) owns
+    generation's other ones, to the payloads held ({} if none; a missing one,
+    lengths that differ or a symbol outside the field is a ValueError), or is
+    None for rank-only decoding.  Unknown column j (in generation order) owns
     _basis[j], the stored row with pivot j, or None: bytes over the
     generation's columns, zero before j and at every held column, 1 at j.
     """
@@ -104,7 +115,8 @@ class DecoderState:
         if outside := sorted(wanted.difference(ids)):
             raise ValueError(f"wanted ids not in generation: {outside}")
         unknowns = [c for c in enumerate(ids) if c[1] in wanted]
-        self._setup(generation_id, ids, unknowns, field, known_payloads)
+        known = _checked_payloads(known_payloads, ids, field)
+        self._setup(generation_id, ids, unknowns, field, known)
 
     @classmethod
     def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256,
@@ -113,18 +125,19 @@ class DecoderState:
         0/1 row by packet id) that wants one of the ids, checked once for all;
         known_payloads serves every receiver."""
         ids = check_generation_ids(generation_ids)
+        known = _checked_payloads(known_payloads, ids, field)
         columns = list(enumerate(ids))  # (column, id) pairs
         states = {}
         for r, row in want_rows.items():
             unknowns = [c for c in columns if row[c[1]]]
             if unknowns:
                 state = states[r] = cls.__new__(cls)
-                state._setup(generation_id, ids, unknowns, field, known_payloads)
+                state._setup(generation_id, ids, unknowns, field, known)
         return states
 
-    def _setup(self, generation_id, ids, unknowns, field, known_payloads):
+    def _setup(self, generation_id, ids, unknowns, field, known):
         """The state of checked ids that solves for the (column, id) pairs
-        unknowns, given in column order."""
+        unknowns, given in column order, holding the checked payloads known."""
         self.generation_id = generation_id
         self.generation_ids = ids
         self._unknown_cols, self.unknown_ids = zip(*unknowns) if unknowns else ((), ())
@@ -136,11 +149,11 @@ class DecoderState:
         # packet and the one payload length, set by the held payloads or else
         # by the first packet; None when decoding rank-only
         self._payloads = self._held = self._length = None
-        if known_payloads is not None:
+        if known is not None:
             held = [(j, pid) for j, pid in enumerate(ids) if pid not in self.unknown_ids]
-            if missing := [pid for _, pid in held if pid not in known_payloads]:
+            if missing := [pid for _, pid in held if pid not in known]:
                 raise ValueError(f"known payloads missing for packets {missing}")
-            self._held = [(j, np.asarray(known_payloads[pid], np.uint8)) for j, pid in held]
+            self._held = [(j, known[pid]) for j, pid in held]
             if len(lengths := {len(x) for _, x in self._held}) > 1:
                 raise ValueError(f"held payload lengths differ: {sorted(lengths)}")
             self._length = lengths.pop() if lengths else None
@@ -158,8 +171,9 @@ class DecoderState:
         """Fold a coded packet in (a rank-only state ignores its payload); True
         iff the rank increased.  A packet of another generation, of the wrong
         length, with a coefficient outside the field or, to a payload state,
-        without a payload or with a payload of another length is a ValueError,
-        also for a state that needs nothing.  Reuses a packet's accepted read."""
+        without a payload, with a payload symbol outside the field or with a
+        payload of another length is a ValueError, also for a state that needs
+        nothing.  Reuses a packet's accepted read and payload check."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(f"packet for generation {pkt.generation_id}, state holds "
                              f"{self.generation_id}")
@@ -173,12 +187,16 @@ class DecoderState:
                              f"{len(self.generation_ids)}")
         field, tables = self.field, self.field.translate_rows
         if checked is not field:
-            if coeffs.translate(tables[1]) != coeffs:  # times 1, a byte outside the field is 0
+            if _outside(field, coeffs):
                 raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
             pkt.__dict__["read"] = coeffs, whole, field  # for every later absorb
         if (held := self._held) is not None:
             if pkt.payload is None:
                 raise ValueError("a state decoding payloads needs a packet with a payload")
+            if pkt.payload_field is not field:  # not yet checked in this field
+                if _outside(field, np.asarray(pkt.payload, np.uint8).tobytes()):
+                    raise ValueError(f"payload symbols outside GF({field.q})")
+                pkt.__dict__["payload_field"] = field  # for every later absorb
             if self._length is None:
                 self._length = len(pkt.payload)
             elif len(pkt.payload) != self._length:

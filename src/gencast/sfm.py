@@ -9,18 +9,18 @@ number of coded packets that receiver needs to decode the generation.
 
 A Partition is a disjoint cover of packets 0..K-1 by construction: it
 checks the cover once, when it is built, so nothing downstream checks it
-again.  The build walks the generations once: the ids of groups not given
-as Generations are checked once, as one flat list, and skip Generation's own
-check, since a cover holds each id once.  The cover is tested without
-sorting: K non-negative ids whose largest is K-1 and which are all distinct
-are exactly 0..K-1.  A non-cover's error prints a run of missing ids as
-a..b, and a negative-id error names at most five of them, so neither grows
-with the ids given.
+again.  The build reads every group, a Generation or any iterable of ids,
+the same way: all ids join one flat list, checked once, and each generation
+is built from its slice without Generation's own check, since a cover holds
+each id once.  The cover is tested without sorting: K non-negative ids whose
+largest is K-1 and which are all distinct are exactly 0..K-1.  A non-cover's
+error prints a run of missing ids as a..b, and a negative-id error names at
+most five of them, so neither grows with the ids given.
 
 Every metric of a partition derives from one N x M count matrix,
 generation_counts, which only checks that the partition's K is the SFM's:
-rank is its column max, total rank the sum of ranks, and the delay bound
-(delay_bound) the sum of r(r+1)/2 over ranks.
+a generation's rank is its column max (generation_ranks), total rank the sum
+of ranks, and the delay bound (delay_bound) the sum of r(r+1)/2 over ranks.
 
 It holds the one input rule, check_ids for ids and colours and check_cap for
 rank caps, and the one reader and writer (read_rows, format_rows) of the
@@ -45,7 +45,6 @@ __all__ = [
     "PartitionReport",
     "generation_counts",
     "generation_ranks",
-    "rank",
     "validate_partition",
     "total_rank",
     "delay_bound",
@@ -188,15 +187,11 @@ class Partition:
     n_packets: int = field(init=False, repr=False, compare=False)  # K
 
     def __post_init__(self):
-        ids, gens = [], []  # a Generation as it is, any other group as a slice of ids
+        ids, bounds = [], []  # every group's ids in one flat list, each group a slice of it
         for g in self.generations:
-            if isinstance(g, Generation):
-                ids.extend(g.packet_ids)
-                gens.append(g)
-            else:
-                start = len(ids)
-                ids.extend(g)
-                gens.append(slice(start, len(ids)))
+            start = len(ids)
+            ids.extend(g)
+            bounds.append(slice(start, len(ids)))
         ids = check_ids(ids, where="partition")
         fields = self.__dict__  # the frozen fields, written without __setattr__
         if self.gamma_cap is not None:
@@ -210,8 +205,7 @@ class Partition:
             missing = ", ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in gaps)
             raise ValueError(f"partition does not disjointly cover packets 0..{distinct[-1]}: "
                              f"duplicated ids {duplicated}, missing ids [{missing}]")
-        fields["generations"] = tuple(
-            g if isinstance(g, Generation) else _checked_generation(ids[g]) for g in gens)
+        fields["generations"] = tuple(_checked_generation(ids[b]) for b in bounds)
         fields["n_packets"] = n
 
     @property
@@ -248,13 +242,6 @@ def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
 def generation_ranks(sfm, p: Partition) -> list[int]:
     """Rank of every generation of p, in partition order."""
     return generation_counts(sfm, p).max(axis=0).tolist()
-
-
-def rank(sfm: StateFeedbackMatrix, g: Generation) -> int:
-    """Largest number of packets in g wanted by any one receiver."""
-    if out_of_range := [k for k in g.packet_ids if k >= sfm.n_packets]:
-        raise ValueError(f"packet ids {out_of_range} out of range for K={sfm.n_packets}")
-    return int(sfm.wants[:, list(g.packet_ids)].sum(axis=1).max(initial=0))
 
 
 def validate_partition(sfm, p: Partition, gamma: int) -> PartitionReport:
@@ -369,4 +356,4 @@ def partition_from_json(text: str) -> Partition:
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ValueError("partition JSON must be an object whose 'generations' is a list of "
                          "packet-id lists")
-    return Partition(tuple(map(Generation, groups)), gamma_cap=doc.get("gamma"))
+    return Partition(tuple(groups), gamma_cap=doc.get("gamma"))

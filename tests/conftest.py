@@ -26,3 +26,9 @@ def conflict_sfm():
 
 def random_sfm(rng, n_receivers, n_packets, p):
     return StateFeedbackMatrix((rng.random((n_receivers, n_packets)) < p).astype(np.uint8))
+
+
+def prefix_ranks(sfm, ids):
+    """The rank of each prefix of ids, as ints: the column max of the
+    receivers' cumulative want counts over ids."""
+    return np.cumsum(sfm.wants[:, list(ids)], axis=1).max(axis=0).tolist()

@@ -86,6 +86,12 @@ MUTANTS = {
         "                skip = True\n"
         "                members.append(chosen)\n",
         (GREEDY_REFERENCE,)),
+    # every generation's slice of the flat id list starts one id late
+    "partition-boundaries-off-by-one": Mutant(
+        SFM,
+        "bounds.append(slice(start, len(ids)))",
+        "bounds.append(slice(start + 1, len(ids) + 1))",
+        ("tests/test_sfm.py::test_plain_groups_pass_one_check",)),
     # a duplicated id that fills a gap passes the cover test
     "cover-without-distinct-check": Mutant(
         SFM,
@@ -97,6 +103,12 @@ MUTANTS = {
         PARTITION,
         "demand = sfm.wants.sum(axis=1, dtype=np.int64)",
         "demand = sfm.wants.sum(axis=1)",
+        (SEARCH_PINS,)),
+    # the demand lower bound read off packet popularity (column sums), not receiver demand
+    "search-bound-from-column-sums": Mutant(
+        PARTITION,
+        "lower_bound = max(1, -(-max(demand.tolist()) // gamma))",
+        "lower_bound = max(1, -(-max(sfm.wants.sum(axis=0).tolist()) // gamma))",
         (SEARCH_PINS,)),
     # search positions mapped back as if they were packet ids
     "search-maps-positions-back": Mutant(
@@ -175,6 +187,12 @@ MUTANTS = {
         "if checked is not field:",
         "if checked is None:",
         ("tests/test_rlnc.py::test_a_packet_shared_by_decoders_acts_as_a_fresh_copy_on_each",)),
+    # a payload decoder takes a packet's payload symbols unchecked
+    "payload-symbols-unchecked": Mutant(
+        RLNC,
+        "if pkt.payload_field is not field:",
+        "if False:",
+        ("tests/test_rlnc.py::TestAbsorb::test_payload_symbols_outside_the_field_are_refused",)),
     # a new basis row is scaled by its pivot, not by the pivot's inverse
     "row-normalised-by-pivot": Mutant(
         RLNC,

@@ -196,6 +196,50 @@ class TestAbsorb:
         with pytest.raises(RuntimeError, match="without payloads"):
             st.solve()
 
+    def test_payload_symbols_outside_the_field_are_refused(self):
+        # over GF(16) a byte of 16 or more is no symbol, in a packet's payload
+        # (refused before it changes anything, whether or not it is scaled) or
+        # in a held payload (refused when the decoder is built)
+        wide = np.array([0, 200], np.uint8)
+        held = DecoderState(0, [0, 1], [1], GF16, {0: np.array([3, 4], np.uint8)})
+        for st, coeffs in ((DecoderState(0, [0], [0], GF16, {}), [1]), (held, [2, 1])):
+            with pytest.raises(ValueError, match=r"payload symbols outside GF\(16\)$"):
+                st.absorb(CodedPacket(0, np.array(coeffs, np.uint8), wide))
+            assert (st.rank, st.needed) == (0, 1)
+        message = r"known payloads of packets \[0\] hold symbols outside GF\(16\)$"
+        with pytest.raises(ValueError, match=message):
+            DecoderState(0, [0, 1], [1], GF16, {0: wide})
+        with pytest.raises(ValueError, match=message):
+            DecoderState.for_generation(0, [0, 1], {0: [0, 1], 1: [0, 1]}, GF16, {0: wide})
+        # a rank-only state ignores payloads, and GF(256) holds every byte
+        assert DecoderState(0, [0], [0], GF16).absorb(CodedPacket(0, np.array([1], np.uint8),
+                                                                 wide))
+        st = DecoderState(0, [0, 1], [1], GF256, {0: wide})
+        assert st.absorb(CodedPacket(0, np.array([1, 1], np.uint8), wide))
+        assert st.solve()[1].tolist() == [0, 0]
+
+    def test_a_payload_is_checked_once_per_field(self):
+        # like the coefficient read, the check is kept on the packet with its field
+        pkt = CodedPacket(0, np.array([1], np.uint8), np.array([0, 15], np.uint8))
+        assert DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
+        assert pkt.payload_field is GF16
+        pkt.payload[1] = 200  # changed after the GF(16) check: later GF(16) decoders miss it
+        assert DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
+        assert DecoderState(0, [0], [0], GF256, {}).absorb(pkt)
+        assert pkt.payload_field is GF256
+        with pytest.raises(ValueError, match=r"outside GF\(16\)"):  # checked again
+            DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
+
+
+def test_coded_packets_compare_by_identity():
+    # equal arrays in distinct packets neither make them equal nor fail
+    packets = [CodedPacket(0, np.array([1, 2], np.uint8), np.zeros(3, np.uint8))
+               for _ in range(2)]
+    a, b = packets
+    assert a == a and not a != a and hash(a) == hash(a)
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
+
 
 class TestConstructor:
     def test_numpy_integer_ids(self):

@@ -24,13 +24,12 @@ from gencast import (
     parse_sfm,
     partition_from_json,
     partition_to_json,
-    rank,
     total_rank,
     validate_partition,
 )
 from gencast.sfm import SfmParseError, format_sfm, generation_ranks
 
-from conftest import random_sfm
+from conftest import prefix_ranks, random_sfm
 
 
 def gens(*groups):
@@ -118,6 +117,9 @@ ID_ENTRY_POINTS = {
 }
 # the entry points that take one generation's ids
 GENERATION_ENTRY_POINTS = ["Generation", "DecoderState.generation_ids", "partition_from_json"]
+# a loaded partition's ids pass the Partition check, as one list: a negative id is
+# named as in a partition, and an id twice in a generation breaks the cover
+PARTITION_JSON_MESSAGES = {-1: "negative packet id in partition", 0: "duplicated ids"}
 # entry point -> (call on one rank cap g, result for g = np.int64(3))
 CAP_ENTRY_POINTS = {
     "Partition.gamma_cap": (lambda g: Partition(gens([0, 1, 2, 3]), gamma_cap=g).gamma_cap, 3),
@@ -153,6 +155,8 @@ class TestInputRule:
     @pytest.mark.parametrize("bad, message", [(-1, "negative packet id in generation"),
                                               (0, "duplicate packet ids in generation")])
     def test_generation_ids_non_negative_and_distinct(self, entry, bad, message):
+        if entry == "partition_from_json":
+            message = PARTITION_JSON_MESSAGES[bad]
         with pytest.raises(ValueError, match=message):
             ID_ENTRY_POINTS[entry][0](bad)
 
@@ -200,40 +204,40 @@ class TestInputRule:
             _json_partition(generations=groups)
 
 
+def first_rank(sfm, ids):
+    """generation_ranks' rank of ids, as the first generation of a cover."""
+    rest = [k for k in range(sfm.n_packets) if k not in ids]
+    return generation_ranks(sfm, Partition((ids, rest)))[0]
+
+
 class TestRank:
     def test_empty_generation_is_zero(self):
         sfm = StateFeedbackMatrix([[1, 1], [1, 0]])
-        assert rank(sfm, Generation(())) == 0
+        assert generation_ranks(sfm, Partition(gens([], [0, 1]))) == [0, 2]
 
     def test_all_zero_sfm(self):
         sfm = StateFeedbackMatrix(np.zeros((3, 4), dtype=int))
-        assert rank(sfm, Generation((0, 1, 2, 3))) == 0
+        assert generation_ranks(sfm, Partition(gens([0, 1, 2, 3]))) == [0]
 
     def test_hand_computed(self):
         sfm = StateFeedbackMatrix([[1, 1, 0], [0, 1, 1]])
-        assert rank(sfm, Generation((1, 2))) == 2
-
-    def test_out_of_range_id(self):
-        sfm = StateFeedbackMatrix([[1, 0]])
-        with pytest.raises(ValueError):
-            rank(sfm, Generation((5,)))
+        assert generation_ranks(sfm, Partition(gens([1, 2], [0]))) == [2, 1]
 
     def test_monotone_under_insertion(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             sfm = random_sfm(rng, 4, 8, 0.4)
-            ids = list(rng.permutation(8))
+            ids = rng.permutation(8).tolist()
             cut = int(rng.integers(0, 8))
-            base = rank(sfm, Generation(tuple(ids[:cut])))
-            grown = rank(sfm, Generation(tuple(ids[: cut + 1])))
+            base = first_rank(sfm, ids[:cut])
+            grown = first_rank(sfm, ids[: cut + 1])
             assert base <= grown <= base + 1
 
     def test_whole_block_is_max_row_sum(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             sfm = random_sfm(rng, 5, 9, 0.3)
-            whole = Generation(tuple(range(9)))
-            assert rank(sfm, whole) == int(sfm.wants.sum(axis=1).max())
+            assert first_rank(sfm, range(9)) == int(sfm.wants.sum(axis=1).max())
 
 
 class TestValidatePartition:
@@ -284,7 +288,8 @@ class TestValidatePartition:
             parts = [perm[i:j] for i, j in zip([0] + cuts, cuts + [6]) if perm[i:j]]
             p = Partition(gens(*parts))
             for gamma in (1, 2, 3):
-                expect = all(rank(sfm, g) <= gamma for g in p.generations)
+                expect = all(max(prefix_ranks(sfm, g), default=0) <= gamma
+                             for g in p.generations)
                 assert validate_partition(sfm, p, gamma).valid == expect
 
 
@@ -420,7 +425,7 @@ def test_metrics_agree_with_brute_force_counts(cover, gamma):
     assert counts.tolist() == expected
     ranks = [max(row[m] for row in expected) for m in range(p.n_generations)]
     assert generation_ranks(sfm, p) == ranks
-    assert [rank(sfm, g) for g in p.generations] == ranks
+    assert [max(prefix_ranks(sfm, g), default=0) for g in p.generations] == ranks
     assert total_rank(sfm, p) == sum(ranks)
     assert apdd_upper_bound(sfm, p) == sum(r * (r + 1) // 2 for r in ranks)
     report = validate_partition(sfm, p, gamma)
@@ -470,12 +475,14 @@ PLAIN_GROUP_FAULTS = {"negative": -1, "bool": True, "numpy bool": np.bool_(True)
 @PROPERTY_SETTINGS
 @given(covers(), st.sampled_from(sorted(PLAIN_GROUP_FAULTS)), st.data())
 def test_plain_groups_pass_one_check(cover, fault, data):
-    # groups given as lists are checked once, as one flat list of ids
+    # groups given as lists are checked once, as one flat list of ids, and
+    # read like Generations: the same partition, or the same cover error
     _, p = cover
     groups = [[np.int64(i) if data.draw(st.booleans()) else i for i in g.packet_ids]
               for g in p.generations]
     built = Partition(tuple(groups), gamma_cap=2)
     assert built == Partition(p.generations, gamma_cap=2)
+    assert [list(g.packet_ids) for g in built.generations] == groups
     assert [type(i) for g in built.generations for i in g.packet_ids] == [int] * p.n_packets
     victim = data.draw(st.sampled_from([g for g in groups if g]))
     if fault == "within":
@@ -490,8 +497,12 @@ def test_plain_groups_pass_one_check(cover, fault, data):
             next(g for g in groups if lost in g).remove(lost)
     else:
         victim[data.draw(st.integers(0, len(victim) - 1))] = PLAIN_GROUP_FAULTS[fault]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         Partition(tuple(groups))
+    if fault in ("across", "missing"):  # Generations of the same ids, so only the cover breaks
+        with pytest.raises(ValueError) as from_generations:
+            Partition(gens(*groups))
+        assert str(from_generations.value) == str(err.value)
 
 
 def test_cover_error_prints_missing_runs():
