@@ -4,16 +4,16 @@ random_coefficients draws coefficients i.i.d. uniform over the field, zero
 included; encode combines a generation's payloads into a CodedPacket,
 recording by column the products c_j * x_j it summed (a rank-only packet is
 built directly as CodedPacket(m, coefficients, None)).  DecoderState is one
-receiver's decoder for one generation: it decodes payloads iff built with
-known_payloads, else tracks rank only, along the same rank trajectory (both
-depend only on the coefficients).  absorb reduces the unknown coefficients as
-one int, byte j for column j: each step XORs in the row pivoted on the lowest
-nonzero byte, times that byte by one bytes.translate.  A packet keeps, for
-every later decoder, the first accepted read of its coefficients and the
+receiver's decoder for one generation, built from its want flags (many at
+once by for_generation): it decodes payloads iff built with known_payloads,
+else tracks rank only, along the same rank trajectory.  absorb reduces the
+unknown coefficients as one int, byte j for column j: each step clears the
+lowest nonzero byte's column by XORing in its row times that byte (one
+bytes.translate), so there is at most one step a column.  A packet keeps,
+for every later decoder, the first accepted read of its coefficients and the
 field its payload's symbols were last found in, so an in-place change after
 either goes unseen.  absorb reuses a recorded product only if made from the
 very array held, else makes its own; only encode writes the record.
-for_generation builds many receivers' decoders as if built alone.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class DecoderState:
     generation's columns, zero before j and at every held column, 1 at j.
     """
 
-    __slots__ = ("generation_id", "generation_ids", "unknown_ids", "field", "needed",
-                 "_unknown_cols", "_mask", "_basis", "_payloads", "_held", "_length")
+    __slots__ = ("generation_id", "generation_ids", "field", "needed", "_unknowns",
+                 "_mask", "_basis", "_payloads", "_held", "_length")
 
     def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256,
                  known_payloads=None):
@@ -114,43 +114,39 @@ class DecoderState:
         wanted = set(check_generation_ids(wanted_ids))
         if outside := sorted(wanted.difference(ids)):
             raise ValueError(f"wanted ids not in generation: {outside}")
-        unknowns = [c for c in enumerate(ids) if c[1] in wanted]
+        flags = bytes(255 if pid in wanted else 0 for pid in ids)
         known = _checked_payloads(known_payloads, ids, field)
-        self._setup(generation_id, ids, unknowns, field, known)
+        self._setup(generation_id, ids, flags, len(wanted), field, known)
 
     @classmethod
     def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256,
                        known_payloads=None):
         """{receiver: DecoderState} for each receiver of want_rows (receiver ->
-        0/1 row by packet id) that wants one of the ids, checked once for all;
-        known_payloads serves every receiver."""
+        want flags: a byte per id in generation order, 255 if wanted, 0 if held)
+        that wants an id, checked once for all; known_payloads serves all."""
         ids = check_generation_ids(generation_ids)
         known = _checked_payloads(known_payloads, ids, field)
-        columns = list(enumerate(ids))  # (column, id) pairs
         states = {}
-        for r, row in want_rows.items():
-            unknowns = [c for c in columns if row[c[1]]]
-            if unknowns:
+        for r, flags in want_rows.items():
+            if needed := flags.count(255):
                 state = states[r] = cls.__new__(cls)
-                state._setup(generation_id, ids, unknowns, field, known)
+                state._setup(generation_id, ids, flags, needed, field, known)
         return states
 
-    def _setup(self, generation_id, ids, unknowns, field, known):
-        """The state of checked ids that solves for the (column, id) pairs
-        unknowns, given in column order, holding the checked payloads known."""
+    def _setup(self, generation_id, ids, flags, needed, field, known):
+        """The state of checked ids wanting the needed columns flagged 255,
+        holding the checked payloads known."""
         self.generation_id = generation_id
         self.generation_ids = ids
-        self._unknown_cols, self.unknown_ids = zip(*unknowns) if unknowns else ((), ())
         self.field = field
-        self.needed = len(unknowns)
-        self._mask = sum(255 << 8 * j for j in self._unknown_cols)  # the unknown columns' bytes
+        self.needed = self._unknowns = needed
+        self._mask = int.from_bytes(flags, "little")  # byte j is 255 iff column j is unknown
         self._basis = [None] * len(ids)
-        # the payload of each stored row, the (column, payload) of each held
-        # packet and the one payload length, set by the held payloads or else
-        # by the first packet; None when decoding rank-only
+        # each stored row's payload, each held packet's (column, payload) and the one
+        # payload length (the held payloads', else the first packet's); None if rank-only
         self._payloads = self._held = self._length = None
         if known is not None:
-            held = [(j, pid) for j, pid in enumerate(ids) if pid not in self.unknown_ids]
+            held = [(j, pid) for j, (pid, flag) in enumerate(zip(ids, flags)) if not flag]
             if missing := [pid for _, pid in held if pid not in known]:
                 raise ValueError(f"known payloads missing for packets {missing}")
             self._held = [(j, known[pid]) for j, pid in held]
@@ -160,8 +156,13 @@ class DecoderState:
             self._payloads = [None] * len(ids)
 
     @property
+    def unknown_ids(self):
+        flags = self._mask.to_bytes(len(self._basis), "little")
+        return tuple(pid for pid, flag in zip(self.generation_ids, flags) if flag)
+
+    @property
     def rank(self):
-        return len(self.unknown_ids) - self.needed
+        return self._unknowns - self.needed
 
     @property
     def decoded(self):
@@ -216,7 +217,9 @@ class DecoderState:
                     residual ^= made[1] if made and made[0] is src else field.mul_vec(c, src)
 
         basis = self._basis
-        while vec:
+        for _ in basis:  # each step clears its pivot, so the pivots climb: one step a column
+            if not vec:
+                return False  # linearly dependent
             pivot = ((vec & -vec).bit_length() - 1) >> 3  # the lowest nonzero column
             f = vec >> 8 * pivot & 255
             row = basis[pivot]
@@ -226,7 +229,7 @@ class DecoderState:
             if residual is not None:
                 residual ^= field.mul_vec(f, self._payloads[pivot])
         else:
-            return False  # linearly dependent
+            raise RuntimeError(f"elimination did not end in generation {self.generation_id}")
 
         fi = field.inverse[f]
         basis[pivot] = vec.to_bytes(len(coeffs), "little").translate(tables[fi])
@@ -240,13 +243,11 @@ class DecoderState:
 
         Back-substitutes through the echelon basis from the last pivot up.
         """
-        if self._payloads is None and self.unknown_ids:
+        if self._payloads is None and self._unknowns:
             raise RuntimeError("state was built without payloads; nothing to solve")
         if self.needed:
-            raise RuntimeError(
-                f"cannot solve at rank {self.rank} with {len(self.unknown_ids)} unknowns"
-            )
-        cols = self._unknown_cols
+            raise RuntimeError(f"cannot solve at rank {self.rank} with {self._unknowns} unknowns")
+        cols = [j for j, flag in enumerate(self._mask.to_bytes(len(self._basis), "little")) if flag]
         sol = list(self._payloads or ())  # empty when rank-only, with no unknowns
         # sol starts as the stored rows' payloads: never update in place
         for i, j in reversed(list(enumerate(cols))):
@@ -254,4 +255,4 @@ class DecoderState:
             for c in cols[i + 1:]:
                 if row[c]:
                     sol[j] = sol[j] ^ self.field.mul_vec(row[c], sol[c])
-        return {pid: sol[j] for j, pid in zip(cols, self.unknown_ids)}
+        return {self.generation_ids[j]: sol[j] for j in cols}

@@ -191,13 +191,13 @@ def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     """Run coded rounds until every wanted (receiver, packet) pair decodes.
 
-    With payloads, each decode is solved and checked against the sources.
-    rng must be a PCG64 generator; the slot draws leave it at an unspecified
-    position (run_trial reads nothing from it afterwards).
+    Each waiting receiver's decoders read their want flags off one 0/255 copy
+    of the wants in partition order.  With payloads, each decode is solved and
+    checked against the sources.  rng must be a PCG64 generator; the slot
+    draws leave it at an unspecified position (run_trial reads no more of it).
     """
     counts = generation_counts(sfm, partition)
     field = get_field(cfg.field_order)
-    wants = sfm.wants.tolist()
 
     # both decode modes consume this draw, keeping their streams aligned
     payload_seed = int(rng.integers(0, 2**63))
@@ -208,12 +208,12 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
 
     gen_ids = [g.packet_ids for g in partition.generations]
     waiting = counts.T.tolist()  # per generation, each receiver's want count
-    # per generation: the decoder of every receiver still missing it, by receiver
-    pending = [
-        DecoderState.for_generation(
-            m, ids, {r: wants[r] for r, c in enumerate(waiting[m]) if c}, field, payloads)
-        for m, ids in enumerate(gen_ids)
-    ]
+    k, pending, stop = sfm.n_packets, [], 0
+    flags = (sfm.wants[:, [pid for ids in gen_ids for pid in ids]] * np.uint8(255)).tobytes()
+    for m, ids in enumerate(gen_ids):
+        start, stop = stop, stop + len(ids)
+        rows = {r: flags[r * k + start:r * k + stop] for r, c in enumerate(waiting[m]) if c}
+        pending.append(DecoderState.for_generation(m, ids, rows, field, payloads))
     ranks = list(map(max, waiting))
 
     delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs
@@ -233,7 +233,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                 if payloads is not None and any(
                         not np.array_equal(got, payloads[k]) for k, got in state.solve().items()):
                     raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
-                delay_sum += t * len(state.unknown_ids)
+                delay_sum += t * waiting[m][r]
                 del pending[m][r]
                 remaining -= 1
         if not remaining:

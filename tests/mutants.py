@@ -9,7 +9,9 @@ must kill it.  The runner copies src/ to a temporary directory, runs the
 mutants' tests once on the unmutated copy (they must pass), then applies one
 mutant at a time and runs its tests with `pytest -x` against the copy.  A
 mutant is killed when a test fails, or runs so long (HANG_S) that it is
-taken to hang: a decoder row left unnormalised makes elimination cycle.
+taken to hang.  None is meant to hang: DecoderState.absorb stops an
+elimination after one step a column, so even a decoder row left
+unnormalised fails its test with a RuntimeError.
 The exit code is 1 if any mutant survives and 2 if the unmutated copy fails
 its tests.  Hypothesis runs with a fixed seed, so a run is repeatable, and
 with the `mutants` profile of tests/conftest.py, which does not shrink a
@@ -131,14 +133,14 @@ MUTANTS = {
     # a decode adds its slot time once, not once per decoded packet
     "delay-adds-t-once-per-decode": Mutant(
         SIM,
-        "delay_sum += t * len(state.unknown_ids)",
+        "delay_sum += t * waiting[m][r]",
         "delay_sum += t",
         ("tests/test_sim.py::TestCodedPhase::test_single_receiver_delay_is_exact",)),
     # a decode recorded one slot early
     "delay-one-slot-early": Mutant(
         SIM,
-        "delay_sum += t * len(state.unknown_ids)",
-        "delay_sum += (t - 1) * len(state.unknown_ids)",
+        "delay_sum += t * waiting[m][r]",
+        "delay_sum += (t - 1) * waiting[m][r]",
         ("tests/test_sim.py::TestCodedPhase::test_single_receiver_delay_is_exact",)),
     # slot times start at 2
     "slot-time-off-by-one": Mutant(
@@ -175,6 +177,13 @@ MUTANTS = {
         "        coeffs = np.frombuffer(buf[:g].translate(self._top_bits), np.uint8)\n"
         "        return coeffs, self._flags[pos:pos + n] if n else self._clear\n",
         ("tests/test_sim.py::test_slot_draws_equal_per_slot_numpy_draws",)),
+    # every decoder reads its generation's want flags one column late in the packed row
+    "packed-row-one-column-off": Mutant(
+        SIM,
+        "rows = {r: flags[r * k + start:r * k + stop] for r, c in enumerate(waiting[m]) if c}",
+        "rows = {r: flags[r * k + start + 1:r * k + stop + 1] "
+        "for r, c in enumerate(waiting[m]) if c}",
+        ("tests/test_sim.py::test_trial_decoders_match_decoders_built_alone",)),
     # a decoder keeps the held columns in the reduced coefficient vector
     "decoder-keeps-held-columns": Mutant(
         RLNC,

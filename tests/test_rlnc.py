@@ -116,8 +116,17 @@ class TestAbsorb:
         with pytest.raises(ValueError, match=r"known payloads missing for packets \[0\]"):
             DecoderState(0, [0, 1], [1], known_payloads={})
         with pytest.raises(ValueError, match=r"known payloads missing for packets \[5, 4\]"):
-            DecoderState.for_generation(0, [5, 1, 4, 2], {0: [0, 1, 1, 0, 0, 0]},
+            DecoderState.for_generation(0, [5, 1, 4, 2], {0: bytes([0, 255, 0, 255])},
                                         known_payloads=held)
+
+    def test_a_corrupt_basis_row_stops_elimination(self):
+        # a stored row whose pivot byte is not 1 never clears its column; the
+        # elimination stops after one step a column instead of cycling
+        st = DecoderState(4, [0, 1], [0, 1])
+        st.absorb(CodedPacket(4, np.array([1, 0], np.uint8), None))
+        st._basis[0] = bytes([2, 0])
+        with pytest.raises(RuntimeError, match="did not end in generation 4"):
+            st.absorb(CodedPacket(4, np.array([1, 1], np.uint8), None))
 
     def test_state_without_known_payloads_is_rank_only(self):
         # a state wanting every packet holds none, but decodes payloads only
@@ -534,7 +543,8 @@ def test_for_generation_matches_one_by_one(case):
     # payloads (every source for all, each receiver's held ones for one),
     # equal throughout
     for with_payloads in (False, True):
-        built = DecoderState.for_generation(5, ids, dict(enumerate(rows)), field,
+        flags = {r: bytes(255 if row[k] else 0 for k in ids) for r, row in enumerate(rows)}
+        built = DecoderState.for_generation(5, ids, flags, field,
                                             dict(enumerate(sources)) if with_payloads else None)
         single = {r: DecoderState(5, ids, [k for k in ids if row[k]], field,
                                   {k: sources[k] for k in ids if not row[k]}

@@ -33,7 +33,7 @@ from gencast import (
 )
 from gencast.experiments import load_spec, run_simulation_sweep
 from gencast.galois import get_field
-from gencast.rlnc import random_coefficients
+from gencast.rlnc import CodedPacket, random_coefficients
 from gencast.sfm import generation_ranks
 from gencast.sim import SCHEDULERS, SlotDraws, aggregate_rows
 
@@ -531,6 +531,80 @@ class TestTrialCounts:
                     calls.clear()
                     row = run_trial(cfg, trial)
                     assert len(calls) == row["M"]
+
+
+@st.composite
+def trial_decoder_cases(draw):
+    """A field, a random SFM, a partition of its packets in shuffled order
+    (cuts drawn twice make empty generations), source payloads and, per
+    generation, coefficient rows."""
+    field = get_field(draw(st.sampled_from([16, 256])))
+    k, n = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    wants = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                          min_size=n, max_size=n))
+    order = draw(st.permutations(range(k)))
+    cuts = [0, *sorted(draw(st.lists(st.integers(0, k), max_size=6))), k]
+    groups = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    symbol = st.integers(0, field.q - 1)
+    payloads = [np.array(draw(st.lists(symbol, min_size=3, max_size=3)), np.uint8)
+                for _ in range(k)]
+    coeffs = [draw(st.lists(st.lists(symbol, min_size=len(g), max_size=len(g)),
+                            max_size=2 * len(g) + 1)) for g in groups]
+    sfm = StateFeedbackMatrix(np.array(wants, np.uint8))
+    return field, sfm, Partition(groups), payloads, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(trial_decoder_cases())
+def test_trial_decoders_match_decoders_built_alone(case):
+    # the decoders coded_phase builds from its partition-ordered want flags,
+    # caught before its first slot, equal DecoderState(m, ids, wanted, field,
+    # held) built one at a time, rank-only and with payloads: when built and
+    # after each of the same packets
+    field, sfm, part, payloads, coeffs = case
+    wants = sfm.wants.tolist()
+    sources = dict(enumerate(payloads))
+    built = []
+
+    def no_slots(cfg, gen_ids, ranks, pending):
+        built.append(pending)
+        return iter(())
+
+    def observed(states):
+        return {r: (s.generation_id, s.generation_ids, s.unknown_ids, s.needed, s.rank)
+                for r, s in states.items()}
+
+    for with_payloads in (False, True):
+        cfg = SimConfig(n_packets=sfm.n_packets, n_receivers=sfm.n_receivers, gamma=1,
+                        field_order=field.q, abstract_decode=not with_payloads, payload_len=3)
+        built.clear()
+        with mock.patch.object(gencast.sim, "_schedule", no_slots), \
+                mock.patch.object(gencast.sim, "random_payloads", lambda *args: payloads):
+            coded_phase(sfm, part, cfg, np.random.default_rng(0))
+        [pending] = built
+        assert len(pending) == part.n_generations
+        for m, g in enumerate(part.generations):
+            ids = g.packet_ids
+            alone = {r: DecoderState(m, ids, [k for k in ids if row[k]], field,
+                                     {k: sources[k] for k in ids if not row[k]}
+                                     if with_payloads else None)
+                     for r, row in enumerate(wants) if any(row[k] for k in ids)}
+            assert observed(pending[m]) == observed(alone)
+            for row in coeffs[m]:
+                coded = None
+                if with_payloads:
+                    coded = np.zeros(3, np.uint8)
+                    for c, k in zip(row, ids):
+                        coded ^= field.mul_vec(c, sources[k])
+                pkt = CodedPacket(m, np.array(row, np.uint8), coded)
+                assert ({r: s.absorb(pkt) for r, s in pending[m].items()}
+                        == {r: s.absorb(pkt) for r, s in alone.items()})
+                assert observed(pending[m]) == observed(alone)
+            for r, state in pending[m].items():
+                if with_payloads and state.decoded:
+                    got, want = state.solve(), alone[r].solve()
+                    assert {k: v.tolist() for k, v in got.items()} == {
+                        k: v.tolist() for k, v in want.items()}
 
 
 @settings(max_examples=60, deadline=None)
