@@ -5,23 +5,17 @@ feedback, partitions the block into generations whose per-receiver demand
 never exceeds a rank budget, then broadcasts random linear combinations per
 generation until everyone decodes.  This package provides the feedback data
 model and metrics, the partitioning algorithms (greedy, blind, exact), the
-hypergraph-coloring view of the problem, a GF(2^m) codec, and a Monte-Carlo
-protocol simulator with a CSV benchmark harness.
+hypergraph-coloring view of the problem as adapters over them (a hypergraph
+is an SFM whose rows are its edges, a coloring a tuple of colors read as a
+Partition), a GF(2^m) codec, and a Monte-Carlo protocol simulator with a CSV
+benchmark harness.
 """
 
 from .galois import GF16, GF256, Field, get_field
 from .hypergraph import (
-    Coloring,
-    Hypergraph,
-    NoReceiversError,
-    chromatic_number,
     coloring_to_partition,
-    hypergraph_to_sfm,
-    is_uniform,
     is_valid_coloring,
     partition_to_coloring,
-    random_hypergraph,
-    random_uniform_hypergraph,
     sfm_to_hypergraph,
 )
 from .partition import (

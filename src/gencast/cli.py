@@ -133,18 +133,20 @@ def cmd_oracle_gap(args):
 def cmd_color(args):
     h = hypergraph.load_hypergraph(args.hypergraph)
     if args.mode == "solve":
-        m, witness = hypergraph.chromatic_number(h, args.gamma)
-        print(json.dumps({"chromatic_number": m, "coloring": list(witness.assignment)}))
+        # an edgeless hypergraph takes one color at any size: no search, so no size cap
+        witness = (partition.optimal_partition(h, args.gamma).witness if h.wants.any()
+                   else sfm.Partition((range(h.n_packets),), gamma_cap=args.gamma))
+        print(json.dumps({"chromatic_number": witness.n_generations,
+                          "coloring": list(hypergraph.partition_to_coloring(witness))}))
         return 0
     if not args.coloring:
         raise ValueError("validate mode needs --coloring FILE")
     with open(args.coloring, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     try:
-        assignment = tuple(int(tok) for tok in tokens)
+        coloring = tuple(int(tok) for tok in tokens)
     except ValueError:
         raise ValueError("coloring file must contain space-separated integers") from None
-    coloring = hypergraph.Coloring(assignment)
     report = hypergraph.is_valid_coloring(h, coloring, args.gamma)
     if report.valid:
         print("valid")

@@ -32,3 +32,16 @@ def prefix_ranks(sfm, ids):
     """The rank of each prefix of ids, as ints: the column max of the
     receivers' cumulative want counts over ids."""
     return np.cumsum(sfm.wants[:, list(ids)], axis=1).max(axis=0).tolist()
+
+
+def coloring_violations(h, coloring, gamma):
+    """The (color, edge) pairs whose color class meets edge n (row n of the
+    hypergraph h) in more than gamma vertices, by ascending color, then edge.
+
+    A reference for hypergraph.is_valid_coloring counted apart from
+    sfm.generation_counts: one set intersection per (color, edge) pair.
+    """
+    edges = [set(np.flatnonzero(row).tolist()) for row in h.wants]
+    classes = {color: {v for v, c in enumerate(coloring) if c == color} for color in coloring}
+    return tuple((color, n) for color in sorted(classes) for n, e in enumerate(edges)
+                 if len(classes[color] & e) > gamma)

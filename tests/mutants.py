@@ -48,9 +48,12 @@ PARTITION = "src/gencast/partition.py"
 SFM = "src/gencast/sfm.py"
 SIM = "src/gencast/sim.py"
 RLNC = "src/gencast/rlnc.py"
+HYPERGRAPH = "src/gencast/hypergraph.py"
 GREEDY_REFERENCE = "tests/test_partition.py::TestHeuristic::test_matches_count_matrix_reference"
 RELABELLING = "tests/test_partition.py::TestOracle::test_relabelling_packets_keeps_the_optimum"
 SEARCH_PINS = "tests/test_partition.py::test_search_tree_pinned_at_paper_point"
+COLORING_REFERENCE = ("tests/test_hypergraph.py::"
+                      "test_is_valid_coloring_matches_set_intersection_reference")
 
 MUTANTS = {
     # the packets nobody wants join the first generation after its wanted packets
@@ -208,6 +211,24 @@ MUTANTS = {
         "fi = field.inverse[f]",
         "fi = f",
         ("tests/test_rlnc.py::test_decoder_rank_innovation_and_solve",)),
+    # a color class that meets an edge in exactly gamma vertices is a violation
+    "coloring-cap-inclusive": Mutant(
+        HYPERGRAPH,
+        ".T > gamma",
+        ".T >= gamma",
+        (COLORING_REFERENCE,)),
+    # a violation names the color class's generation index, not its color
+    "coloring-reports-generation-index": Mutant(
+        HYPERGRAPH,
+        "tuple((colors[m], n) for m, n in",
+        "tuple((m, n) for m, n in",
+        (COLORING_REFERENCE,)),
+    # the receivers that want nothing stay in the hypergraph as edges, so edge numbers shift
+    "hypergraph-keeps-empty-rows": Mutant(
+        HYPERGRAPH,
+        "return _hypergraph(sfm.wants[sfm.wants.any(axis=1)])",
+        "return _hypergraph(sfm.wants)",
+        ("tests/test_hypergraph.py::TestConversions::test_row_supports_become_edges",)),
 }
 
 

@@ -13,17 +13,14 @@ import numpy as np
 import pytest
 
 from gencast import (
-    Coloring,
     PartitionerConfig,
     SimConfig,
     coloring_to_partition,
-    chromatic_number,
     heuristic_partition,
-    hypergraph_to_sfm,
     is_irreducible,
     is_valid_coloring,
     optimal_partition,
-    random_hypergraph,
+    partition_to_coloring,
     sfm_to_hypergraph,
     total_rank,
     validate_partition,
@@ -34,7 +31,7 @@ from gencast.rlnc import CodedPacket, DecoderState
 from gencast.sfm import generation_ranks
 from gencast.sim import run_experiment
 
-from conftest import random_sfm
+from conftest import coloring_violations, random_sfm
 
 
 def report(criterion, passed, detail):
@@ -114,24 +111,28 @@ def test_criterion_3_oracle_gap():
 
 
 def test_criterion_4_reduction_equivalence(conflict_sfm):
+    # is_valid_coloring reads the count matrix that validate_partition reads, so
+    # each verdict is also checked against an independent set-intersection count
     rng = np.random.default_rng(4242)
     mismatches = 0
     checks = 0
     for _ in range(200):
         n_v = int(rng.integers(2, 11))
-        h = random_hypergraph(n_v, int(rng.integers(1, 7)), 0.45, rng)
-        sfm = hypergraph_to_sfm(h)
-        colors = tuple(int(c) for c in rng.integers(0, n_v, size=n_v))
-        coloring = Coloring(colors)
+        sfm = random_sfm(rng, int(rng.integers(1, 7)), n_v, 0.45)
+        h = sfm_to_hypergraph(sfm)
+        coloring = tuple(int(c) for c in rng.integers(0, n_v, size=n_v))
         part = coloring_to_partition(coloring)
         for gamma in (1, 2, 3):
             checks += 1
-            lhs = is_valid_coloring(h, coloring, gamma).valid
+            verdict = is_valid_coloring(h, coloring, gamma)
+            reference = coloring_violations(h, coloring, gamma)
             rhs = not validate_partition(sfm, part, gamma).rank_violations
-            if lhs != rhs:
+            if verdict.valid != rhs or verdict.violations != reference:
                 mismatches += 1
-    m, witness = chromatic_number(sfm_to_hypergraph(conflict_sfm), 1)
-    fixture_ok = m == 3 and is_valid_coloring(sfm_to_hypergraph(conflict_sfm), witness, 1).valid
+    h = sfm_to_hypergraph(conflict_sfm)
+    witness = optimal_partition(h, 1).witness
+    m = witness.n_generations
+    fixture_ok = m == 3 and is_valid_coloring(h, partition_to_coloring(witness), 1).valid
     report(
         "4 reduction equivalence",
         mismatches == 0 and fixture_ok,

@@ -483,6 +483,35 @@ class TestColorCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n1 5\n", "line 3: vertex ids out of range: [5]"),
+        ("3 2\n0 1\n1 -1\n", "line 3: negative vertex id in hyperedge: -1 (1 of 2 ids)"),
+    ], ids=["out-of-range", "negative"])
+    def test_bad_vertex_id_names_its_line(self, capsys, tmp_path, text, message):
+        h = tmp_path / "h.txt"
+        h.write_text(text)
+        code, out, err = run_cli(capsys, "color", "--hypergraph", str(h), "--gamma", "1",
+                                 "--mode", "solve")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_edgeless_solve_past_the_search_cap(self, capsys, tmp_path):
+        # one color at any size: the exact search's 12-packet cap never applies
+        path = tmp_path / "h.txt"
+        path.write_text("13 0\n")
+        code, out, err = run_cli(capsys, "color", "--hypergraph", str(path),
+                                 "--gamma", "1", "--mode", "solve")
+        assert (code, err) == (0, "")
+        assert out == json.dumps({"chromatic_number": 1, "coloring": [0] * 13}) + "\n"
+
+    def test_validate_wrong_length_coloring(self, capsys, tmp_path):
+        h = tmp_path / "h.txt"
+        h.write_text("3 1\n0 1 2\n")
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("0 1\n")
+        code, out, err = run_cli(capsys, "color", "--hypergraph", str(h), "--gamma", "1",
+                                 "--mode", "validate", "--coloring", str(coloring))
+        assert (code, out, err) == (1, "", "error: coloring covers 2 vertices, hypergraph has 3\n")
+
     def test_edgeless_solve(self, capsys, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("4 0\n")

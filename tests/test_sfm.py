@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gencast import (
-    Coloring,
     DecoderState,
     Generation,
-    Hypergraph,
     Partition,
     PartitionerConfig,
     StateFeedbackMatrix,
     apdd_upper_bound,
+    coloring_to_partition,
     generation_counts,
     heuristic_partition,
     is_irreducible,
@@ -27,6 +26,7 @@ from gencast import (
     total_rank,
     validate_partition,
 )
+from gencast.hypergraph import parse_hypergraph
 from gencast.sfm import SfmParseError, format_sfm, generation_ranks
 
 from conftest import prefix_ranks, random_sfm
@@ -65,9 +65,12 @@ class TestConstruction:
             Partition((range(10**5), [-1]))
         assert str(err.value) == "negative packet id in partition: -1 (1 of 100001 ids)"
         assert len(str(err.value)) < 200
-        with pytest.raises(ValueError, match=re.escape(
-                "negative color in coloring: -1, -2, -3, -4, -5, ... (7 of 8 ids)")):
-            Coloring((0, -1, -2, -3, -4, -5, -6, -7))
+        coloring = (0, -1, -2, -3, -4, -5, -6, -7)
+        message = re.escape("negative color in coloring: -1, -2, -3, -4, -5, ... (7 of 8 ids)")
+        with pytest.raises(ValueError, match=message):
+            coloring_to_partition(coloring)
+        with pytest.raises(ValueError, match=message):
+            is_valid_coloring(parse_hypergraph("8 0\n"), coloring, 1)
 
     def test_generation_normalises_numpy_integers(self):
         g = Generation((np.int64(3), np.uint8(0), 4))
@@ -94,7 +97,7 @@ class TestConstruction:
 # --- the one input rule for ids, colours and rank caps --------------------
 
 RULE_SFM = StateFeedbackMatrix([[1, 0, 1, 1], [0, 1, 1, 0]])
-RULE_H = Hypergraph(4, (frozenset({0, 1}), frozenset({2, 3})))
+RULE_H = parse_hypergraph("4 2\n0 1\n2 3\n")
 
 
 def _json_partition(**doc):
@@ -109,9 +112,9 @@ ID_ENTRY_POINTS = {
     "DecoderState.generation_ids": (lambda v: DecoderState(0, (0, v), (0,)).generation_ids,
                                     (0, 3)),
     "DecoderState.wanted_ids": (lambda v: DecoderState(0, (0, 3), (0, v)).unknown_ids, (0, 3)),
-    "Hypergraph": (lambda v: tuple(sorted(Hypergraph(4, (frozenset({0, v}),)).edges[0])),
-                   (0, 3)),
-    "Coloring": (lambda v: Coloring((0, v)).assignment, (0, 3)),
+    # a coloring's colors, as is_valid_coloring reports them
+    "Coloring": (lambda v: tuple(c for c, _ in is_valid_coloring(RULE_H, (0, 0, v, v), 1)
+                                 .violations), (0, 3)),
     "partition_from_json": (lambda v: _json_partition(generations=[[0, v], [1], [2]])
                             .generations[0].packet_ids, (0, 3)),
 }
@@ -125,7 +128,7 @@ CAP_ENTRY_POINTS = {
     "Partition.gamma_cap": (lambda g: Partition(gens([0, 1, 2, 3]), gamma_cap=g).gamma_cap, 3),
     "PartitionerConfig": (lambda g: PartitionerConfig(gamma_cap=g).gamma_cap, 3),
     "optimal_partition": (lambda g: optimal_partition(RULE_SFM, g).witness.gamma_cap, 3),
-    "is_valid_coloring": (lambda g: is_valid_coloring(RULE_H, Coloring((0,) * 4), g).valid,
+    "is_valid_coloring": (lambda g: is_valid_coloring(RULE_H, (0,) * 4, g).valid,
                           True),
     "partition_from_json": (lambda g: _json_partition(gamma=g).gamma_cap, 3),
     "validate_partition": (lambda g: validate_partition(RULE_SFM, Partition(gens([0, 1, 2, 3])),
@@ -181,13 +184,17 @@ class TestInputRule:
 
     @pytest.mark.parametrize("bad", NON_INTEGERS + [0, 2.0], ids=repr)
     def test_hypergraph_vertex_count_is_an_integer(self, bad):
-        message = f"n_vertices must be an integer >= 1, got {re.escape(repr(bad))}$"
+        # the vertex count is the hypergraph header's V: an integer token, at least 1
+        header = f"{bad!r} 1"
+        message = ("n_vertices must be an integer >= 1, got 0$" if bad == 0 else
+                   f"^line 1: header must be two integers, got {re.escape(repr(header))}$")
         with pytest.raises(ValueError, match=message):
-            Hypergraph(bad, (frozenset({0}),))
+            parse_hypergraph(header + "\n0\n")
 
     def test_hypergraph_vertex_count_stored_as_int(self):
-        h = Hypergraph(np.int64(3), (frozenset({0, 2}),))
-        assert h.n_vertices == 3 and type(h.n_vertices) is int
+        h = parse_hypergraph("03 1\n0 2\n")
+        assert h.n_packets == 3 and type(h.n_packets) is int
+        assert h.wants.tolist() == [[1, 0, 1]]
 
     @pytest.mark.parametrize("doc", [{"gamma": True}, {"gamma": 2.5}, {"gamma": "2"},
                                      {"generations": 3}, {"generations": [5]}], ids=repr)
