@@ -1,8 +1,10 @@
 """GF(2^m) arithmetic with log/antilog tables (m = 4 or 8).
 
 Addition is XOR.  The q x q product table mul_table, from exp/log tables of
-the primitive element x, backs mul and mul_vec; its rows as bytes, zero-padded
-to 256, are translate_rows: b.translate(translate_rows[a]) is a times bytes b.
+the primitive element x, backs mul; its rows as bytes, zero-padded to 256,
+are translate_rows: b.translate(translate_rows[a]) is a times bytes b.  One
+such translate is mul_vec, the one vector product, and one is outside, the
+one membership test (times 1, a byte that is no symbol becomes 0).
 """
 
 from __future__ import annotations
@@ -59,9 +61,21 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inverse[a]
 
+    def outside(self, data) -> bool:
+        """True iff a byte of data (bytes-like) is not a symbol of the field."""
+        return data.translate(self.translate_rows[1]) != data
+
     def mul_vec(self, c: int, vec: np.ndarray) -> np.ndarray:
-        """Elementwise c * vec for a field-element array, as a new array."""
-        return self.mul_table[c].take(vec)
+        """Elementwise c * vec for a 1-D field-element array, as a new, writable
+        uint8 array.  A coefficient or a symbol outside 0..q-1 is a ValueError
+        (a uint8 array over GF(256) needs no symbol check: each byte is one)."""
+        if not 0 <= c < self.q:
+            raise ValueError(f"coefficient {c} outside GF({self.q})")
+        u8 = vec if vec.dtype.char == "B" else vec.astype(np.uint8)  # cast, then compared
+        data = bytearray(u8.data)  # .data: a 0-d array is one byte, not a length
+        if u8 is not vec and (u8 != vec).any() or self.q < 256 and self.outside(data):
+            raise ValueError(f"symbols outside GF({self.q})")
+        return np.frombuffer(data.translate(self.translate_rows[c]), np.uint8)
 
     def __repr__(self):
         return f"Field(GF({self.q}), poly=0x{self.poly:X})"

@@ -72,13 +72,12 @@ def encode(generation_payloads, coefficients, field: Field = GF256, generation_i
 
 
 def random_payloads(count, length, rng, field: Field = GF256):
-    """Uniform source payloads (field elements stored one per byte)."""
-    return [rng.integers(0, field.q, size=length, dtype=np.uint8) for _ in range(count)]
-
-
-def _outside(field: Field, data: bytes) -> bool:
-    """True iff a byte of data is not a symbol of field: times 1, it becomes 0."""
-    return data.translate(field.translate_rows[1]) != data
+    """count uniform source payloads of length symbols, one a byte: the rows of
+    one draw, each padded to whole 4-byte words and cut to length, which takes
+    the same bytes from rng as one draw of length per payload."""
+    # integers fills uint8 from 32-bit draws, 4 bytes each; a negative length stays negative
+    words = -(-length // 4) * 4 or length
+    return list(rng.integers(0, field.q, size=(count, words), dtype=np.uint8)[:, :length])
 
 
 def _checked_payloads(known_payloads, ids, field):
@@ -87,7 +86,7 @@ def _checked_payloads(known_payloads, ids, field):
     if known_payloads is None:
         return None
     known = {pid: np.asarray(known_payloads[pid], np.uint8) for pid in ids if pid in known_payloads}
-    if bad := [pid for pid, x in known.items() if _outside(field, x.tobytes())]:
+    if bad := [pid for pid, x in known.items() if field.outside(x.tobytes())]:
         raise ValueError(f"known payloads of packets {bad} hold symbols outside GF({field.q})")
     return known
 
@@ -188,14 +187,14 @@ class DecoderState:
                              f"{len(self.generation_ids)}")
         field, tables = self.field, self.field.translate_rows
         if checked is not field:
-            if _outside(field, coeffs):
+            if field.outside(coeffs):
                 raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
             pkt.__dict__["read"] = coeffs, whole, field  # for every later absorb
         if (held := self._held) is not None:
             if pkt.payload is None:
                 raise ValueError("a state decoding payloads needs a packet with a payload")
             if pkt.payload_field is not field:  # not yet checked in this field
-                if _outside(field, np.asarray(pkt.payload, np.uint8).tobytes()):
+                if field.outside(np.asarray(pkt.payload, np.uint8).tobytes()):
                     raise ValueError(f"payload symbols outside GF({field.q})")
                 pkt.__dict__["payload_field"] = field  # for every later absorb
             if self._length is None:

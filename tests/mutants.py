@@ -48,10 +48,12 @@ PARTITION = "src/gencast/partition.py"
 SFM = "src/gencast/sfm.py"
 SIM = "src/gencast/sim.py"
 RLNC = "src/gencast/rlnc.py"
+GALOIS = "src/gencast/galois.py"
 HYPERGRAPH = "src/gencast/hypergraph.py"
 GREEDY_REFERENCE = "tests/test_partition.py::TestHeuristic::test_matches_count_matrix_reference"
 RELABELLING = "tests/test_partition.py::TestOracle::test_relabelling_packets_keeps_the_optimum"
 SEARCH_PINS = "tests/test_partition.py::test_search_tree_pinned_at_paper_point"
+MUL_VEC_REFUSALS = "tests/test_galois.py::test_mul_vec_refuses_what_is_outside_the_field"
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
 
@@ -211,6 +213,18 @@ MUTANTS = {
         "fi = field.inverse[f]",
         "fi = f",
         ("tests/test_rlnc.py::test_decoder_rank_innovation_and_solve",)),
+    # mul_vec multiplies GF(16) bytes of 16 or more (by zero, off the padded table)
+    "mul-vec-skips-symbol-check": Mutant(
+        GALOIS,
+        " or self.q < 256 and self.outside(data)",
+        "",
+        (MUL_VEC_REFUSALS,)),
+    # mul_vec takes any coefficient its table indexes: -1 wraps to q - 1
+    "mul-vec-skips-coefficient-check": Mutant(
+        GALOIS,
+        "if not 0 <= c < self.q:",
+        "if False:",
+        (MUL_VEC_REFUSALS,)),
     # a color class that meets an edge in exactly gamma vertices is a violation
     "coloring-cap-inclusive": Mutant(
         HYPERGRAPH,

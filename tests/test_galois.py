@@ -87,16 +87,45 @@ def test_scalar_mul_rejects_an_element_outside_the_field():
         GF16.mul(3, 200)
 
 
-@pytest.mark.parametrize("field, poly", [(GF16, 0x13), (GF256, 0x11D)], ids=["GF16", "GF256"])
-def test_mul_vec_matches_reference_on_a_new_array(field, poly):
+@pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+def test_mul_vec_matches_reference_on_a_new_array(field):
+    # every coefficient, on a uint8 array, an int64 one and a strided uint8
+    # view; each product is a new, writable uint8 array sharing no memory
     rng = np.random.default_rng(5)
-    vec = rng.integers(0, field.q, 64, dtype=np.uint8)
-    before = vec.copy()
-    for c in (0, 1, int(rng.integers(2, field.q))):
-        out = field.mul_vec(c, vec)
-        assert out.tolist() == [reference_mul(c, int(v), field.m, poly) for v in vec]
-        assert not np.shares_memory(out, vec)
-    assert (vec == before).all()
+    base = rng.integers(0, field.q, 128, dtype=np.uint8)
+    vecs = (base[:64], base[:64].astype(np.int64), base[::2])
+    before = base.copy()
+    for c in range(field.q):
+        for vec in vecs:
+            out = field.mul_vec(c, vec)
+            assert out.dtype == np.uint8 and out.flags.writeable
+            assert out.tolist() == field.mul_table[c].take(vec).tolist()
+            assert not np.shares_memory(out, vec) and not np.shares_memory(out, base)
+    assert (base == before).all()
+
+
+@pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+def test_mul_vec_refuses_what_is_outside_the_field(field):
+    # a coefficient outside 0..q-1 (numpy would wrap -1 to q - 1), a byte of 16
+    # or more over GF(16), and a value < 0 or >= q in a wider array
+    q, vec = field.q, np.arange(field.q, dtype=np.uint8)
+    for c in (-1, q, -q):
+        with pytest.raises(ValueError, match=rf"coefficient {c} outside GF\({q}\)$"):
+            field.mul_vec(c, vec)
+    bad = [np.array([1, v], np.int64) for v in (-1, q, 256, -(2**40))]
+    if q < 256:
+        bad += [np.array([1, v], np.uint8) for v in (q, 255)]
+    for vec in bad:
+        for c in (0, 1, 3):
+            with pytest.raises(ValueError, match=rf"symbols outside GF\({q}\)$"):
+                field.mul_vec(c, vec)
+
+
+def test_outside_is_the_membership_test():
+    every_byte = bytes(range(256))
+    assert not GF256.outside(every_byte) and not GF16.outside(every_byte[:16])
+    assert GF16.outside(b"\x00\x10") and GF16.outside(bytearray(b"\xff"))
+    assert not GF16.outside(b"")
 
 
 def test_mul_vec():

@@ -59,6 +59,24 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode([np.zeros(4, np.uint8), np.zeros(5, np.uint8)], np.ones(2, np.uint8))
 
+    @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+    def test_random_payloads_equal_per_payload_draws(self, field):
+        # one draw of padded rows gives the bytes of one draw per payload, for
+        # every length (a whole number of 4-byte words or not), and leaves the
+        # generator where the per-payload draws leave it
+        for length in range(1, 41):
+            for count in (0, 1, 3):
+                rng, ref = np.random.default_rng(length), np.random.default_rng(length)
+                got = random_payloads(count, length, rng, field)
+                want = [ref.integers(0, field.q, size=length, dtype=np.uint8)
+                        for _ in range(count)]
+                assert [(p.dtype, p.tobytes()) for p in got] == \
+                    [(p.dtype, p.tobytes()) for p in want]
+                assert rng.bit_generator.state == ref.bit_generator.state
+        for length in (-1, -4, -5):  # rounding up to whole words keeps a length negative
+            with pytest.raises(ValueError):
+                random_payloads(2, length, np.random.default_rng(0), field)
+
 
 class TestAbsorb:
     def test_no_unknowns_is_decoded_noop(self):

@@ -303,9 +303,13 @@ class TestSchedulers:
         def corrupted(state):
             return {k: v ^ 1 for k, v in solve(state).items()}
 
-        monkeypatch.setattr(DecoderState, "solve", corrupted)
-        with pytest.raises(RuntimeError, match="decoded generation"):
-            coded_phase(sfm, part, cfg, np.random.default_rng(3))
+        def one_byte_short(state):
+            return {k: v[:-1] for k, v in solve(state).items()}
+
+        for wrong in (corrupted, one_byte_short):
+            monkeypatch.setattr(DecoderState, "solve", wrong)
+            with pytest.raises(RuntimeError, match="decoded generation"):
+                coded_phase(sfm, part, cfg, np.random.default_rng(3))
         # rank-only decoding has no payloads to check
         coded_phase(sfm, part, replace(cfg, abstract_decode=True), np.random.default_rng(3))
 
