@@ -47,7 +47,7 @@ def partition_to_coloring(p: Partition) -> tuple[int, ...]:
     """Generation index becomes the color of each member packet."""
     assignment = [0] * p.n_packets
     for m, g in enumerate(p.generations):
-        for k in g.packet_ids:
+        for k in g:
             assignment[k] = m
     return tuple(assignment)
 

@@ -45,7 +45,7 @@ reaches it long before the index order does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,16 +65,16 @@ __all__ = [
 ALGORITHMS = ("heuristic", "blind", "oracle")
 
 
-@dataclass(frozen=True)
-class PartitionerConfig:
-    gamma_cap: int
+class PartitionerConfig(NamedTuple("PartitionerConfig", [("gamma_cap", int)])):
+    """A rank cap that passed sfm.check_cap."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_cap", check_cap(self.gamma_cap))
+    __slots__ = ()
+
+    def __new__(cls, gamma_cap):
+        return super().__new__(cls, check_cap(gamma_cap))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """A minimum partition, the search nodes that proved it, and the greedy
     partition the search started from (the witness itself when no node beat it)."""
 

@@ -18,8 +18,6 @@ very array held, else makes its own; only encode writes the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .galois import GF256, Field
@@ -28,23 +26,20 @@ from .sfm import check_generation_ids
 __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "random_payloads"]
 
 
-@dataclass(frozen=True, eq=False)
 class CodedPacket:
     """A coded packet, equal only to itself.  DecoderState.absorb sets, for every
     later one, read: (coefficients as bytes, their little-endian int, the field
     they passed), and payload_field: the field the payload's symbols passed."""
 
-    generation_id: int
-    coefficients: np.ndarray  # one per generation packet, generation-local order
-    payload: np.ndarray | None  # None for abstract (rank-only) packets
-    # column j -> (source array, c_j * source) as made for it; None unless from encode
-    products: dict | None = dc_field(default=None, repr=False)
-    read: tuple | None = dc_field(default=None, init=False, repr=False)
-    payload_field: Field | None = dc_field(default=None, init=False, repr=False)
+    __slots__ = ("generation_id", "coefficients", "payload", "products", "read", "payload_field")
 
     def __init__(self, generation_id, coefficients, payload, products=None):
-        self.__dict__.update(generation_id=generation_id, coefficients=coefficients,
-                             payload=payload, products=products)  # not via __setattr__
+        self.generation_id = generation_id
+        self.coefficients = coefficients  # one per generation packet, generation-local order
+        self.payload = payload  # None for abstract (rank-only) packets
+        # column j -> (source array, c_j * source) as made for it; None unless from encode
+        self.products = products
+        self.read = self.payload_field = None
 
 
 def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
@@ -80,13 +75,22 @@ def random_payloads(count, length, rng, field: Field = GF256):
     return list(rng.integers(0, field.q, size=(count, words), dtype=np.uint8)[:, :length])
 
 
+def _symbols(payload, field):
+    """payload as a uint8 array (itself if it is one), or None if a value is no
+    symbol of field.  mul_vec's rule: cast, then compare back, so a wider
+    integer array's 256 or -1 is refused, not wrapped."""
+    x = np.asarray(payload)
+    u8 = x.astype(np.uint8, copy=False)
+    return None if u8 is not x and (u8 != x).any() or field.outside(u8.tobytes()) else u8
+
+
 def _checked_payloads(known_payloads, ids, field):
     """known_payloads' payloads of ids as uint8 arrays by id (None stays None);
     a symbol outside field is a ValueError."""
     if known_payloads is None:
         return None
-    known = {pid: np.asarray(known_payloads[pid], np.uint8) for pid in ids if pid in known_payloads}
-    if bad := [pid for pid, x in known.items() if field.outside(x.tobytes())]:
+    known = {pid: _symbols(known_payloads[pid], field) for pid in ids if pid in known_payloads}
+    if bad := [pid for pid, x in known.items() if x is None]:
         raise ValueError(f"known payloads of packets {bad} hold symbols outside GF({field.q})")
     return known
 
@@ -189,14 +193,14 @@ class DecoderState:
         if checked is not field:
             if field.outside(coeffs):
                 raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
-            pkt.__dict__["read"] = coeffs, whole, field  # for every later absorb
+            pkt.read = coeffs, whole, field  # for every later absorb
         if (held := self._held) is not None:
             if pkt.payload is None:
                 raise ValueError("a state decoding payloads needs a packet with a payload")
             if pkt.payload_field is not field:  # not yet checked in this field
-                if field.outside(np.asarray(pkt.payload, np.uint8).tobytes()):
+                if _symbols(pkt.payload, field) is None:
                     raise ValueError(f"payload symbols outside GF({field.q})")
-                pkt.__dict__["payload_field"] = field  # for every later absorb
+                pkt.payload_field = field  # for every later absorb
             if self._length is None:
                 self._length = len(pkt.payload)
             elif len(pkt.payload) != self._length:

@@ -7,15 +7,15 @@ groups the K packets into disjoint generations; the rank of a generation is
 the largest number of its packets wanted by any single receiver, which is the
 number of coded packets that receiver needs to decode the generation.
 
-A Partition is a disjoint cover of packets 0..K-1 by construction: it
-checks the cover once, when it is built, so nothing downstream checks it
-again.  The build reads every group, a Generation or any iterable of ids,
-the same way: all ids join one flat list, checked once, and each generation
-is built from its slice without Generation's own check, since a cover holds
-each id once.  The cover is tested without sorting: K non-negative ids whose
-largest is K-1 and which are all distinct are exactly 0..K-1.  A non-cover's
-error prints a run of missing ids as a..b, and a negative-id error names at
-most five of them, so neither grows with the ids given.
+A Partition is a disjoint cover of packets 0..K-1 by construction: it checks
+the cover once, when it is built, so nothing downstream checks it again.  The
+build reads every group, a Generation (a tuple of its ids) or any iterable of
+ids, the same way: all ids join one flat list, checked once, and each
+generation is built from its slice without Generation's own check, since a
+cover holds each id once.  The cover is tested without sorting: K non-negative
+ids whose largest is K-1 and which are all distinct are exactly 0..K-1.  A
+non-cover's error prints a run of missing ids as a..b, and a negative-id error
+names at most five of them, so neither grows with the ids given.
 
 Every metric of a partition derives from one N x M count matrix,
 generation_counts, which only checks that the partition's K is the SFM's:
@@ -32,9 +32,8 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,49 +152,36 @@ class StateFeedbackMatrix:
         return f"StateFeedbackMatrix(N={self.n_receivers}, K={self.n_packets})"
 
 
-@dataclass(frozen=True)
-class Generation:
-    """An ordered set of packet ids that pass check_generation_ids."""
+class Generation(tuple):
+    """An ordered set of packet ids that pass check_generation_ids: a tuple of them."""
 
-    packet_ids: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "packet_ids", check_generation_ids(self.packet_ids))
+    def __new__(cls, packet_ids):
+        return super().__new__(cls, check_generation_ids(packet_ids))
 
-    def __len__(self):
-        return len(self.packet_ids)
+    packet_ids = property(tuple, doc="The ids as a plain tuple.")
 
-    def __iter__(self):
-        return iter(self.packet_ids)
+    def __repr__(self):
+        return f"Generation(packet_ids={tuple(self)!r})"
 
 
-def _checked_generation(ids):
-    """A Generation of ids known to pass check_generation_ids, not checked again."""
-    g = object.__new__(Generation)
-    g.__dict__["packet_ids"] = ids  # the frozen field, written without __setattr__
-    return g
-
-
-@dataclass(frozen=True)
 class Partition:
-    """Ordered list of generations that disjointly cover packets 0..K-1, each
-    id once (a generation may be empty); gamma_cap records the rank budget it
-    was built for (None when the producer had no cap, e.g. the blind splitter)."""
+    """Ordered generations that disjointly cover packets 0..K-1, each id once (a
+    generation may be empty), and gamma_cap, the rank budget they were built for
+    (None if the producer had none, e.g. the blind splitter).  Its fields are
+    read-only; equality and hash ignore n_packets (K), which follows from the rest."""
 
-    generations: tuple[Generation, ...]
-    gamma_cap: int | None = None
-    n_packets: int = field(init=False, repr=False, compare=False)  # K
+    __slots__ = ("_generations", "_gamma_cap", "_n_packets")
 
-    def __post_init__(self):
+    def __init__(self, generations, gamma_cap=None):
         ids, bounds = [], []  # every group's ids in one flat list, each group a slice of it
-        for g in self.generations:
+        for g in generations:
             start = len(ids)
             ids.extend(g)
             bounds.append(slice(start, len(ids)))
         ids = check_ids(ids, where="partition")
-        fields = self.__dict__  # the frozen fields, written without __setattr__
-        if self.gamma_cap is not None:
-            fields["gamma_cap"] = check_cap(self.gamma_cap)
+        self._gamma_cap = None if gamma_cap is None else check_cap(gamma_cap)
         n = len(ids)
         # ids are non-negative ints, so n distinct ones below n are exactly 0..n-1
         if n and (max(ids) != n - 1 or len(set(ids)) != n):
@@ -205,16 +191,30 @@ class Partition:
             missing = ", ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in gaps)
             raise ValueError(f"partition does not disjointly cover packets 0..{distinct[-1]}: "
                              f"duplicated ids {duplicated}, missing ids [{missing}]")
-        fields["generations"] = tuple(_checked_generation(ids[b]) for b in bounds)
-        fields["n_packets"] = n
+        self._generations = tuple(tuple.__new__(Generation, ids[b]) for b in bounds)
+        self._n_packets = n
+
+    generations = property(lambda self: self._generations)
+    gamma_cap = property(lambda self: self._gamma_cap)
+    n_packets = property(lambda self: self._n_packets)
 
     @property
     def n_generations(self):
-        return len(self.generations)
+        return len(self._generations)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._generations, self._gamma_cap) == (other._generations, other._gamma_cap)
+
+    def __hash__(self):
+        return hash((self._generations, self._gamma_cap))
+
+    def __repr__(self):
+        return f"Partition(generations={self._generations!r}, gamma_cap={self._gamma_cap!r})"
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Outcome of validate_partition; valid iff no generation exceeds the cap."""
 
     rank_violations: tuple[tuple[int, int], ...] = ()  # (generation index, rank)
@@ -234,7 +234,7 @@ def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
     if p.n_packets != sfm.n_packets:
         raise ValueError(f"partition covers K={p.n_packets} packets, SFM has K={sfm.n_packets}")
     membership = np.zeros((sfm.n_packets, p.n_generations), dtype=np.int64)
-    rows = list(chain.from_iterable(g.packet_ids for g in p.generations))
+    rows = [k for g in p.generations for k in g]
     membership[rows, np.repeat(np.arange(p.n_generations), [len(g) for g in p.generations])] = 1
     return sfm.wants @ membership
 
@@ -281,7 +281,7 @@ def is_irreducible(sfm, p: Partition) -> bool:
     for n in range(p.n_generations - 1):
         # rank generation n would have with each packet appended
         new_ranks = (counts[:, n, None] + sfm.wants).max(axis=0)
-        later = [k for g in p.generations[n + 1:] for k in g.packet_ids]
+        later = [k for g in p.generations[n + 1:] for k in g]
         if (new_ranks[later] <= ranks[n]).any():
             return False
     return True
@@ -344,7 +344,7 @@ def format_sfm(sfm: StateFeedbackMatrix) -> str:
 def partition_to_json(p: Partition) -> str:
     doc = {
         "gamma": p.gamma_cap,
-        "generations": [list(g.packet_ids) for g in p.generations],
+        "generations": [list(g) for g in p.generations],
     }
     return json.dumps(doc)
 

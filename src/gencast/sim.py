@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +55,15 @@ SCHEDULERS = ("feedback_rr", "blind_rr", "strict_rr")
 DEFAULT_SEED = 20200731
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(NamedTuple("ChannelModel", [("erasure_prob", float)])):
     """I.i.d. Bernoulli erasures, one probability for every receiver and slot."""
 
-    erasure_prob: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(p := self.erasure_prob) is bool or not isinstance(p, Real) or not 0 <= p < 1:
+    def __new__(cls, erasure_prob):
+        if type(p := erasure_prob) is bool or not isinstance(p, Real) or not 0 <= p < 1:
             raise ValueError(f"erasure_prob must be a real number in [0, 1), got {p!r}")
+        return super().__new__(cls, p)
 
     def erased(self, rng, shape) -> np.ndarray:
         """Boolean erasure pattern: True where the copy is lost."""
@@ -151,8 +152,7 @@ class SimConfig:
         get_field(self.field_order)  # rejects unsupported orders
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     completion_time: int  # U
     delay: Fraction  # D
     ranks: tuple[int, ...]  # rank of every generation, in partition order
@@ -206,7 +206,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     payloads = None if cfg.abstract_decode else dict(enumerate(random_payloads(
         sfm.n_packets, cfg.payload_len, np.random.default_rng(payload_seed), field)))
 
-    gen_ids = [g.packet_ids for g in partition.generations]
+    gen_ids = partition.generations  # each a tuple of its packet ids
     waiting = counts.T.tolist()  # per generation, each receiver's want count
     k, pending, stop = sfm.n_packets, [], 0
     flags = (sfm.wants[:, [pid for ids in gen_ids for pid in ids]] * np.uint8(255)).tobytes()

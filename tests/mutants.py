@@ -105,6 +105,12 @@ MUTANTS = {
         "if n and (max(ids) != n - 1 or len(set(ids)) != n):",
         "if n and max(ids) != n - 1:",
         ("tests/test_sfm.py::test_a_duplicate_that_fills_a_gap_is_no_cover",)),
+    # two partitions of the same generations are equal whatever their rank caps
+    "partition-equality-ignores-gamma-cap": Mutant(
+        SFM,
+        "return (self._generations, self._gamma_cap) == (other._generations, other._gamma_cap)",
+        "return self._generations == other._generations",
+        ("tests/test_records.py::test_equality_and_hash",)),
     # the uint8 want-matrix summed to uint64, whose negation wraps
     "search-weight-sum-wraps": Mutant(
         PARTITION,
@@ -207,6 +213,12 @@ MUTANTS = {
         "if pkt.payload_field is not field:",
         "if False:",
         ("tests/test_rlnc.py::TestAbsorb::test_payload_symbols_outside_the_field_are_refused",)),
+    # a payload is cast to uint8 without comparing back, so a wider array's 256 wraps to 0
+    "payload-cast-not-compared-back": Mutant(
+        RLNC,
+        "u8 is not x and (u8 != x).any() or ",
+        "",
+        ("tests/test_rlnc.py::TestAbsorb::test_a_wider_integer_payload_is_refused_not_wrapped",)),
     # a new basis row is scaled by its pivot, not by the pivot's inverse
     "row-normalised-by-pivot": Mutant(
         RLNC,

@@ -245,6 +245,24 @@ class TestAbsorb:
         assert st.absorb(CodedPacket(0, np.array([1, 1], np.uint8), wide))
         assert st.solve()[1].tolist() == [0, 0]
 
+    def test_a_wider_integer_payload_is_refused_not_wrapped(self):
+        # mul_vec's rule: a value the uint8 cast changes (256, -1) is no symbol, in a
+        # held payload or a packet's, over either field; in-range wider arrays pass
+        for field in (GF256, GF16):
+            held = rf"known payloads of packets \[0\] hold symbols outside GF\({field.q}\)$"
+            with pytest.raises(ValueError, match=held):
+                DecoderState(0, [0, 1], [1], field, {0: np.array([256, -1])})
+            with pytest.raises(ValueError, match=held):
+                DecoderState.for_generation(0, [0, 1], {0: b"\0\xff"}, field,
+                                            {0: np.array([256, 7])})
+            st = DecoderState(0, [0], [0], field, {})
+            with pytest.raises(ValueError, match=rf"payload symbols outside GF\({field.q}\)$"):
+                st.absorb(CodedPacket(0, np.array([1], np.uint8), np.array([256, 7])))
+            assert (st.rank, st.needed) == (0, 1)
+        st = DecoderState(0, [0, 1], [1], GF256, {0: np.array([3, 255])})
+        assert st.absorb(CodedPacket(0, np.array([1, 1], np.uint8), np.array([3, 7])))
+        assert st.solve()[1].tolist() == [0, 248]
+
     def test_a_payload_is_checked_once_per_field(self):
         # like the coefficient read, the check is kept on the packet with its field
         pkt = CodedPacket(0, np.array([1], np.uint8), np.array([0, 15], np.uint8))

@@ -323,7 +323,8 @@ class TestTotalRank:
             gamma = int(rng.integers(1, 4))
             p = heuristic_partition(sfm, PartitionerConfig(gamma_cap=gamma))
             assert total_rank(sfm, p) <= p.n_generations * gamma
-            shuffled = Partition(tuple(rng.permutation(p.generations)), gamma_cap=gamma)
+            order = rng.permutation(p.n_generations)  # a Generation is a tuple: shuffle indices
+            shuffled = Partition(tuple(p.generations[i] for i in order), gamma_cap=gamma)
             assert total_rank(sfm, shuffled) == total_rank(sfm, p)
             assert apdd_upper_bound(sfm, shuffled) == apdd_upper_bound(sfm, p)
 
