@@ -4,7 +4,8 @@ Addition is XOR.  The q x q product table mul_table, from exp/log tables of
 the primitive element x, backs mul; its rows as bytes, zero-padded to 256,
 are translate_rows: b.translate(translate_rows[a]) is a times bytes b.  One
 such translate is mul_vec, the one vector product, and one is outside, the
-one membership test (times 1, a byte that is no symbol becomes 0).
+one membership test (times 1, a byte that is no symbol becomes 0).  symbols
+is the one rule that turns input into symbols; mul_vec and rlnc read by it.
 """
 
 from __future__ import annotations
@@ -65,16 +66,22 @@ class Field:
         """True iff a byte of data (bytes-like) is not a symbol of the field."""
         return data.translate(self.translate_rows[1]) != data
 
-    def mul_vec(self, c: int, vec: np.ndarray) -> np.ndarray:
-        """Elementwise c * vec for a 1-D field-element array, as a new, writable
-        uint8 array.  A coefficient or a symbol outside 0..q-1 is a ValueError
-        (a uint8 array over GF(256) needs no symbol check: each byte is one)."""
+    def symbols(self, x) -> np.ndarray:
+        """x as a uint8 array of field symbols: x itself if it is a uint8 array,
+        else a new one.  A value the uint8 cast changes (256, -1, 1.5) or, over
+        GF(16), a byte of 16 or more is a ValueError.  A uint8 array over GF(256)
+        is neither scanned nor copied: each byte is a symbol."""
+        u8 = x if type(x) is np.ndarray and x.dtype.char == "B" else np.asarray(x).astype("B")
+        if u8 is not x and (u8 != x).any() or self.q < 256 and self.outside(u8.tobytes()):
+            raise ValueError(f"symbols outside GF({self.q})")
+        return u8
+
+    def mul_vec(self, c: int, vec) -> np.ndarray:
+        """Elementwise c * vec for a 1-D array of symbols (read by symbols), as a
+        new, writable uint8 array.  A coefficient outside 0..q-1 is a ValueError."""
         if not 0 <= c < self.q:
             raise ValueError(f"coefficient {c} outside GF({self.q})")
-        u8 = vec if vec.dtype.char == "B" else vec.astype(np.uint8)  # cast, then compared
-        data = bytearray(u8.data)  # .data: a 0-d array is one byte, not a length
-        if u8 is not vec and (u8 != vec).any() or self.q < 256 and self.outside(data):
-            raise ValueError(f"symbols outside GF({self.q})")
+        data = bytearray(self.symbols(vec).data)  # .data: a 0-d array is one byte, not a length
         return np.frombuffer(data.translate(self.translate_rows[c]), np.uint8)
 
     def __repr__(self):

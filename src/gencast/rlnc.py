@@ -9,11 +9,11 @@ once by for_generation): it decodes payloads iff built with known_payloads,
 else tracks rank only, along the same rank trajectory.  absorb reduces the
 unknown coefficients as one int, byte j for column j: each step clears the
 lowest nonzero byte's column by XORing in its row times that byte (one
-bytes.translate), so there is at most one step a column.  A packet keeps,
-for every later decoder, the first accepted read of its coefficients and the
-field its payload's symbols were last found in, so an in-place change after
-either goes unseen.  absorb reuses a recorded product only if made from the
-very array held, else makes its own; only encode writes the record.
+bytes.translate), so there is at most one step a column.  A packet is read
+when it is made, its coefficients by GF256.symbols; absorb checks on every
+call what depends on its decoder, and writes nothing on the packet.  It
+reuses a recorded product only if made from the very array held, else makes
+its own; only encode writes the record.
 """
 
 from __future__ import annotations
@@ -27,19 +27,19 @@ __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "rand
 
 
 class CodedPacket:
-    """A coded packet, equal only to itself.  DecoderState.absorb sets, for every
-    later one, read: (coefficients as bytes, their little-endian int, the field
-    they passed), and payload_field: the field the payload's symbols passed."""
+    """A coded packet, equal only to itself.  Its coefficients are read when it is
+    made, by GF256.symbols, into row: their bytes and their little-endian int."""
 
-    __slots__ = ("generation_id", "coefficients", "payload", "products", "read", "payload_field")
+    __slots__ = ("generation_id", "coefficients", "payload", "products", "row")
 
     def __init__(self, generation_id, coefficients, payload, products=None):
         self.generation_id = generation_id
-        self.coefficients = coefficients  # one per generation packet, generation-local order
+        self.coefficients = GF256.symbols(coefficients)  # uint8, generation-local order
         self.payload = payload  # None for abstract (rank-only) packets
         # column j -> (source array, c_j * source) as made for it; None unless from encode
         self.products = products
-        self.read = self.payload_field = None
+        data = self.coefficients.tobytes()
+        self.row = data, int.from_bytes(data, "little")
 
 
 def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
@@ -48,19 +48,20 @@ def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
 
 
 def encode(generation_payloads, coefficients, field: Field = GF256, generation_id=0) -> CodedPacket:
-    """Combine a nonempty generation's payloads with the given coefficients, one each."""
+    """Combine a nonempty generation's payloads with the given coefficients, one
+    each, both read by field.symbols."""
     n = len(generation_payloads)
-    coeffs = np.asarray(coefficients, dtype=np.uint8)
+    coeffs = field.symbols(coefficients)
     if not 0 < n == len(coeffs):
         raise ValueError(f"cannot encode {n} payloads with {len(coeffs)} coefficients")
-    lengths = {len(p) for p in generation_payloads}
+    sources = [field.symbols(p) for p in generation_payloads]
+    lengths = {len(p) for p in sources}
     if len(lengths) != 1:
         raise ValueError(f"payload lengths differ within the generation: {sorted(lengths)}")
     payload = np.zeros(lengths.pop(), dtype=np.uint8)
     products = {}
-    for j, (c, src) in enumerate(zip(coeffs.tolist(), generation_payloads)):
+    for j, (c, src) in enumerate(zip(coeffs.tolist(), sources)):
         if c:
-            src = np.asarray(src, dtype=np.uint8)
             products[j] = src, field.mul_vec(c, src)
             payload ^= products[j][1]
     return CodedPacket(generation_id, coeffs, payload, products)
@@ -75,22 +76,17 @@ def random_payloads(count, length, rng, field: Field = GF256):
     return list(rng.integers(0, field.q, size=(count, words), dtype=np.uint8)[:, :length])
 
 
-def _symbols(payload, field):
-    """payload as a uint8 array (itself if it is one), or None if a value is no
-    symbol of field.  mul_vec's rule: cast, then compare back, so a wider
-    integer array's 256 or -1 is refused, not wrapped."""
-    x = np.asarray(payload)
-    u8 = x.astype(np.uint8, copy=False)
-    return None if u8 is not x and (u8 != x).any() or field.outside(u8.tobytes()) else u8
-
-
 def _checked_payloads(known_payloads, ids, field):
-    """known_payloads' payloads of ids as uint8 arrays by id (None stays None);
-    a symbol outside field is a ValueError."""
+    """known_payloads' payloads of ids by id, read by field.symbols."""
     if known_payloads is None:
         return None
-    known = {pid: _symbols(known_payloads[pid], field) for pid in ids if pid in known_payloads}
-    if bad := [pid for pid, x in known.items() if x is None]:
+    known, bad = {}, []
+    for pid in filter(known_payloads.__contains__, ids):
+        try:
+            known[pid] = field.symbols(known_payloads[pid])
+        except ValueError:
+            bad.append(pid)
+    if bad:
         raise ValueError(f"known payloads of packets {bad} hold symbols outside GF({field.q})")
     return known
 
@@ -177,34 +173,28 @@ class DecoderState:
         length, with a coefficient outside the field or, to a payload state,
         without a payload, with a payload symbol outside the field or with a
         payload of another length is a ValueError, also for a state that needs
-        nothing.  Reuses a packet's accepted read and payload check."""
+        nothing.  The same checks run on every call, and nothing is set on pkt."""
         if pkt.generation_id != self.generation_id:
             raise ValueError(f"packet for generation {pkt.generation_id}, state holds "
                              f"{self.generation_id}")
-        if (read := pkt.read) is None:  # not yet read by an absorb that accepted it
-            coeffs = pkt.coefficients
-            coeffs = coeffs.tobytes() if coeffs.dtype.char == "B" else bytes(coeffs.tolist())
-            read = coeffs, int.from_bytes(coeffs, "little"), None
-        coeffs, whole, checked = read
+        coeffs, whole = pkt.row  # read by GF(256)'s rule when the packet was made
         if len(coeffs) != len(self.generation_ids):
             raise ValueError(f"coefficient vector length {len(coeffs)} != generation size "
                              f"{len(self.generation_ids)}")
         field, tables = self.field, self.field.translate_rows
-        if checked is not field:
-            if field.outside(coeffs):
-                raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
-            pkt.read = coeffs, whole, field  # for every later absorb
+        if field.q < 256 and field.outside(coeffs):
+            raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
         if (held := self._held) is not None:
             if pkt.payload is None:
                 raise ValueError("a state decoding payloads needs a packet with a payload")
-            if pkt.payload_field is not field:  # not yet checked in this field
-                if _symbols(pkt.payload, field) is None:
-                    raise ValueError(f"payload symbols outside GF({field.q})")
-                pkt.payload_field = field  # for every later absorb
+            try:
+                payload = field.symbols(pkt.payload)
+            except ValueError:
+                raise ValueError(f"payload symbols outside GF({field.q})") from None
             if self._length is None:
-                self._length = len(pkt.payload)
-            elif len(pkt.payload) != self._length:
-                raise ValueError(f"payload length {len(pkt.payload)} != the decoder's payload "
+                self._length = len(payload)
+            elif len(payload) != self._length:
+                raise ValueError(f"payload length {len(payload)} != the decoder's payload "
                                  f"length {self._length}")
         if not self.needed:  # checked like any packet, but nothing left to gain
             return False
@@ -212,7 +202,7 @@ class DecoderState:
 
         residual = None
         if held is not None:
-            residual = np.asarray(pkt.payload, dtype=np.uint8).copy()
+            residual = payload.copy()
             records = pkt.products or {}
             for j, src in held:
                 if c := coeffs[j]:

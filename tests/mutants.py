@@ -54,6 +54,9 @@ GREEDY_REFERENCE = "tests/test_partition.py::TestHeuristic::test_matches_count_m
 RELABELLING = "tests/test_partition.py::TestOracle::test_relabelling_packets_keeps_the_optimum"
 SEARCH_PINS = "tests/test_partition.py::test_search_tree_pinned_at_paper_point"
 MUL_VEC_REFUSALS = "tests/test_galois.py::test_mul_vec_refuses_what_is_outside_the_field"
+ENCODE_REFUSALS = ("tests/test_rlnc.py::TestEncode::"
+                   "test_values_outside_the_field_are_refused_not_wrapped")
+PACKET_READ = "tests/test_rlnc.py::test_a_coded_packet_is_read_when_it_is_made"
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
 
@@ -201,34 +204,55 @@ MUTANTS = {
         "vec = whole & self._mask",
         "vec = whole",
         ("tests/test_rlnc.py::TestAbsorb::test_known_payload_substitution",)),
-    # a packet that passed one field's check passes every field's
+    # a packet read by GF(256)'s rule when it was made passes every decoder's field check
     "field-check-remembered-without-its-field": Mutant(
         RLNC,
-        "if checked is not field:",
-        "if checked is None:",
+        "if field.q < 256 and field.outside(coeffs):",
+        "if False:",
         ("tests/test_rlnc.py::test_a_packet_shared_by_decoders_acts_as_a_fresh_copy_on_each",)),
     # a payload decoder takes a packet's payload symbols unchecked
     "payload-symbols-unchecked": Mutant(
         RLNC,
-        "if pkt.payload_field is not field:",
-        "if False:",
+        "payload = field.symbols(pkt.payload)",
+        "payload = np.asarray(pkt.payload, np.uint8)",
         ("tests/test_rlnc.py::TestAbsorb::test_payload_symbols_outside_the_field_are_refused",)),
-    # a payload is cast to uint8 without comparing back, so a wider array's 256 wraps to 0
+    # the symbol rule casts to uint8 without comparing back, so a wider array's 256
+    # wraps to 0 and -1 to 255, in a payload, a coefficient or a source
     "payload-cast-not-compared-back": Mutant(
-        RLNC,
+        GALOIS,
         "u8 is not x and (u8 != x).any() or ",
         "",
-        ("tests/test_rlnc.py::TestAbsorb::test_a_wider_integer_payload_is_refused_not_wrapped",)),
+        ("tests/test_rlnc.py::TestAbsorb::test_a_wider_integer_payload_is_refused_not_wrapped",
+         ENCODE_REFUSALS)),
+    # encode casts its coefficients to uint8 itself, so 300 wraps to 44
+    "encode-casts-coefficients": Mutant(
+        RLNC,
+        "coeffs = field.symbols(coefficients)",
+        "coeffs = np.asarray(coefficients, dtype=np.uint8)",
+        (ENCODE_REFUSALS,)),
+    # encode reads only the sources it scales, so one with a zero coefficient goes unchecked
+    "encode-skips-unscaled-sources": Mutant(
+        RLNC,
+        "sources = [field.symbols(p) for p in generation_payloads]",
+        "sources = generation_payloads",
+        (ENCODE_REFUSALS,)),
+    # a packet casts its coefficients to uint8 itself, so -1 wraps to 255
+    "packet-coefficients-cast": Mutant(
+        RLNC,
+        "self.coefficients = GF256.symbols(coefficients)",
+        "self.coefficients = np.asarray(coefficients, np.uint8)",
+        (PACKET_READ,)),
     # a new basis row is scaled by its pivot, not by the pivot's inverse
     "row-normalised-by-pivot": Mutant(
         RLNC,
         "fi = field.inverse[f]",
         "fi = f",
         ("tests/test_rlnc.py::test_decoder_rank_innovation_and_solve",)),
-    # mul_vec multiplies GF(16) bytes of 16 or more (by zero, off the padded table)
+    # the symbol rule passes GF(16) bytes of 16 or more, so mul_vec multiplies them
+    # (by zero, off the padded table)
     "mul-vec-skips-symbol-check": Mutant(
         GALOIS,
-        " or self.q < 256 and self.outside(data)",
+        " or self.q < 256 and self.outside(u8.tobytes())",
         "",
         (MUL_VEC_REFUSALS,)),
     # mul_vec takes any coefficient its table indexes: -1 wraps to q - 1

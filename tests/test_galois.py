@@ -121,6 +121,24 @@ def test_mul_vec_refuses_what_is_outside_the_field(field):
                 field.mul_vec(c, vec)
 
 
+@pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+def test_symbols_is_the_one_rule(field):
+    # a uint8 array of symbols comes back as itself, any other input of symbols
+    # as a new uint8 array; a value the uint8 cast changes, or a GF(16) byte of
+    # 16 or more, is refused
+    u8 = np.arange(field.q, dtype=np.uint8)
+    assert field.symbols(u8) is u8
+    for x in (u8.astype(np.int64), u8.tolist(), u8.astype(float), u8[::-1]):
+        got = field.symbols(x)
+        assert got.dtype == np.uint8 and got.tolist() == list(x)
+    bad = [[0, -1], [1.5], np.array([field.q]), np.array([256, 7]), np.array([-1], np.int8), 300]
+    if field.q < 256:
+        bad += [np.array([16], np.uint8), [255]]
+    for x in bad:
+        with pytest.raises(ValueError, match=rf"^symbols outside GF\({field.q}\)$"):
+            field.symbols(x)
+
+
 def test_outside_is_the_membership_test():
     every_byte = bytes(range(256))
     assert not GF256.outside(every_byte) and not GF16.outside(every_byte[:16])

@@ -97,7 +97,7 @@ def test_construction_shapes_and_attributes():
     coeffs, payload = np.array([1, 2], np.uint8), np.zeros(3, np.uint8)
     pkt = CodedPacket(generation_id=1, coefficients=coeffs, payload=payload, products=None)
     assert (pkt.generation_id, pkt.coefficients, pkt.payload) == (1, coeffs, payload)
-    assert pkt.products is pkt.read is pkt.payload_field is None
+    assert pkt.products is None and pkt.row == (b"\x01\x02", 0x0201)
     assert CodedPacket(0, coeffs, None).payload is None
 
 
@@ -153,9 +153,8 @@ def test_pickle_round_trip():
         assert [getattr(copy, f) for f in FIELDS[name]] == \
             [getattr(record, f) for f in FIELDS[name]], name
     pkt = CodedPacket(2, np.array([1, 3], np.uint8), np.arange(4, dtype=np.uint8))
-    pkt.read, pkt.payload_field = (b"\x01\x03", 0x0301, None), None
     copy = pickle.loads(pickle.dumps(pkt))
-    assert copy is not pkt and copy.generation_id == 2 and copy.read == pkt.read
+    assert copy is not pkt and copy.generation_id == 2 and copy.row == (b"\x01\x03", 0x0301)
     assert copy.coefficients.tolist() == [1, 3] and copy.payload.tolist() == [0, 1, 2, 3]
 
 

@@ -51,6 +51,29 @@ class TestEncode:
         assert bytes(pkt.payload).hex() == GOLDEN_CODED
         assert pkt.generation_id == 7
 
+    def test_values_outside_the_field_are_refused_not_wrapped(self):
+        # encode reads coefficients and sources by field.symbols, as mul_vec and the
+        # decoder read theirs: a value the uint8 cast changes (300 to 44, -1 to 255,
+        # a source's 256 to 0) is refused, whatever its coefficient, as is a GF(16)
+        # byte of 16 or more; in-range values of any integer type encode as bytes
+        sources = [np.array([1, 2], np.uint8), np.array([3, 4], np.uint8)]
+        wide = np.array([256, 7])
+        for field in (GF16, GF256):
+            refused = rf"^symbols outside GF\({field.q}\)$"
+            for coeffs in (np.array([300, 1]), np.array([-1, 1]), [300, 1], [1.5, 1]):
+                with pytest.raises(ValueError, match=refused):
+                    encode(sources, coeffs, field)
+            for coeffs in ([1, 1], [0, 1]):
+                with pytest.raises(ValueError, match=refused):
+                    encode([wide, sources[1]], coeffs, field)
+            want = encode(sources, np.array([5, 9], np.uint8), field)
+            got = encode([x.astype(np.int64) for x in sources], [5, 9], field)
+            assert got.payload.tolist() == want.payload.tolist()
+            assert got.coefficients.dtype == np.uint8 and got.row == want.row
+        for coeffs, payloads in (([16, 1], sources), ([0, 1], [np.array([0, 16]), sources[1]])):
+            with pytest.raises(ValueError, match=r"^symbols outside GF\(16\)$"):
+                encode(payloads, np.array(coeffs, np.uint8), GF16)
+
     def test_empty_generation_rejected(self):
         with pytest.raises(ValueError):
             encode([], np.zeros(0, np.uint8))
@@ -263,17 +286,140 @@ class TestAbsorb:
         assert st.absorb(CodedPacket(0, np.array([1, 1], np.uint8), np.array([3, 7])))
         assert st.solve()[1].tolist() == [0, 248]
 
-    def test_a_payload_is_checked_once_per_field(self):
-        # like the coefficient read, the check is kept on the packet with its field
+    def test_a_payload_is_checked_by_every_absorb(self):
+        # no check is kept on the packet: a payload changed in place after a GF(16)
+        # decoder accepted it is refused by the next GF(16) decoder, not by GF(256)'s
         pkt = CodedPacket(0, np.array([1], np.uint8), np.array([0, 15], np.uint8))
         assert DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
-        assert pkt.payload_field is GF16
-        pkt.payload[1] = 200  # changed after the GF(16) check: later GF(16) decoders miss it
-        assert DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
+        pkt.payload[1] = 200
+        with pytest.raises(ValueError, match=r"payload symbols outside GF\(16\)$"):
+            DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
         assert DecoderState(0, [0], [0], GF256, {}).absorb(pkt)
-        assert pkt.payload_field is GF256
         with pytest.raises(ValueError, match=r"outside GF\(16\)"):  # checked again
             DecoderState(0, [0], [0], GF16, {}).absorb(pkt)
+
+    def test_absorb_leaves_every_slot_of_its_packet_unchanged(self):
+        # whatever a decoder does with a packet (accept, refuse, decode, have
+        # nothing left to gain), it sets nothing on it
+        payloads = random_payloads(2, 4, np.random.default_rng(0), GF16)
+        packets = [encode(payloads, np.array([3, 1], np.uint8), GF16),
+                   CodedPacket(0, np.array([200, 1], np.uint8), np.zeros(4, np.uint8)),
+                   CodedPacket(0, np.array([1, 2], np.uint8), None)]
+        decoders = [DecoderState(0, [0, 1], [1], field, known)
+                    for field in (GF16, GF256) for known in (None, {0: payloads[0]})]
+        decoders.append(DecoderState(0, [0, 1], [], GF256, {0: payloads[0], 1: payloads[1]}))
+        for pkt in packets:
+            before = {name: getattr(pkt, name) for name in CodedPacket.__slots__}
+            for state in decoders * 2:
+                try:
+                    state.absorb(pkt)
+                except ValueError:
+                    pass
+            assert all(getattr(pkt, name) is value for name, value in before.items())
+
+
+def test_a_coded_packet_is_read_when_it_is_made():
+    # its coefficients go through GF(256)'s symbol rule into row: a list or a
+    # wider integer array reads as encode reads one, and a value outside a byte
+    # (1.5 included) is refused when the packet is made, not when it is absorbed
+    for coeffs in ([1, 2], (1, 2), np.array([1, 2]), np.array([1, 2], np.uint8)):
+        pkt = CodedPacket(0, coeffs, None)
+        assert pkt.row == (b"\x01\x02", 0x0201)
+        assert pkt.coefficients.dtype == np.uint8 and pkt.coefficients.tolist() == [1, 2]
+        assert DecoderState(0, [0, 1], [0, 1], GF16).absorb(pkt)
+    for coeffs in ([1.5, 1], np.array([1.5]), [256, 0], np.array([-1, 0]), 300):
+        with pytest.raises(ValueError, match=r"^symbols outside GF\(256\)$"):
+            CodedPacket(0, coeffs, None)
+    # a uint8 array is held as is, and read once: a change in place goes unseen
+    coeffs = np.array([1, 2], np.uint8)
+    pkt = CodedPacket(0, coeffs, None)
+    coeffs[0] = 200
+    assert pkt.coefficients is coeffs and pkt.row == (b"\x01\x02", 0x0201)
+    assert DecoderState(0, [0, 1], [0, 1], GF16).absorb(pkt)
+
+
+@st.composite
+def symbol_input_cases(draw):
+    """A field, an input kind (uint8 array, int64 array or list) and in it two
+    coefficients, two 3-symbol sources, a 3-symbol held payload and a packet
+    payload; each vector holds field symbols only, or values from -300 to 300
+    (0 to 255 in a uint8 array)."""
+    field = draw(st.sampled_from([GF16, GF256]))
+    kind = draw(st.sampled_from(["uint8", "int64", "list"]))
+    wide = st.integers(0, 255) if kind == "uint8" else st.integers(-300, 300)
+
+    def values(n):
+        value = draw(st.sampled_from([st.integers(0, field.q - 1), wide]))
+        return draw(st.lists(value, min_size=n, max_size=n))
+
+    return field, kind, values(2), [values(3), values(3)], values(3), values(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_input_cases())
+def test_every_reader_refuses_exactly_what_a_scalar_rule_refuses(case):
+    # mul_vec, encode, CodedPacket, a decoder's known payloads and absorb refuse
+    # a vector iff a value is outside 0..q-1 (0..255 for a packet's coefficients),
+    # and otherwise give what the same values as uint8 arrays give
+    field, kind, coeffs, sources, held, payload = case
+    q = field.q
+
+    def make(values):
+        return values if kind == "list" else np.array(values, np.dtype(kind))
+
+    def ok(values, q=q):
+        return all(0 <= v < q for v in values)
+
+    def times(c, values):
+        return [field.mul(c, v) for v in values]
+
+    refused = rf"^symbols outside GF\({q}\)$"
+    if ok(held):
+        assert field.mul_vec(3, make(held)).tolist() == times(3, held)
+    else:
+        with pytest.raises(ValueError, match=refused):
+            field.mul_vec(3, make(held))
+
+    if ok(coeffs) and ok(sources[0]) and ok(sources[1]):
+        pkt = encode([make(x) for x in sources], make(coeffs), field)
+        products = [times(c, x) for c, x in zip(coeffs, sources)]
+        assert pkt.payload.tolist() == [a ^ b for a, b in zip(*products)]
+        assert pkt.coefficients.tolist() == coeffs
+    else:
+        with pytest.raises(ValueError, match=refused):
+            encode([make(x) for x in sources], make(coeffs), field)
+
+    message = rf"^known payloads of packets \[0\] hold symbols outside GF\({q}\)$"
+    for build in (lambda: DecoderState(0, [0, 1], [1], field, {0: make(held)}),
+                  lambda: DecoderState.for_generation(0, [0, 1], {0: b"\0\xff"}, field,
+                                                      {0: make(held)})):
+        if ok(held):
+            build()
+        else:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    if not ok(coeffs, 256):
+        with pytest.raises(ValueError, match=r"^symbols outside GF\(256\)$"):
+            CodedPacket(0, make(coeffs), make(payload))
+        return
+    pkt = CodedPacket(0, make(coeffs), make(payload))
+    assert pkt.row == (bytes(coeffs), int.from_bytes(bytes(coeffs), "little"))
+    h = np.array([1, 2, 3], np.uint8)
+    for known in ({0: h}, None):
+        state = DecoderState(0, [0, 1], [1], field, known)
+        if ok(coeffs) and (known is None or ok(payload)):
+            twin = DecoderState(0, [0, 1], [1], field, known)
+            same = CodedPacket(0, np.array(coeffs, np.uint8),
+                               np.array(payload, np.uint8) if ok(payload) else None)
+            assert state.absorb(pkt) == twin.absorb(same) == (coeffs[1] != 0)
+            if known is not None and state.decoded:
+                residual = [a ^ b for a, b in zip(payload, times(coeffs[0], [1, 2, 3]))]
+                assert state.solve()[1].tolist() == times(field.inv(coeffs[1]), residual)
+        else:
+            with pytest.raises(ValueError, match=rf"outside GF\({q}\)"):
+                state.absorb(pkt)
+            assert state.needed == 1
 
 
 def test_coded_packets_compare_by_identity():
@@ -513,13 +659,18 @@ def test_decoder_rank_innovation_and_solve(case):
     assert state.unknown_ids == abstract.unknown_ids == tuple(p for p in ids if p in wanted)
     # a packet of another generation, of the wrong length or with a
     # coefficient outside the field (in any column) is rejected before any
-    # change, also by a state that wants nothing or has decoded
+    # change, also by a state that wants nothing or has decoded; one outside
+    # a byte cannot be made
     outside = np.zeros(len(ids), np.uint8 if 0 <= bad < 256 else np.int64)
     outside[bad_col] = bad
     zeros = np.zeros(4, np.uint8)
-    bad_packets = [(CodedPacket(0, outside, zeros), "outside GF|range"),
-                   (CodedPacket(0, np.zeros(len(ids) + 1, np.uint8), zeros), "length"),
+    bad_packets = [(CodedPacket(0, np.zeros(len(ids) + 1, np.uint8), zeros), "length"),
                    (CodedPacket(1, np.zeros(len(ids), np.uint8), zeros), "generation")]
+    if outside.dtype == np.uint8:
+        bad_packets.append((CodedPacket(0, outside, zeros), r"coefficients outside GF\(16\)"))
+    else:
+        with pytest.raises(ValueError, match=r"^symbols outside GF\(256\)$"):
+            CodedPacket(0, outside, zeros)
 
     def rejects_bad_packets(decoder):
         before = decoder.rank, decoder.needed
