@@ -4,14 +4,14 @@ random_coefficients draws coefficients i.i.d. uniform over the field, zero
 included; encode combines a generation's payloads into a CodedPacket,
 recording by column the products c_j * x_j it summed (a rank-only packet is
 built directly as CodedPacket(m, coefficients, None)).  DecoderState is one
-receiver's decoder for one generation, built from its want flags (many at
-once by for_generation): it decodes payloads iff built with known_payloads,
-else tracks rank only, along the same rank trajectory.  absorb reduces the
-unknown coefficients as one int, byte j for column j: each step clears the
-lowest nonzero byte's column by XORing in its row times that byte (one
-bytes.translate), so there is at most one step a column.  A packet is read
-when it is made, its coefficients by GF256.symbols; absorb checks on every
-call what depends on its decoder, and writes nothing on the packet.  It
+receiver's decoder for one generation, built from its wanted ids (many at
+once by for_generation, from 0/1 want rows): it decodes payloads iff built
+with known_payloads, else tracks rank only, along the same rank trajectory.
+absorb reduces the unknown coefficients as one int, byte j for column j: each
+step clears the lowest nonzero byte's column by XORing in its row times that
+byte (one bytes.translate), so there is at most one step a column.  A packet
+is read when it is made, its coefficients by GF256.symbols; absorb checks on
+every call what depends on its decoder, and writes nothing on the packet.  It
 reuses a recorded product only if made from the very array held, else makes
 its own; only encode writes the record.
 """
@@ -113,39 +113,39 @@ class DecoderState:
         wanted = set(check_generation_ids(wanted_ids))
         if outside := sorted(wanted.difference(ids)):
             raise ValueError(f"wanted ids not in generation: {outside}")
-        flags = bytes(255 if pid in wanted else 0 for pid in ids)
+        row = bytes(pid in wanted for pid in ids)
         known = _checked_payloads(known_payloads, ids, field)
-        self._setup(generation_id, ids, flags, len(wanted), field, known)
+        self._setup(generation_id, ids, row, len(wanted), field, known)
 
     @classmethod
     def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256,
                        known_payloads=None):
         """{receiver: DecoderState} for each receiver of want_rows (receiver ->
-        want flags: a byte per id in generation order, 255 if wanted, 0 if held)
+        want row: bytes, one per id in generation order, 1 if wanted, 0 if held)
         that wants an id, checked once for all; known_payloads serves all."""
         ids = check_generation_ids(generation_ids)
         known = _checked_payloads(known_payloads, ids, field)
         states = {}
-        for r, flags in want_rows.items():
-            if needed := flags.count(255):
+        for r, row in want_rows.items():
+            if needed := row.count(1):
                 state = states[r] = cls.__new__(cls)
-                state._setup(generation_id, ids, flags, needed, field, known)
+                state._setup(generation_id, ids, row, needed, field, known)
         return states
 
-    def _setup(self, generation_id, ids, flags, needed, field, known):
-        """The state of checked ids wanting the needed columns flagged 255,
-        holding the checked payloads known."""
+    def _setup(self, generation_id, ids, row, needed, field, known):
+        """The state of checked ids wanting the needed columns, 1 in row (0/1
+        bytes, so times 255 none carries), holding the checked payloads known."""
         self.generation_id = generation_id
         self.generation_ids = ids
         self.field = field
         self.needed = self._unknowns = needed
-        self._mask = int.from_bytes(flags, "little")  # byte j is 255 iff column j is unknown
+        self._mask = int.from_bytes(row, "little") * 255  # byte j is 255 iff column j is unknown
         self._basis = [None] * len(ids)
         # each stored row's payload, each held packet's (column, payload) and the one
         # payload length (the held payloads', else the first packet's); None if rank-only
         self._payloads = self._held = self._length = None
         if known is not None:
-            held = [(j, pid) for j, (pid, flag) in enumerate(zip(ids, flags)) if not flag]
+            held = [(j, pid) for j, (pid, want) in enumerate(zip(ids, row)) if not want]
             if missing := [pid for _, pid in held if pid not in known]:
                 raise ValueError(f"known payloads missing for packets {missing}")
             self._held = [(j, known[pid]) for j, pid in held]

@@ -58,6 +58,7 @@ __all__ = [
     "check_ids",
     "check_generation_ids",
     "check_cap",
+    "check_same_k",
     "read_rows",
     "format_rows",
 ]
@@ -224,6 +225,12 @@ class PartitionReport(NamedTuple):
         return not self.rank_violations
 
 
+def check_same_k(sfm: StateFeedbackMatrix, p: Partition):
+    """Raise ValueError when p covers a different K than sfm."""
+    if p.n_packets != sfm.n_packets:
+        raise ValueError(f"partition covers K={p.n_packets} packets, SFM has K={sfm.n_packets}")
+
+
 def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
     """N x M int64 matrix: entry (n, m) is how many packets of generation m
     receiver n still wants.
@@ -231,8 +238,7 @@ def generation_counts(sfm: StateFeedbackMatrix, p: Partition) -> np.ndarray:
     Every partition metric derives from it: a generation's rank is its
     column max.  Raises ValueError when p covers a different K than sfm.
     """
-    if p.n_packets != sfm.n_packets:
-        raise ValueError(f"partition covers K={p.n_packets} packets, SFM has K={sfm.n_packets}")
+    check_same_k(sfm, p)
     membership = np.zeros((sfm.n_packets, p.n_generations), dtype=np.int64)
     rows = [k for g in p.generations for k in g]
     membership[rows, np.repeat(np.arange(p.n_generations), [len(g) for g in p.generations])] = 1

@@ -8,15 +8,15 @@ uncoded; its erasures form the state feedback matrix.  Phase two sends coded
 packets generation by generation in round-robin rounds until every receiver
 decodes all it wants, under one of the SCHEDULERS:
 
-* feedback_rr - the sender knows the SFM: round 1 sends rank(G_m) packets of
-  each generation; each later round sends, per unfinished generation, what
-  its worst pending receiver still needs (strict_rr resends the rank).
+* feedback_rr - the sender knows the SFM: every round sends, per unfinished
+  generation, what its worst pending receiver still needs, which in round 1
+  is the generation's rank (strict_rr resends the rank every round).
 * blind_rr - the sender never saw the SFM: every round sends one packet of
   every nonempty generation until the whole block is complete.
 
 U is the coded slot (counted from 1) that completes the block; D averages,
 over all wanted (receiver, packet) pairs, the slot at which the pair's
-generation reached full rank, as an exact Fraction.  A trial with an
+receiver decoded its generation, as an exact Fraction.  A trial with an
 all-zero SFM sends no coded slot, has U = D = 0 and is flagged
 empty_demand.  A trial is fixed by (seed, trial index): the same inputs
 give the same row in either decode mode, serially or in parallel.
@@ -35,7 +35,7 @@ import numpy as np
 from .galois import get_field
 from .partition import by_algorithm
 from .rlnc import CodedPacket, DecoderState, encode, random_payloads
-from .sfm import Partition, StateFeedbackMatrix, check_cap, delay_bound, generation_counts
+from .sfm import Partition, StateFeedbackMatrix, check_cap, check_same_k, delay_bound
 
 __all__ = [
     "ChannelModel",
@@ -168,35 +168,32 @@ def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
     """The generation each coded slot serves, in send order; rounds start
     while some receiver is pending.
 
-    blind_rr cycles over the nonempty generations.  feedback_rr sends each
-    generation with a pending receiver its rank in round 1, then the largest
-    needed among its pending decoders; strict_rr sends its rank every round.
-    A quota is read at its generation's turn, which equals reading it at the
-    round's start: only a generation's own slots change its pending set.
+    blind_rr cycles over the nonempty generations.  Every round, feedback_rr
+    sends each generation with a pending receiver its decoders' largest needed
+    (its rank in round 1), strict_rr its rank.  A quota read at its generation's
+    turn is the round's: only a generation's own slots change its pending set.
     """
     if cfg.scheduler == "blind_rr":
         nonempty = [m for m, ids in enumerate(gen_ids) if ids]
         while any(pending):
             yield from nonempty
         return
-    resend = True  # round 1 sends every rank
+    strict = cfg.scheduler == "strict_rr"
     while any(pending):
         for m, waiting in enumerate(pending):
             if waiting:
-                quota = ranks[m] if resend else max(s.needed for s in waiting.values())
-                yield from [m] * quota
-        resend = cfg.scheduler == "strict_rr"
+                yield from [m] * (ranks[m] if strict else max(s.needed for s in waiting.values()))
 
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     """Run coded rounds until every wanted (receiver, packet) pair decodes.
 
-    Each waiting receiver's decoders read their want flags off one 0/255 copy
-    of the wants in partition order.  With payloads, each decode is solved and
+    The decoders, built off the SFM's 0/1 wants in partition order, are the
+    trial's one record of demand.  With payloads, each decode is solved and
     checked against the sources.  rng must be a PCG64 generator; the slot
     draws leave it at an unspecified position (run_trial reads no more of it).
     """
-    counts = generation_counts(sfm, partition)
+    check_same_k(sfm, partition)
     field = get_field(cfg.field_order)
 
     # both decode modes consume this draw, keeping their streams aligned
@@ -207,14 +204,14 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         sfm.n_packets, cfg.payload_len, np.random.default_rng(payload_seed), field)))
 
     gen_ids = partition.generations  # each a tuple of its packet ids
-    waiting = counts.T.tolist()  # per generation, each receiver's want count
-    k, pending, stop = sfm.n_packets, [], 0
-    flags = (sfm.wants[:, [pid for ids in gen_ids for pid in ids]] * np.uint8(255)).tobytes()
+    flags = sfm.wants[:, [pid for ids in gen_ids for pid in ids]].tobytes()
+    size, pending, stop = sfm.n_packets, [], 0  # pending[m]: {receiver: decoder} while waiting
     for m, ids in enumerate(gen_ids):
         start, stop = stop, stop + len(ids)
-        rows = {r: flags[r * k + start:r * k + stop] for r, c in enumerate(waiting[m]) if c}
+        rows = {r: flags[r * size + start:r * size + stop] for r in range(sfm.n_receivers)}
         pending.append(DecoderState.for_generation(m, ids, rows, field, payloads))
-    ranks = list(map(max, waiting))
+    ranks = [max([s.needed for s in states.values()], default=0) for states in pending]
+    n_wanted = sum(s.needed for states in pending for s in states.values())
 
     delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs
     remaining = sum(map(len, pending))
@@ -224,22 +221,21 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         if payloads is None:
             pkt = CodedPacket(m, coeffs, None)
         else:
-            pkt = encode([payloads[k] for k in gen_ids[m]], coeffs, field, generation_id=m)
+            pkt = encode([payloads[pid] for pid in gen_ids[m]], coeffs, field, generation_id=m)
         for r, state in list(pending[m].items()):
             if erased[r]:
                 continue
             state.absorb(pkt)
             if not state.needed:
-                if payloads is not None and any(
-                        got.tobytes() != payloads[k].tobytes() for k, got in state.solve().items()):
+                if payloads is not None and any(got.tobytes() != payloads[pid].tobytes()
+                                                for pid, got in state.solve().items()):
                     raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
-                delay_sum += t * waiting[m][r]
+                delay_sum += t * state.rank
                 del pending[m][r]
                 remaining -= 1
         if not remaining:
             break  # the block just completed; U is this time index
 
-    n_wanted = int(counts.sum())
     delay = Fraction(delay_sum, n_wanted) if n_wanted else Fraction(0)
     return TrialResult(completion_time=t, delay=delay, ranks=tuple(ranks))
 

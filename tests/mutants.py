@@ -57,6 +57,7 @@ MUL_VEC_REFUSALS = "tests/test_galois.py::test_mul_vec_refuses_what_is_outside_t
 ENCODE_REFUSALS = ("tests/test_rlnc.py::TestEncode::"
                    "test_values_outside_the_field_are_refused_not_wrapped")
 PACKET_READ = "tests/test_rlnc.py::test_a_coded_packet_is_read_when_it_is_made"
+SINGLE_RECEIVER_DELAY = "tests/test_sim.py::TestCodedPhase::test_single_receiver_delay_is_exact"
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
 
@@ -147,15 +148,27 @@ MUTANTS = {
     # a decode adds its slot time once, not once per decoded packet
     "delay-adds-t-once-per-decode": Mutant(
         SIM,
-        "delay_sum += t * waiting[m][r]",
+        "delay_sum += t * state.rank",
         "delay_sum += t",
-        ("tests/test_sim.py::TestCodedPhase::test_single_receiver_delay_is_exact",)),
+        (SINGLE_RECEIVER_DELAY,)),
     # a decode recorded one slot early
     "delay-one-slot-early": Mutant(
         SIM,
-        "delay_sum += t * waiting[m][r]",
-        "delay_sum += (t - 1) * waiting[m][r]",
-        ("tests/test_sim.py::TestCodedPhase::test_single_receiver_delay_is_exact",)),
+        "delay_sum += t * state.rank",
+        "delay_sum += (t - 1) * state.rank",
+        (SINGLE_RECEIVER_DELAY,)),
+    # a decode weighted by what its receiver still needs, which is 0 when it decodes
+    "delay-weight-from-needed": Mutant(
+        SIM,
+        "delay_sum += t * state.rank",
+        "delay_sum += t * state.needed",
+        (SINGLE_RECEIVER_DELAY,)),
+    # D averages over the decoders, not over the wanted (receiver, packet) pairs
+    "demand-counts-decoders": Mutant(
+        SIM,
+        "n_wanted = sum(s.needed for states in pending for s in states.values())",
+        "n_wanted = sum(map(len, pending))",
+        (SINGLE_RECEIVER_DELAY,)),
     # slot times start at 2
     "slot-time-off-by-one": Mutant(
         SIM,
@@ -194,9 +207,9 @@ MUTANTS = {
     # every decoder reads its generation's want flags one column late in the packed row
     "packed-row-one-column-off": Mutant(
         SIM,
-        "rows = {r: flags[r * k + start:r * k + stop] for r, c in enumerate(waiting[m]) if c}",
-        "rows = {r: flags[r * k + start + 1:r * k + stop + 1] "
-        "for r, c in enumerate(waiting[m]) if c}",
+        "rows = {r: flags[r * size + start:r * size + stop] for r in range(sfm.n_receivers)}",
+        "rows = {r: flags[r * size + start + 1:r * size + stop + 1] "
+        "for r in range(sfm.n_receivers)}",
         ("tests/test_sim.py::test_trial_decoders_match_decoders_built_alone",)),
     # a decoder keeps the held columns in the reduced coefficient vector
     "decoder-keeps-held-columns": Mutant(

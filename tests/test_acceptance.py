@@ -155,7 +155,7 @@ def test_criterion_5_full_rank_probability():
             # one rank-only decoder per trial, wanting all d packets, its ids
             # checked once per chunk of 10,000 trials that live at once
             for start in range(0, trials, 10_000):
-                wants = dict.fromkeys(range(start, min(start + 10_000, trials)), b"\xff" * d)
+                wants = dict.fromkeys(range(start, min(start + 10_000, trials)), b"\x01" * d)
                 for i, st in DecoderState.for_generation(0, range(d), wants, field).items():
                     block = draws[i]
                     for j in range(d):

@@ -1,7 +1,8 @@
 """The narrated demos still run against the current sources.
 
 Demo 03 decodes through DecoderState.solve.  Demo 04 is a desk-scale sweep
-of several seconds and stays out of this smoke test.
+of a few seconds and, besides the CLI, the only caller of
+experiments.headline_gaps.
 """
 
 import os
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_feedback_partitioning.py", "02_hypergraph_coloring.py",
-                                  "03_gf_codec.py"])
+                                  "03_gf_codec.py", "04_broadcast_benchmark.py"])
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,

@@ -157,7 +157,7 @@ class TestAbsorb:
         with pytest.raises(ValueError, match=r"known payloads missing for packets \[0\]"):
             DecoderState(0, [0, 1], [1], known_payloads={})
         with pytest.raises(ValueError, match=r"known payloads missing for packets \[5, 4\]"):
-            DecoderState.for_generation(0, [5, 1, 4, 2], {0: bytes([0, 255, 0, 255])},
+            DecoderState.for_generation(0, [5, 1, 4, 2], {0: bytes([0, 1, 0, 1])},
                                         known_payloads=held)
 
     def test_a_corrupt_basis_row_stops_elimination(self):
@@ -730,7 +730,7 @@ def test_for_generation_matches_one_by_one(case):
     # payloads (every source for all, each receiver's held ones for one),
     # equal throughout
     for with_payloads in (False, True):
-        flags = {r: bytes(255 if row[k] else 0 for k in ids) for r, row in enumerate(rows)}
+        flags = {r: bytes(1 if row[k] else 0 for k in ids) for r, row in enumerate(rows)}
         built = DecoderState.for_generation(5, ids, flags, field,
                                             dict(enumerate(sources)) if with_payloads else None)
         single = {r: DecoderState(5, ids, [k for k in ids if row[k]], field,

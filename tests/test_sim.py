@@ -155,7 +155,7 @@ class TestCodedPhase:
     def test_invalid_partition_rejected(self):
         sfm = StateFeedbackMatrix([[1, 1]])
         cfg = SimConfig(n_packets=2, n_receivers=1, gamma=1, erasure_prob=0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^partition covers K=1 packets, SFM has K=2$"):
             coded_phase(sfm, Partition(((0,),)), cfg, np.random.default_rng(0))
 
 
@@ -350,18 +350,35 @@ class TestSchedulers:
 
 class TestSlotSchedule:
     """The round policy alone: gencast.sim._schedule fed stand-in decoders
-    whose needed counts stay fixed, so no slot changes the pending sets."""
+    that a trial could hold before its first slot (each generation's largest
+    needed is its rank).  No slot changes them; a test may between rounds."""
 
     GEN_IDS = [(0, 1), (), (2,), (3, 4, 5), (6, 7)]
     RANKS = [2, 0, 1, 3, 0]
-    # generation 4 has packets but no pending receiver
-    PENDING = [{0: SimpleNamespace(needed=1), 3: SimpleNamespace(needed=2)}, {},
-               {1: SimpleNamespace(needed=1)}, {0: SimpleNamespace(needed=1)}, {}]
+    ROUND_ONE = [0, 0, 2, 3, 3, 3]
 
-    def slots(self, count, **cfg):
-        cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3, **cfg)
-        return list(islice(gencast.sim._schedule(cfg, self.GEN_IDS, self.RANKS, self.PENDING),
-                           count))
+    def pending(self):
+        # generation 4 has packets but no pending receiver
+        need = SimpleNamespace
+        return [{0: need(needed=1), 3: need(needed=2)}, {}, {1: need(needed=1)},
+                {0: need(needed=3), 2: need(needed=1)}, {}]
+
+    def schedule(self, pending, scheduler="feedback_rr"):
+        cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3, scheduler=scheduler)
+        return gencast.sim._schedule(cfg, self.GEN_IDS, self.RANKS, pending)
+
+    def slots(self, count, scheduler="feedback_rr"):
+        return list(islice(self.schedule(self.pending(), scheduler), count))
+
+    def after_round_one(self, count, scheduler):
+        """Round one's slots, then count slots after generation 0's largest-need
+        receiver finishes and generation 3's drops to needing 2."""
+        pending = self.pending()
+        schedule = self.schedule(pending, scheduler)
+        first = list(islice(schedule, len(self.ROUND_ONE)))
+        del pending[0][3]
+        pending[3][0].needed = 2
+        return first, list(islice(schedule, count))
 
     def test_blind_slot_times(self):
         # the j-th slot of nonempty generation m goes out at (j - 1) * M + m + 1
@@ -372,20 +389,21 @@ class TestSlotSchedule:
                 assert sent_at[(j - 1) * len(nonempty) + m + 1] == gen
 
     def test_feedback_round_one_sends_ranks_in_partition_order(self):
-        round_one = [0, 0, 2, 3, 3, 3]
+        first, later = self.after_round_one(8, "feedback_rr")
+        assert first == self.ROUND_ONE
         # later rounds send each pending generation its largest needed
-        assert self.slots(12) == round_one + [0, 0, 2, 3] + [0, 0]
+        assert later == [0, 2, 3, 3] * 2
 
     def test_strict_rounds_resend_ranks(self):
-        round_one = [0, 0, 2, 3, 3, 3]
-        assert self.slots(18, scheduler="strict_rr") == round_one * 3
+        assert self.slots(18, scheduler="strict_rr") == self.ROUND_ONE * 3
+
+    def test_strict_resends_the_rank_after_the_largest_need_finishes(self):
+        first, later = self.after_round_one(12, "strict_rr")
+        assert first == self.ROUND_ONE and later == self.ROUND_ONE * 2
 
     def test_nothing_pending_sends_nothing(self):
-        cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3)
         for scheduler in SCHEDULERS:
-            schedule = gencast.sim._schedule(replace(cfg, scheduler=scheduler), self.GEN_IDS,
-                                             self.RANKS, [{}] * len(self.GEN_IDS))
-            assert list(schedule) == []
+            assert list(self.schedule([{}] * len(self.GEN_IDS), scheduler)) == []
 
 
 class TestRunExperiment:
@@ -499,24 +517,6 @@ class TestRunExperiment:
 
 
 class TestTrialCounts:
-    def test_one_count_matrix_per_trial(self):
-        # ranks, U and D of a trial all come from one count matrix
-        calls = []
-        build = gencast.sim.generation_counts
-
-        def counted(sfm, p):
-            calls.append(p)
-            return build(sfm, p)
-
-        with mock.patch.object(gencast.sim, "generation_counts", counted):
-            for scheduler in SCHEDULERS:
-                cfg = SimConfig(n_packets=20, n_receivers=20, gamma=3, erasure_prob=0.2,
-                                seed=1, abstract_decode=True, scheduler=scheduler)
-                for trial in range(3):
-                    calls.clear()
-                    run_trial(cfg, trial)
-                    assert len(calls) == 1
-
     def test_generation_ids_checked_once_per_generation(self):
         # the decoders of a generation share one check of its ids, however
         # many receivers wait for it (rlnc binds sfm.check_generation_ids)
