@@ -4,9 +4,9 @@ random_coefficients draws coefficients i.i.d. uniform over the field, zero
 included; encode combines a generation's payloads into a CodedPacket,
 recording by column the products c_j * x_j it summed (a rank-only packet is
 built directly as CodedPacket(m, coefficients, None)).  DecoderState is one
-receiver's decoder for one generation, built from its wanted ids (many at
-once by for_generation, from 0/1 want rows): it decodes payloads iff built
-with known_payloads, else tracks rank only, along the same rank trajectory.
+receiver's decoder for one generation, built from its wanted ids (a trial's
+all at once by for_partition, from its SFM and Partition): it decodes payloads
+iff built with known_payloads, else tracks rank only, along the same ranks.
 absorb reduces the unknown coefficients as one int, byte j for column j: each
 step clears the lowest nonzero byte's column by XORing in its row times that
 byte (one bytes.translate), so there is at most one step a column.  A packet
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .galois import GF256, Field
-from .sfm import check_generation_ids
+from .sfm import check_generation_ids, check_same_k
 
 __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "random_payloads"]
 
@@ -118,19 +118,24 @@ class DecoderState:
         self._setup(generation_id, ids, row, len(wanted), field, known)
 
     @classmethod
-    def for_generation(cls, generation_id, generation_ids, want_rows, field: Field = GF256,
-                       known_payloads=None):
-        """{receiver: DecoderState} for each receiver of want_rows (receiver ->
-        want row: bytes, one per id in generation order, 1 if wanted, 0 if held)
-        that wants an id, checked once for all; known_payloads serves all."""
-        ids = check_generation_ids(generation_ids)
-        known = _checked_payloads(known_payloads, ids, field)
-        states = {}
-        for r, row in want_rows.items():
-            if needed := row.count(1):
-                state = states[r] = cls.__new__(cls)
-                state._setup(generation_id, ids, row, needed, field, known)
-        return states
+    def for_partition(cls, sfm, partition, field: Field = GF256, known_payloads=None):
+        """One {receiver: DecoderState} per generation of partition, in its order,
+        for every receiver of sfm that wants a packet of the generation; a
+        partition of another K is a ValueError, and known_payloads serves all."""
+        check_same_k(sfm, partition)
+        known = _checked_payloads(known_payloads, range(sfm.n_packets), field)
+        # each receiver's K 0/1 wants in partition order; a Partition's ids are checked
+        flags = sfm.wants[:, [pid for ids in partition.generations for pid in ids]].tobytes()
+        size, decoders, stop = sfm.n_packets, [], 0
+        for m, ids in enumerate(partition.generations):
+            start, stop = stop, stop + len(ids)
+            decoders.append(states := {})
+            for r in range(sfm.n_receivers):
+                row = flags[r * size + start:r * size + stop]
+                if needed := row.count(1):
+                    state = states[r] = cls.__new__(cls)
+                    state._setup(m, ids, row, needed, field, known)
+        return decoders
 
     def _setup(self, generation_id, ids, row, needed, field, known):
         """The state of checked ids wanting the needed columns, 1 in row (0/1

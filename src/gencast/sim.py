@@ -35,7 +35,7 @@ import numpy as np
 from .galois import get_field
 from .partition import by_algorithm
 from .rlnc import CodedPacket, DecoderState, encode, random_payloads
-from .sfm import Partition, StateFeedbackMatrix, check_cap, check_same_k, delay_bound
+from .sfm import Partition, StateFeedbackMatrix, check_cap, delay_bound
 
 __all__ = [
     "ChannelModel",
@@ -188,12 +188,11 @@ def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     """Run coded rounds until every wanted (receiver, packet) pair decodes.
 
-    The decoders, built off the SFM's 0/1 wants in partition order, are the
-    trial's one record of demand.  With payloads, each decode is solved and
-    checked against the sources.  rng must be a PCG64 generator; the slot
-    draws leave it at an unspecified position (run_trial reads no more of it).
+    The decoders, DecoderState.for_partition's (a partition of another K is a
+    ValueError), are the trial's one record of demand.  With payloads, each
+    decode is solved and checked against the sources.  rng must be a PCG64
+    generator; the slot draws leave it anywhere (run_trial reads no more of it).
     """
-    check_same_k(sfm, partition)
     field = get_field(cfg.field_order)
 
     # both decode modes consume this draw, keeping their streams aligned
@@ -204,12 +203,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         sfm.n_packets, cfg.payload_len, np.random.default_rng(payload_seed), field)))
 
     gen_ids = partition.generations  # each a tuple of its packet ids
-    flags = sfm.wants[:, [pid for ids in gen_ids for pid in ids]].tobytes()
-    size, pending, stop = sfm.n_packets, [], 0  # pending[m]: {receiver: decoder} while waiting
-    for m, ids in enumerate(gen_ids):
-        start, stop = stop, stop + len(ids)
-        rows = {r: flags[r * size + start:r * size + stop] for r in range(sfm.n_receivers)}
-        pending.append(DecoderState.for_generation(m, ids, rows, field, payloads))
+    pending = DecoderState.for_partition(sfm, partition, field, payloads)
     ranks = [max([s.needed for s in states.values()], default=0) for states in pending]
     n_wanted = sum(s.needed for states in pending for s in states.values())
 

@@ -58,6 +58,7 @@ ENCODE_REFUSALS = ("tests/test_rlnc.py::TestEncode::"
                    "test_values_outside_the_field_are_refused_not_wrapped")
 PACKET_READ = "tests/test_rlnc.py::test_a_coded_packet_is_read_when_it_is_made"
 SINGLE_RECEIVER_DELAY = "tests/test_sim.py::TestCodedPhase::test_single_receiver_delay_is_exact"
+TRIAL_DECODERS = "tests/test_sim.py::test_trial_decoders_match_decoders_built_alone"
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
 
@@ -206,11 +207,22 @@ MUTANTS = {
         ("tests/test_sim.py::test_slot_draws_equal_per_slot_numpy_draws",)),
     # every decoder reads its generation's want flags one column late in the packed row
     "packed-row-one-column-off": Mutant(
-        SIM,
-        "rows = {r: flags[r * size + start:r * size + stop] for r in range(sfm.n_receivers)}",
-        "rows = {r: flags[r * size + start + 1:r * size + stop + 1] "
-        "for r in range(sfm.n_receivers)}",
-        ("tests/test_sim.py::test_trial_decoders_match_decoders_built_alone",)),
+        RLNC,
+        "row = flags[r * size + start:r * size + stop]",
+        "row = flags[r * size + start + 1:r * size + stop + 1]",
+        (TRIAL_DECODERS,)),
+    # the want flags are sliced in packet index order, not in partition order
+    "decoders-gathered-in-index-order": Mutant(
+        RLNC,
+        "flags = sfm.wants[:, [pid for ids in partition.generations for pid in ids]].tobytes()",
+        "flags = sfm.wants.tobytes()",
+        (TRIAL_DECODERS,)),
+    # a partition of another K builds decoders (or fails indexing) instead of being refused
+    "for-partition-skips-k-check": Mutant(
+        RLNC,
+        "        check_same_k(sfm, partition)\n",
+        "",
+        ("tests/test_rlnc.py::TestConstructor::test_partition_of_another_k_rejected",)),
     # a decoder keeps the held columns in the reduced coefficient vector
     "decoder-keeps-held-columns": Mutant(
         RLNC,

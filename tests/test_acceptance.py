@@ -28,7 +28,7 @@ from gencast import (
 from gencast.experiments import named_spec, run_simulation_sweep
 from gencast.galois import get_field
 from gencast.rlnc import CodedPacket, DecoderState
-from gencast.sfm import generation_ranks
+from gencast.sfm import Partition, StateFeedbackMatrix, generation_ranks
 from gencast.sim import run_experiment
 
 from conftest import coloring_violations, random_sfm
@@ -152,12 +152,13 @@ def test_criterion_5_full_rank_probability():
             rng = np.random.default_rng(1000 * q + d)
             draws = rng.integers(0, q, size=(trials, d, d), dtype=np.uint8)
             hits = 0
-            # one rank-only decoder per trial, wanting all d packets, its ids
-            # checked once per chunk of 10,000 trials that live at once
+            # one rank-only decoder per trial, wanting all d packets, built for
+            # a chunk of 10,000 trials that live at once: receiver r is trial start + r
             for start in range(0, trials, 10_000):
-                wants = dict.fromkeys(range(start, min(start + 10_000, trials)), b"\x01" * d)
-                for i, st in DecoderState.for_generation(0, range(d), wants, field).items():
-                    block = draws[i]
+                sfm = StateFeedbackMatrix(np.ones((min(10_000, trials - start), d), np.uint8))
+                [decoders] = DecoderState.for_partition(sfm, Partition((range(d),)), field)
+                for r, st in decoders.items():
+                    block = draws[start + r]
                     for j in range(d):
                         st.absorb(CodedPacket(0, block[j], None))
                     hits += st.decoded

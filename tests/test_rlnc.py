@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gencast.galois import GF16, GF256, Field
 from gencast.rlnc import CodedPacket, DecoderState, encode, random_coefficients, random_payloads
+from gencast.sfm import Partition, StateFeedbackMatrix
 
 # pinned output of encode() under seed 2024 (generation of 4 packets,
 # 16-byte payloads), independently checked against a shift-and-reduce
@@ -157,8 +158,8 @@ class TestAbsorb:
         with pytest.raises(ValueError, match=r"known payloads missing for packets \[0\]"):
             DecoderState(0, [0, 1], [1], known_payloads={})
         with pytest.raises(ValueError, match=r"known payloads missing for packets \[5, 4\]"):
-            DecoderState.for_generation(0, [5, 1, 4, 2], {0: bytes([0, 1, 0, 1])},
-                                        known_payloads=held)
+            DecoderState.for_partition(StateFeedbackMatrix([[0, 1, 1, 0, 0, 0]]),
+                                       Partition(([5, 1, 4, 2], [0, 3])), known_payloads=held)
 
     def test_a_corrupt_basis_row_stops_elimination(self):
         # a stored row whose pivot byte is not 1 never clears its column; the
@@ -260,7 +261,8 @@ class TestAbsorb:
         with pytest.raises(ValueError, match=message):
             DecoderState(0, [0, 1], [1], GF16, {0: wide})
         with pytest.raises(ValueError, match=message):
-            DecoderState.for_generation(0, [0, 1], {0: [0, 1], 1: [0, 1]}, GF16, {0: wide})
+            DecoderState.for_partition(StateFeedbackMatrix([[0, 1], [0, 1]]), Partition(([0, 1],)),
+                                       GF16, {0: wide})
         # a rank-only state ignores payloads, and GF(256) holds every byte
         assert DecoderState(0, [0], [0], GF16).absorb(CodedPacket(0, np.array([1], np.uint8),
                                                                  wide))
@@ -276,8 +278,8 @@ class TestAbsorb:
             with pytest.raises(ValueError, match=held):
                 DecoderState(0, [0, 1], [1], field, {0: np.array([256, -1])})
             with pytest.raises(ValueError, match=held):
-                DecoderState.for_generation(0, [0, 1], {0: b"\0\xff"}, field,
-                                            {0: np.array([256, 7])})
+                DecoderState.for_partition(StateFeedbackMatrix([[0, 1]]), Partition(([0, 1],)),
+                                           field, {0: np.array([256, 7])})
             st = DecoderState(0, [0], [0], field, {})
             with pytest.raises(ValueError, match=rf"payload symbols outside GF\({field.q}\)$"):
                 st.absorb(CodedPacket(0, np.array([1], np.uint8), np.array([256, 7])))
@@ -391,8 +393,9 @@ def test_every_reader_refuses_exactly_what_a_scalar_rule_refuses(case):
 
     message = rf"^known payloads of packets \[0\] hold symbols outside GF\({q}\)$"
     for build in (lambda: DecoderState(0, [0, 1], [1], field, {0: make(held)}),
-                  lambda: DecoderState.for_generation(0, [0, 1], {0: b"\0\xff"}, field,
-                                                      {0: make(held)})):
+                  lambda: DecoderState.for_partition(StateFeedbackMatrix([[0, 1]]),
+                                                     Partition(([0, 1],)), field,
+                                                     {0: make(held)})):
         if ok(held):
             build()
         else:
@@ -448,6 +451,14 @@ class TestConstructor:
     def test_wanted_id_outside_generation_rejected(self):
         with pytest.raises(ValueError, match="42"):
             DecoderState(0, [1, 2], [2, 42])
+
+    def test_partition_of_another_k_rejected(self):
+        # a partition covering fewer or more packets than the SFM builds no decoder
+        sfm = StateFeedbackMatrix([[1, 0, 1]])
+        for groups, k in ((([0, 1],), 2), (([0, 1], [2, 3]), 4)):
+            with pytest.raises(ValueError,
+                               match=rf"^partition covers K={k} packets, SFM has K=3$"):
+                DecoderState.for_partition(sfm, Partition(groups))
 
     def test_counters_unchanged_by_dependent_and_late_packets(self):
         st = DecoderState(0, [0, 1], [0, 1])
@@ -703,66 +714,6 @@ def test_decoder_rank_innovation_and_solve(case):
         assert sorted(solved) == sorted(wanted)
         for pid in wanted:
             assert solved[pid].tolist() == payloads[pid]
-
-
-@st.composite
-def generation_cases(draw):
-    """A field, one generation's ids within K packets, 0/1 want rows over
-    the K packets for a few receivers, payloads and coefficient rows."""
-    field = draw(st.sampled_from([GF16, GF256]))
-    k = draw(st.integers(1, 8))
-    ids = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
-    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
-                         min_size=1, max_size=5))
-    symbol = st.integers(0, field.q - 1)
-    payloads = [draw(st.lists(symbol, min_size=3, max_size=3)) for _ in range(k)]
-    coeffs = draw(st.lists(st.lists(symbol, min_size=len(ids), max_size=len(ids)),
-                           max_size=2 * len(ids) + 2))
-    return field, ids, rows, payloads, coeffs
-
-
-@settings(max_examples=150, deadline=None)
-@given(generation_cases())
-def test_for_generation_matches_one_by_one(case):
-    field, ids, rows, payloads, coeffs = case
-    sources = [np.array(p, np.uint8) for p in payloads]
-    # equal when built, and fed the same packets, rank-only and with
-    # payloads (every source for all, each receiver's held ones for one),
-    # equal throughout
-    for with_payloads in (False, True):
-        flags = {r: bytes(1 if row[k] else 0 for k in ids) for r, row in enumerate(rows)}
-        built = DecoderState.for_generation(5, ids, flags, field,
-                                            dict(enumerate(sources)) if with_payloads else None)
-        single = {r: DecoderState(5, ids, [k for k in ids if row[k]], field,
-                                  {k: sources[k] for k in ids if not row[k]}
-                                  if with_payloads else None)
-                  for r, row in enumerate(rows) if any(row[k] for k in ids)}
-        assert built.keys() == single.keys()
-        for r, state in built.items():
-            one = single[r]
-            assert (state.generation_id, state.generation_ids, state.unknown_ids,
-                    state.needed, state.rank) == (one.generation_id, one.generation_ids,
-                                                  one.unknown_ids, one.needed, one.rank)
-        for row in coeffs:
-            coded = None
-            if with_payloads:
-                coded = np.zeros(3, np.uint8)
-                for c, k in zip(row, ids):
-                    coded ^= field.mul_vec(c, sources[k])
-            pkt = CodedPacket(5, np.array(row, np.uint8), coded)
-            for r, state in built.items():
-                assert state.absorb(pkt) == single[r].absorb(pkt)
-                assert (state.needed, state.rank) == (single[r].needed, single[r].rank)
-        for r, state in built.items():
-            if with_payloads and state.decoded:
-                got, want = state.solve(), single[r].solve()
-                assert got.keys() == want.keys()
-                assert all((got[k] == want[k]).all() and (got[k] == sources[k]).all()
-                           for k in got)
-            elif state.decoded:  # rank-only: neither has payloads to solve
-                for s in (state, single[r]):
-                    with pytest.raises(RuntimeError, match="without payloads"):
-                        s.solve()
 
 
 @st.composite

@@ -517,24 +517,36 @@ class TestRunExperiment:
 
 
 class TestTrialCounts:
-    def test_generation_ids_checked_once_per_generation(self):
-        # the decoders of a generation share one check of its ids, however
-        # many receivers wait for it (rlnc binds sfm.check_generation_ids)
-        calls = []
-        check = gencast.rlnc.check_generation_ids
+    def test_no_generation_ids_checked_and_known_payloads_read_once(self):
+        # a trial's generations are a Partition's, checked when it is built, so
+        # its decoders check no ids again; in payload mode they read the trial's
+        # known payloads once, over all K ids (sfm and rlnc bind the checks)
+        checks, reads = [], []
+        check, read = gencast.sfm.check_generation_ids, gencast.rlnc._checked_payloads
 
-        def counted(ids):
-            calls.append(ids)
+        def counted_check(ids):
+            checks.append(ids)
             return check(ids)
 
-        with mock.patch.object(gencast.rlnc, "check_generation_ids", counted):
+        def counted_read(known, ids, field):
+            if known is not None:
+                reads.append(list(ids))
+            return read(known, ids, field)
+
+        with mock.patch.object(gencast.sfm, "check_generation_ids", counted_check), \
+                mock.patch.object(gencast.rlnc, "check_generation_ids", counted_check), \
+                mock.patch.object(gencast.rlnc, "_checked_payloads", counted_read):
             for scheduler in SCHEDULERS:
-                cfg = SimConfig(n_packets=20, n_receivers=20, gamma=3, erasure_prob=0.2,
-                                seed=1, abstract_decode=True, scheduler=scheduler)
-                for trial in range(3):
-                    calls.clear()
-                    row = run_trial(cfg, trial)
-                    assert len(calls) == row["M"]
+                for abstract in (True, False):
+                    cfg = SimConfig(n_packets=20, n_receivers=20, gamma=3, erasure_prob=0.2,
+                                    seed=1, abstract_decode=abstract, scheduler=scheduler,
+                                    payload_len=4)
+                    for trial in range(3):
+                        checks.clear()
+                        reads.clear()
+                        run_trial(cfg, trial)
+                        assert checks == []
+                        assert reads == ([] if abstract else [list(range(20))])
 
 
 @st.composite
@@ -561,39 +573,28 @@ def trial_decoder_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(trial_decoder_cases())
 def test_trial_decoders_match_decoders_built_alone(case):
-    # the decoders coded_phase builds from its partition-ordered want flags,
-    # caught before its first slot, equal DecoderState(m, ids, wanted, field,
+    # the decoders DecoderState.for_partition builds for a trial, one dict per
+    # generation in partition order, equal DecoderState(m, ids, wanted, field,
     # held) built one at a time, rank-only and with payloads: when built and
     # after each of the same packets
     field, sfm, part, payloads, coeffs = case
     wants = sfm.wants.tolist()
     sources = dict(enumerate(payloads))
-    built = []
-
-    def no_slots(cfg, gen_ids, ranks, pending):
-        built.append(pending)
-        return iter(())
 
     def observed(states):
         return {r: (s.generation_id, s.generation_ids, s.unknown_ids, s.needed, s.rank)
                 for r, s in states.items()}
 
     for with_payloads in (False, True):
-        cfg = SimConfig(n_packets=sfm.n_packets, n_receivers=sfm.n_receivers, gamma=1,
-                        field_order=field.q, abstract_decode=not with_payloads, payload_len=3)
-        built.clear()
-        with mock.patch.object(gencast.sim, "_schedule", no_slots), \
-                mock.patch.object(gencast.sim, "random_payloads", lambda *args: payloads):
-            coded_phase(sfm, part, cfg, np.random.default_rng(0))
-        [pending] = built
-        assert len(pending) == part.n_generations
+        built = DecoderState.for_partition(sfm, part, field, sources if with_payloads else None)
+        assert len(built) == part.n_generations
         for m, g in enumerate(part.generations):
             ids = g.packet_ids
             alone = {r: DecoderState(m, ids, [k for k in ids if row[k]], field,
                                      {k: sources[k] for k in ids if not row[k]}
                                      if with_payloads else None)
                      for r, row in enumerate(wants) if any(row[k] for k in ids)}
-            assert observed(pending[m]) == observed(alone)
+            assert observed(built[m]) == observed(alone)
             for row in coeffs[m]:
                 coded = None
                 if with_payloads:
@@ -601,10 +602,10 @@ def test_trial_decoders_match_decoders_built_alone(case):
                     for c, k in zip(row, ids):
                         coded ^= field.mul_vec(c, sources[k])
                 pkt = CodedPacket(m, np.array(row, np.uint8), coded)
-                assert ({r: s.absorb(pkt) for r, s in pending[m].items()}
+                assert ({r: s.absorb(pkt) for r, s in built[m].items()}
                         == {r: s.absorb(pkt) for r, s in alone.items()})
-                assert observed(pending[m]) == observed(alone)
-            for r, state in pending[m].items():
+                assert observed(built[m]) == observed(alone)
+            for r, state in built[m].items():
                 if with_payloads and state.decoded:
                     got, want = state.solve(), alone[r].solve()
                     assert {k: v.tolist() for k, v in got.items()} == {
