@@ -12,14 +12,15 @@ decodes all it wants, under one of the SCHEDULERS:
   generation, what its worst pending receiver still needs, which in round 1
   is the generation's rank (strict_rr resends the rank every round).
 * blind_rr - the sender never saw the SFM: every round sends one packet of
-  every nonempty generation until the whole block is complete.
+  every nonempty generation.
 
-U is the coded slot (counted from 1) that completes the block; D averages,
-over all wanted (receiver, packet) pairs, the slot at which the pair's
-receiver decoded its generation, as an exact Fraction.  A trial with an
-all-zero SFM sends no coded slot, has U = D = 0 and is flagged
-empty_demand.  A trial is fixed by (seed, trial index): the same inputs
-give the same row in either decode mode, serially or in parallel.
+A round's quotas are read as it starts.  U is the coded slot (counted from 1)
+that completes the block: any slot of a round, under feedback_rr its last.
+D averages, over all wanted (receiver, packet) pairs, the slot at which the
+pair's receiver decoded its generation, as an exact Fraction.  A trial with
+an all-zero SFM sends no coded slot, has U = D = 0 and is flagged
+empty_demand.  A trial is fixed by (seed, trial index): the same inputs give
+the same row in either decode mode, serially or in parallel.
 """
 
 from __future__ import annotations
@@ -164,29 +165,22 @@ def systematic_phase(n_packets, n_receivers, channel: ChannelModel, rng) -> Stat
     return StateFeedbackMatrix(misses.astype(np.uint8))
 
 
-def _schedule(cfg: SimConfig, gen_ids, ranks, pending):
-    """The generation each coded slot serves, in send order; rounds start
-    while some receiver is pending.
-
-    blind_rr cycles over the nonempty generations.  Every round, feedback_rr
-    sends each generation with a pending receiver its decoders' largest needed
-    (its rank in round 1), strict_rr its rank.  A quota read at its generation's
-    turn is the round's: only a generation's own slots change its pending set.
-    """
+def _round(cfg: SimConfig, gen_ids, ranks, pending):
+    """The generation each slot of the next round serves, in send order:
+    blind_rr's every nonempty one once, feedback_rr's each with a pending
+    receiver its decoders' largest needed, strict_rr's its rank."""
     if cfg.scheduler == "blind_rr":
-        nonempty = [m for m, ids in enumerate(gen_ids) if ids]
-        while any(pending):
-            yield from nonempty
-        return
+        return [m for m, ids in enumerate(gen_ids) if ids]
     strict = cfg.scheduler == "strict_rr"
-    while any(pending):
-        for m, waiting in enumerate(pending):
-            if waiting:
-                yield from [m] * (ranks[m] if strict else max(s.needed for s in waiting.values()))
+    slots = []
+    for m, waiting in enumerate(pending):
+        if waiting:
+            slots += [m] * (ranks[m] if strict else max(s.needed for s in waiting.values()))
+    return slots
 
 
 def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
-    """Run coded rounds until every wanted (receiver, packet) pair decodes.
+    """Send _round's rounds until the slot that empties the last decoder.
 
     The decoders, DecoderState.for_partition's (a partition of another K is a
     ValueError), are the trial's one record of demand.  With payloads, each
@@ -208,27 +202,26 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     n_wanted = sum(s.needed for states in pending for s in states.values())
 
     delay_sum = 0  # decode time summed over wanted (receiver, packet) pairs
-    remaining = sum(map(len, pending))
-    t = 0  # U when nothing is wanted
-    for t, m in enumerate(_schedule(cfg, gen_ids, ranks, pending), 1):
-        coeffs, erased = draws.slot(len(gen_ids[m]))
-        if payloads is None:
-            pkt = CodedPacket(m, coeffs, None)
-        else:
-            pkt = encode([payloads[pid] for pid in gen_ids[m]], coeffs, field, generation_id=m)
-        for r, state in list(pending[m].items()):
-            if erased[r]:
-                continue
-            state.absorb(pkt)
-            if not state.needed:
-                if payloads is not None and any(got.tobytes() != payloads[pid].tobytes()
-                                                for pid, got in state.solve().items()):
-                    raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
-                delay_sum += t * state.rank
-                del pending[m][r]
-                remaining -= 1
-        if not remaining:
-            break  # the block just completed; U is this time index
+    t = 0  # coded slots sent
+    while any(pending):
+        # quotas read now hold all round: only a generation's own slots change its pending set
+        for m in _round(cfg, gen_ids, ranks, pending):
+            t += 1
+            coeffs, erased = draws.slot(len(gen_ids[m]))
+            pkt = CodedPacket(m, coeffs, None) if payloads is None else encode(
+                [payloads[pid] for pid in gen_ids[m]], coeffs, field, generation_id=m)
+            for r, state in list(pending[m].items()):
+                if erased[r]:
+                    continue
+                state.absorb(pkt)
+                if not state.needed:
+                    if payloads is not None and any(got.tobytes() != payloads[pid].tobytes()
+                                                    for pid, got in state.solve().items()):
+                        raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
+                    delay_sum += t * state.rank
+                    del pending[m][r]
+            if not pending[m] and not any(pending):
+                break  # the block just completed; U is this slot
 
     delay = Fraction(delay_sum, n_wanted) if n_wanted else Fraction(0)
     return TrialResult(completion_time=t, delay=delay, ranks=tuple(ranks))

@@ -173,14 +173,14 @@ MUTANTS = {
     # slot times start at 2
     "slot-time-off-by-one": Mutant(
         SIM,
-        "for t, m in enumerate(_schedule(cfg, gen_ids, ranks, pending), 1):",
-        "for t, m in enumerate(_schedule(cfg, gen_ids, ranks, pending), 2):",
+        "t = 0  # coded slots sent",
+        "t = 1  # coded slots sent",
         ("tests/test_sim.py::TestSchedulers::test_blind_sends_every_generation_every_round",)),
     # blind_rr stops sending generations that no receiver waits for
     "blind-skips-finished-generations": Mutant(
         SIM,
-        "            yield from nonempty\n",
-        "            yield from [m for m in nonempty if pending[m]]\n",
+        "return [m for m, ids in enumerate(gen_ids) if ids]",
+        "return [m for m, ids in enumerate(gen_ids) if ids and pending[m]]",
         ("tests/test_sim.py::TestSchedulers::test_blind_sends_every_generation_every_round",)),
     # feedback_rr sends each round's generations in reverse partition order
     "rounds-in-reverse": Mutant(
@@ -189,6 +189,24 @@ MUTANTS = {
         "for m, waiting in reversed(list(enumerate(pending))):",
         ("tests/test_sim.py::TestSlotSchedule::"
          "test_feedback_round_one_sends_ranks_in_partition_order",)),
+    # the block's completion is checked only when a round ends, so blind_rr and
+    # strict_rr send the rest of the round that completes it
+    "completion-checked-at-round-end": Mutant(
+        SIM,
+        "            if not pending[m] and not any(pending):\n"
+        "                break  # the block just completed; U is this slot\n",
+        "",
+        ("tests/test_sim.py::TestCodedPhase::"
+         "test_blind_stops_at_the_slot_that_completes_the_block",)),
+    # one round goes out before pending is read, so blind_rr sends a slot when
+    # nobody wants anything (feedback_rr's and strict_rr's rounds are then empty)
+    "round-sent-with-nothing-pending": Mutant(
+        SIM,
+        "    while any(pending):\n",
+        "    rounds = 0\n"
+        "    while not rounds or any(pending):\n"
+        "        rounds += 1\n",
+        ("tests/test_sim.py::TestCodedPhase::test_all_zero_sfm_skips_coded_phase",)),
     # each slot's erasure words are read before its coefficient words
     "erasures-before-coefficients": Mutant(
         SIM,

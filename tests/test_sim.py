@@ -3,7 +3,6 @@ import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 from types import SimpleNamespace
 from unittest import mock
 
@@ -75,16 +74,71 @@ def run_single(cfg, trial=0):
     return run_trial(cfg, trial)
 
 
+def sent_rounds(sfm, part, cfg, rng):
+    """coded_phase's result and the length of every round _round gave it."""
+    lengths, real = [], gencast.sim._round
+
+    def spy(*args):
+        slots = real(*args)
+        lengths.append(len(slots))
+        return slots
+
+    with mock.patch.object(gencast.sim, "_round", spy):
+        return coded_phase(sfm, part, cfg, rng), lengths
+
+
 class TestCodedPhase:
-    def test_all_zero_sfm_skips_coded_phase(self):
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_all_zero_sfm_skips_coded_phase(self, scheduler):
         sfm = StateFeedbackMatrix(np.zeros((3, 5), dtype=int))
         part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=2))
-        cfg = SimConfig(n_packets=5, n_receivers=3, gamma=2, erasure_prob=0.2)
+        cfg = SimConfig(n_packets=5, n_receivers=3, gamma=2, erasure_prob=0.2,
+                        scheduler=scheduler)
         result = coded_phase(sfm, part, cfg, np.random.default_rng(0))
         assert result.completion_time == 0
         assert not any(result.ranks)
         assert result.delay == Fraction(0)
         assert result.ranks == (0,) * part.n_generations
+
+    def test_blind_stops_at_the_slot_that_completes_the_block(self):
+        # nobody wants generation 1, so round 1's second slot is never sent;
+        # the first coefficient this seed draws is nonzero
+        sfm = StateFeedbackMatrix([[1, 0]])
+        part = Partition(((0,), (1,)), gamma_cap=1)
+        cfg = SimConfig(n_packets=2, n_receivers=1, gamma=1, erasure_prob=0.2,
+                        coded_phase_erasures=False, scheduler="blind_rr")
+        result = coded_phase(sfm, part, cfg, np.random.default_rng(0))
+        assert (result.completion_time, result.delay) == (1, 1)
+
+    def test_strict_stops_inside_a_round_whose_quota_exceeds_the_need(self):
+        # one receiver wants both packets of a rank-2 generation; with this
+        # seed one slot of round 1 brings it nothing, round 2 resends the rank
+        # although it needs 1, and round 2's first slot completes the block
+        sfm = StateFeedbackMatrix([[1, 1]])
+        part = Partition(((0, 1),), gamma_cap=2)
+        cfg = SimConfig(n_packets=2, n_receivers=1, gamma=2, erasure_prob=0.5,
+                        scheduler="strict_rr")
+        result, lengths = sent_rounds(sfm, part, cfg, np.random.default_rng(2))
+        assert lengths == [2, 2] and result.completion_time == 3
+
+    @pytest.mark.parametrize("q", [16, 256])
+    def test_u_falls_in_the_last_round_sent(self, q):
+        # U is a slot of the last round _round gave; feedback_rr gives each
+        # generation its largest need, so its U is that round's last slot,
+        # while blind_rr and strict_rr can finish mid-round
+        mid_round = dict.fromkeys(SCHEDULERS, 0)
+        for trial in range(40):
+            sfm = random_sfm(np.random.default_rng([q, trial]), 10, 12, 0.3)
+            part = heuristic_partition(sfm, PartitionerConfig(gamma_cap=3))
+            for scheduler in SCHEDULERS:
+                cfg = SimConfig(n_packets=12, n_receivers=10, gamma=3, erasure_prob=0.3,
+                                field_order=q, scheduler=scheduler, abstract_decode=True)
+                result, lengths = sent_rounds(sfm, part, cfg, np.random.default_rng(trial))
+                u = result.completion_time
+                assert sum(lengths[:-1]) < u <= sum(lengths), (scheduler, trial)
+                mid_round[scheduler] += u < sum(lengths)
+        assert mid_round["feedback_rr"] == 0
+        assert mid_round["blind_rr"] > 0 and mid_round["strict_rr"] > 0
 
     def test_erasure_free_decode_times_follow_generation_order(self):
         # with no erasures and full-rank draws, generation m completes by
@@ -349,9 +403,9 @@ class TestSchedulers:
 
 
 class TestSlotSchedule:
-    """The round policy alone: gencast.sim._schedule fed stand-in decoders
-    that a trial could hold before its first slot (each generation's largest
-    needed is its rank).  No slot changes them; a test may between rounds."""
+    """The round policy alone: gencast.sim._round fed stand-in decoders that a
+    trial could hold before its first slot (each generation's largest needed
+    is its rank).  A test changes them between calls, as a round's slots do."""
 
     GEN_IDS = [(0, 1), (), (2,), (3, 4, 5), (6, 7)]
     RANKS = [2, 0, 1, 3, 0]
@@ -363,47 +417,53 @@ class TestSlotSchedule:
         return [{0: need(needed=1), 3: need(needed=2)}, {}, {1: need(needed=1)},
                 {0: need(needed=3), 2: need(needed=1)}, {}]
 
-    def schedule(self, pending, scheduler="feedback_rr"):
+    def next_round(self, pending, scheduler="feedback_rr"):
         cfg = SimConfig(n_packets=8, n_receivers=4, gamma=3, scheduler=scheduler)
-        return gencast.sim._schedule(cfg, self.GEN_IDS, self.RANKS, pending)
+        return gencast.sim._round(cfg, self.GEN_IDS, self.RANKS, pending)
 
-    def slots(self, count, scheduler="feedback_rr"):
-        return list(islice(self.schedule(self.pending(), scheduler), count))
-
-    def after_round_one(self, count, scheduler):
-        """Round one's slots, then count slots after generation 0's largest-need
+    def after_round_one(self, scheduler):
+        """Round one, then the next round after generation 0's largest-need
         receiver finishes and generation 3's drops to needing 2."""
         pending = self.pending()
-        schedule = self.schedule(pending, scheduler)
-        first = list(islice(schedule, len(self.ROUND_ONE)))
+        first = self.next_round(pending, scheduler)
         del pending[0][3]
         pending[3][0].needed = 2
-        return first, list(islice(schedule, count))
+        return first, self.next_round(pending, scheduler)
 
     def test_blind_slot_times(self):
-        # the j-th slot of nonempty generation m goes out at (j - 1) * M + m + 1
+        # the j-th slot of nonempty generation m goes out at (j - 1) * M + m + 1,
+        # also once a generation's receivers have finished
         nonempty = [0, 2, 3, 4]
-        sent_at = dict(enumerate(self.slots(5 * len(nonempty), scheduler="blind_rr"), 1))
+        pending, sent = self.pending(), []
+        for j in range(5):
+            sent += self.next_round(pending, scheduler="blind_rr")
+            pending[nonempty[j % 4]].clear()
+        sent_at = dict(enumerate(sent, 1))
+        assert len(sent_at) == 5 * len(nonempty)
         for j in range(1, 6):
             for m, gen in enumerate(nonempty):
                 assert sent_at[(j - 1) * len(nonempty) + m + 1] == gen
 
     def test_feedback_round_one_sends_ranks_in_partition_order(self):
-        first, later = self.after_round_one(8, "feedback_rr")
+        first, later = self.after_round_one("feedback_rr")
         assert first == self.ROUND_ONE
-        # later rounds send each pending generation its largest needed
-        assert later == [0, 2, 3, 3] * 2
+        # a later round sends each pending generation its largest needed
+        assert later == [0, 2, 3, 3]
 
     def test_strict_rounds_resend_ranks(self):
-        assert self.slots(18, scheduler="strict_rr") == self.ROUND_ONE * 3
+        pending = self.pending()
+        assert [self.next_round(pending, "strict_rr") for _ in range(3)] == [self.ROUND_ONE] * 3
 
     def test_strict_resends_the_rank_after_the_largest_need_finishes(self):
-        first, later = self.after_round_one(12, "strict_rr")
-        assert first == self.ROUND_ONE and later == self.ROUND_ONE * 2
+        first, later = self.after_round_one("strict_rr")
+        assert first == later == self.ROUND_ONE
 
     def test_nothing_pending_sends_nothing(self):
-        for scheduler in SCHEDULERS:
-            assert list(self.schedule([{}] * len(self.GEN_IDS), scheduler)) == []
+        # blind_rr's round ignores the decoders: coded_phase's loop condition
+        # keeps it from sending when nothing is pending
+        for scheduler in ("feedback_rr", "strict_rr"):
+            assert self.next_round([{}] * len(self.GEN_IDS), scheduler) == []
+        assert self.next_round([{}] * len(self.GEN_IDS), "blind_rr") == [0, 2, 3, 4]
 
 
 class TestRunExperiment:
