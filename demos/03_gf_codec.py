@@ -21,19 +21,18 @@ print(f"  inv(0x53)   = {GF256.inv(0x53):#x}, check: 0x53 * inv = "
       f"{GF256.mul(0x53, GF256.inv(0x53))}")
 
 rng = np.random.default_rng(99)
-payloads = random_payloads(5, 12, rng)
+payloads = dict(enumerate(random_payloads(5, 12, rng)))  # packet id -> payload
 print("\nsource payloads (hex):")
-for k, p in enumerate(payloads):
+for k, p in payloads.items():
     print(f"  packet {k}: {bytes(p).hex()}")
 
 # receiver already got packets 1 and 4 in the systematic phase
 known = {1: payloads[1], 4: payloads[4]}
-state = DecoderState(generation_id=0, generation_ids=range(5), wanted_ids=[0, 2, 3],
-                     known_payloads=known)
+state = DecoderState(generation_ids=range(5), wanted_ids=[0, 2, 3], known_payloads=known)
 print("\nreceiver wants packets [0, 2, 3]; absorbing coded packets:")
 absorbed = 0
 while not state.decoded:
-    pkt = encode(payloads, random_coefficients(5, rng, GF256), GF256, generation_id=0)
+    pkt = encode(payloads, range(5), random_coefficients(5, rng, GF256), GF256)
     useful = state.absorb(pkt)
     absorbed += 1
     print(f"  packet {absorbed}: coeffs {bytes(pkt.coefficients).hex()} "
@@ -51,9 +50,9 @@ for d in (1, 2, 3):
     draws = rng.integers(0, 16, size=(trials, d, d), dtype=np.uint8)
     hits = 0
     for i in range(trials):
-        st = DecoderState(0, range(d), range(d), GF16)
-        for j in range(d):
-            st.absorb(CodedPacket(0, draws[i, j], None))
+        st = DecoderState(range(d), range(d), GF16)
+        for j in range(d):  # a GF(16) decoder takes GF(16) packets only
+            st.absorb(CodedPacket(range(d), draws[i, j], None, GF16))
         hits += st.decoded
     analytic = math.prod(1 - 16**-i for i in range(1, d + 1))
     print(f"  d={d}: measured {hits / trials:.4f}, analytic {analytic:.4f}")

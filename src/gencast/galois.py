@@ -68,11 +68,15 @@ class Field:
 
     def symbols(self, x) -> np.ndarray:
         """x as a uint8 array of field symbols: x itself if it is a uint8 array,
-        else a new one.  A value the uint8 cast changes (256, -1, 1.5) or, over
-        GF(16), a byte of 16 or more is a ValueError.  A uint8 array over GF(256)
-        is neither scanned nor copied: each byte is a symbol."""
-        u8 = x if type(x) is np.ndarray and x.dtype.char == "B" else np.asarray(x).astype("B")
-        if u8 is not x and (u8 != x).any() or self.q < 256 and self.outside(u8.tobytes()):
+        else a new one.  A value the uint8 cast changes (256, -1, 1.5) or refuses
+        (None, "ab", 2**70) or, over GF(16), a byte of 16 or more is a ValueError.
+        A uint8 array over GF(256) is neither scanned nor copied: each byte is a symbol."""
+        try:
+            u8 = x if type(x) is np.ndarray and x.dtype.char == "B" else np.asarray(x).astype("B")
+        except (TypeError, ValueError, OverflowError):
+            u8 = None
+        if u8 is None or u8 is not x and (u8 != x).any() \
+                or self.q < 256 and self.outside(u8.tobytes()):
             raise ValueError(f"symbols outside GF({self.q})")
         return u8
 

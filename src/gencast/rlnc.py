@@ -1,19 +1,16 @@
 """Random linear coding within a generation, and incremental decoding.
 
-random_coefficients draws coefficients i.i.d. uniform over the field, zero
-included; encode combines a generation's payloads into a CodedPacket,
-recording by column the products c_j * x_j it summed (a rank-only packet is
-built directly as CodedPacket(m, coefficients, None)).  DecoderState is one
-receiver's decoder for one generation, built from its wanted ids (a trial's
-all at once by for_partition, from its SFM and Partition): it decodes payloads
-iff built with known_payloads, else tracks rank only, along the same ranks.
-absorb reduces the unknown coefficients as one int, byte j for column j: each
-step clears the lowest nonzero byte's column by XORing in its row times that
-byte (one bytes.translate), so there is at most one step a column.  A packet
-is read when it is made, its coefficients by GF256.symbols; absorb checks on
-every call what depends on its decoder, and writes nothing on the packet.  It
-reuses a recorded product only if made from the very array held, else makes
-its own; only encode writes the record.
+A CodedPacket says what it codes, its generation's packet ids in coefficient
+order and its field, and is read once, when it is made.  random_coefficients
+draws coefficients i.i.d. uniform over the field, zero included; encode
+combines the payloads of a generation's ids, recording by column the products
+c_j * x_j it summed, which only it writes.  DecoderState is one receiver's
+decoder for one generation (a trial's all at once by for_partition): it decodes
+payloads iff built with known_payloads, else tracks rank only, along the same
+ranks.  absorb takes packets of its field's order and its very ids and reduces
+their coefficients as one int, byte j for column j: a step clears the lowest
+nonzero byte's column by XORing in its row times that byte (one translate), so
+there is at most one step a column.  It sets nothing on the packet.
 """
 
 from __future__ import annotations
@@ -27,15 +24,23 @@ __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "rand
 
 
 class CodedPacket:
-    """A coded packet, equal only to itself.  Its coefficients are read when it is
-    made, by GF256.symbols, into row: their bytes and their little-endian int."""
+    """A coded packet, equal only to itself.  Its coefficients, one an id, and its
+    payload (None if rank-only) are read by field.symbols when it is made; the
+    payload is held read-only, a caller's writable array copied."""
 
-    __slots__ = ("generation_id", "coefficients", "payload", "products", "row")
+    __slots__ = ("generation_ids", "field", "coefficients", "payload", "products", "row")
 
-    def __init__(self, generation_id, coefficients, payload, products=None):
-        self.generation_id = generation_id
-        self.coefficients = GF256.symbols(coefficients)  # uint8, generation-local order
-        self.payload = payload  # None for abstract (rank-only) packets
+    def __init__(self, generation_ids, coefficients, payload, field: Field = GF256,
+                 products=None):
+        self.generation_ids = ids = tuple(generation_ids)
+        self.field = field
+        self.coefficients = field.symbols(coefficients)  # uint8, in ids order
+        if len(self.coefficients) != len(ids):
+            raise ValueError(f"{len(self.coefficients)} coefficients for packets {ids}")
+        if payload is not None and (read := field.symbols(payload)).flags.writeable:
+            payload = read.copy() if read is payload else read  # symbols' own arrays are new
+            payload.setflags(write=False)
+        self.payload = payload
         # column j -> (source array, c_j * source) as made for it; None unless from encode
         self.products = products
         data = self.coefficients.tobytes()
@@ -47,24 +52,26 @@ def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
     return rng.integers(0, field.q, size=n, dtype=np.uint8)
 
 
-def encode(generation_payloads, coefficients, field: Field = GF256, generation_id=0) -> CodedPacket:
-    """Combine a nonempty generation's payloads with the given coefficients, one
-    each, both read by field.symbols."""
-    n = len(generation_payloads)
+def encode(payloads, generation_ids, coefficients, field: Field = GF256) -> CodedPacket:
+    """The packet of the coefficients, one an id, times payloads[pid] over a nonempty
+    generation's ids, in order; payloads maps ids to payloads, all read by symbols."""
+    ids = tuple(generation_ids)
     coeffs = field.symbols(coefficients)
-    if not 0 < n == len(coeffs):
-        raise ValueError(f"cannot encode {n} payloads with {len(coeffs)} coefficients")
-    sources = [field.symbols(p) for p in generation_payloads]
-    lengths = {len(p) for p in sources}
-    if len(lengths) != 1:
-        raise ValueError(f"payload lengths differ within the generation: {sorted(lengths)}")
+    try:
+        sources = [field.symbols(payloads[pid]) for pid in ids]
+    except KeyError:
+        missing = [pid for pid in ids if pid not in payloads]
+        raise ValueError(f"no payloads for packets {missing} of {ids}") from None
+    if len(lengths := {len(p) for p in sources}) != 1:
+        raise ValueError(f"cannot encode packets {ids} of payload lengths {sorted(lengths)}")
     payload = np.zeros(lengths.pop(), dtype=np.uint8)
     products = {}
     for j, (c, src) in enumerate(zip(coeffs.tolist(), sources)):
         if c:
             products[j] = src, field.mul_vec(c, src)
             payload ^= products[j][1]
-    return CodedPacket(generation_id, coeffs, payload, products)
+    payload.setflags(write=False)  # the packet holds it as is
+    return CodedPacket(ids, coeffs, payload, field, products)
 
 
 def random_payloads(count, length, rng, field: Field = GF256):
@@ -104,18 +111,17 @@ class DecoderState:
     generation's columns, zero before j and at every held column, 1 at j.
     """
 
-    __slots__ = ("generation_id", "generation_ids", "field", "needed", "_unknowns",
+    __slots__ = ("generation_ids", "field", "needed", "_unknowns",
                  "_mask", "_basis", "_payloads", "_held", "_length")
 
-    def __init__(self, generation_id, generation_ids, wanted_ids, field: Field = GF256,
-                 known_payloads=None):
+    def __init__(self, generation_ids, wanted_ids, field: Field = GF256, known_payloads=None):
         ids = check_generation_ids(generation_ids)
         wanted = set(check_generation_ids(wanted_ids))
         if outside := sorted(wanted.difference(ids)):
             raise ValueError(f"wanted ids not in generation: {outside}")
         row = bytes(pid in wanted for pid in ids)
         known = _checked_payloads(known_payloads, ids, field)
-        self._setup(generation_id, ids, row, len(wanted), field, known)
+        self._setup(ids, row, len(wanted), field, known)
 
     @classmethod
     def for_partition(cls, sfm, partition, field: Field = GF256, known_payloads=None):
@@ -127,20 +133,19 @@ class DecoderState:
         # each receiver's K 0/1 wants in partition order; a Partition's ids are checked
         flags = sfm.wants[:, [pid for ids in partition.generations for pid in ids]].tobytes()
         size, decoders, stop = sfm.n_packets, [], 0
-        for m, ids in enumerate(partition.generations):
+        for ids in map(tuple, partition.generations):
             start, stop = stop, stop + len(ids)
             decoders.append(states := {})
             for r in range(sfm.n_receivers):
                 row = flags[r * size + start:r * size + stop]
                 if needed := row.count(1):
                     state = states[r] = cls.__new__(cls)
-                    state._setup(m, ids, row, needed, field, known)
+                    state._setup(ids, row, needed, field, known)
         return decoders
 
-    def _setup(self, generation_id, ids, row, needed, field, known):
+    def _setup(self, ids, row, needed, field, known):
         """The state of checked ids wanting the needed columns, 1 in row (0/1
         bytes, so times 255 none carries), holding the checked payloads known."""
-        self.generation_id = generation_id
         self.generation_ids = ids
         self.field = field
         self.needed = self._unknowns = needed
@@ -174,28 +179,18 @@ class DecoderState:
 
     def absorb(self, pkt: CodedPacket) -> bool:
         """Fold a coded packet in (a rank-only state ignores its payload); True
-        iff the rank increased.  A packet of another generation, of the wrong
-        length, with a coefficient outside the field or, to a payload state,
-        without a payload, with a payload symbol outside the field or with a
-        payload of another length is a ValueError, also for a state that needs
-        nothing.  The same checks run on every call, and nothing is set on pkt."""
-        if pkt.generation_id != self.generation_id:
-            raise ValueError(f"packet for generation {pkt.generation_id}, state holds "
-                             f"{self.generation_id}")
-        coeffs, whole = pkt.row  # read by GF(256)'s rule when the packet was made
-        if len(coeffs) != len(self.generation_ids):
-            raise ValueError(f"coefficient vector length {len(coeffs)} != generation size "
-                             f"{len(self.generation_ids)}")
+        iff the rank increased.  Only what depends on this decoder is checked: a
+        packet over a field of another order, of other ids or order or, to a
+        payload state, without a payload or of another payload length is a
+        ValueError before anything changes, also for a state that needs nothing."""
         field, tables = self.field, self.field.translate_rows
-        if field.q < 256 and field.outside(coeffs):
-            raise ValueError(f"coefficients outside GF({field.q}): {list(coeffs)}")
+        if pkt.field.q != field.q or pkt.generation_ids != self.generation_ids:
+            raise ValueError(f"a packet of {pkt.generation_ids} over GF({pkt.field.q}) does not "
+                             f"fit a decoder of {self.generation_ids} over GF({field.q})")
+        coeffs, whole = pkt.row
         if (held := self._held) is not None:
-            if pkt.payload is None:
+            if (payload := pkt.payload) is None:
                 raise ValueError("a state decoding payloads needs a packet with a payload")
-            try:
-                payload = field.symbols(pkt.payload)
-            except ValueError:
-                raise ValueError(f"payload symbols outside GF({field.q})") from None
             if self._length is None:
                 self._length = len(payload)
             elif len(payload) != self._length:
@@ -227,7 +222,7 @@ class DecoderState:
             if residual is not None:
                 residual ^= field.mul_vec(f, self._payloads[pivot])
         else:
-            raise RuntimeError(f"elimination did not end in generation {self.generation_id}")
+            raise RuntimeError(f"elimination did not end in generation {self.generation_ids}")
 
         fi = field.inverse[f]
         basis[pivot] = vec.to_bytes(len(coeffs), "little").translate(tables[fi])

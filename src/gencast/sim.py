@@ -26,6 +26,7 @@ the same row in either decode mode, serially or in parallel.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -196,7 +197,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
     payloads = None if cfg.abstract_decode else dict(enumerate(random_payloads(
         sfm.n_packets, cfg.payload_len, np.random.default_rng(payload_seed), field)))
 
-    gen_ids = partition.generations  # each a tuple of its packet ids
+    gen_ids = [tuple(ids) for ids in partition.generations]  # plain: a packet keeps them as is
     pending = DecoderState.for_partition(sfm, partition, field, payloads)
     ranks = [max([s.needed for s in states.values()], default=0) for states in pending]
     n_wanted = sum(s.needed for states in pending for s in states.values())
@@ -208,8 +209,8 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
         for m in _round(cfg, gen_ids, ranks, pending):
             t += 1
             coeffs, erased = draws.slot(len(gen_ids[m]))
-            pkt = CodedPacket(m, coeffs, None) if payloads is None else encode(
-                [payloads[pid] for pid in gen_ids[m]], coeffs, field, generation_id=m)
+            pkt = CodedPacket(gen_ids[m], coeffs, None, field) if payloads is None else encode(
+                payloads, gen_ids[m], coeffs, field)
             for r, state in list(pending[m].items()):
                 if erased[r]:
                     continue
@@ -293,7 +294,7 @@ def aggregate_rows(rows):
 
 def run_experiment(cfg: SimConfig, workers: int = 1):
     """Monte-Carlo cell: per-trial rows (trial order) plus their aggregate."""
-    workers = min(workers, cfg.trials)  # a forked pool starts all its workers at once
+    workers = min(workers, cfg.trials, os.cpu_count() or 1)  # a forked pool starts them all
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

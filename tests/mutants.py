@@ -207,6 +207,12 @@ MUTANTS = {
         "    while not rounds or any(pending):\n"
         "        rounds += 1\n",
         ("tests/test_sim.py::TestCodedPhase::test_all_zero_sfm_skips_coded_phase",)),
+    # the pool asks for as many workers as trials, however few CPUs the host has
+    "pool-ignores-cpu-count": Mutant(
+        SIM,
+        "workers = min(workers, cfg.trials, os.cpu_count() or 1)",
+        "workers = min(workers, cfg.trials)",
+        ("tests/test_sim.py::TestRunExperiment::test_pool_no_larger_than_cell",)),
     # each slot's erasure words are read before its coefficient words
     "erasures-before-coefficients": Mutant(
         SIM,
@@ -247,26 +253,60 @@ MUTANTS = {
         "vec = whole & self._mask",
         "vec = whole",
         ("tests/test_rlnc.py::TestAbsorb::test_known_payload_substitution",)),
-    # a packet read by GF(256)'s rule when it was made passes every decoder's field check
+    # a packet reads its coefficients by GF(256)'s rule whatever its field, so a
+    # GF(16) packet holds bytes of 16 or more, which no decoder checks again
     "field-check-remembered-without-its-field": Mutant(
         RLNC,
-        "if field.q < 256 and field.outside(coeffs):",
-        "if False:",
-        ("tests/test_rlnc.py::test_a_packet_shared_by_decoders_acts_as_a_fresh_copy_on_each",)),
-    # a payload decoder takes a packet's payload symbols unchecked
+        "self.coefficients = field.symbols(coefficients)",
+        "self.coefficients = GF256.symbols(coefficients)",
+        (PACKET_READ,)),
+    # a packet takes its payload symbols unchecked
     "payload-symbols-unchecked": Mutant(
         RLNC,
-        "payload = field.symbols(pkt.payload)",
-        "payload = np.asarray(pkt.payload, np.uint8)",
+        "(read := field.symbols(payload))",
+        "(read := np.asarray(payload, np.uint8))",
         ("tests/test_rlnc.py::TestAbsorb::test_payload_symbols_outside_the_field_are_refused",)),
     # the symbol rule casts to uint8 without comparing back, so a wider array's 256
     # wraps to 0 and -1 to 255, in a payload, a coefficient or a source
     "payload-cast-not-compared-back": Mutant(
         GALOIS,
-        "u8 is not x and (u8 != x).any() or ",
-        "",
+        "u8 is None or u8 is not x and (u8 != x).any() \\\n                or ",
+        "u8 is None or ",
         ("tests/test_rlnc.py::TestAbsorb::test_a_wider_integer_payload_is_refused_not_wrapped",
          ENCODE_REFUSALS)),
+    # the symbol rule lets what the uint8 cast refuses escape as TypeError or OverflowError
+    "symbols-lets-cast-errors-escape": Mutant(
+        GALOIS,
+        "except (TypeError, ValueError, OverflowError):",
+        "except ValueError:",
+        ("tests/test_rlnc.py::test_input_the_uint8_cast_refuses_is_no_symbol",)),
+    # absorb compares the ids only, so a packet over another field is decoded as if
+    # its symbols were the decoder's
+    "absorb-ignores-packet-field": Mutant(
+        RLNC,
+        "if pkt.field.q != field.q or pkt.generation_ids != self.generation_ids:",
+        "if pkt.generation_ids != self.generation_ids:",
+        ("tests/test_rlnc.py::TestAbsorb::test_a_packet_of_another_field_is_refused",)),
+    # absorb compares the ids as sets, so a packet of the same ids in another order
+    # is read column by column against the wrong packets
+    "ids-compared-as-sets": Mutant(
+        RLNC,
+        "pkt.generation_ids != self.generation_ids:",
+        "set(pkt.generation_ids) != set(self.generation_ids):",
+        ("tests/test_rlnc.py::TestAbsorb::test_the_same_ids_in_another_order_are_refused",)),
+    # a packet takes any number of coefficients for its ids
+    "packet-count-unchecked": Mutant(
+        RLNC,
+        "if len(self.coefficients) != len(ids):",
+        "if False:",
+        (PACKET_READ,)),
+    # a packet holds its caller's payload array, writable, so a change after it was
+    # read reaches every decoder
+    "payload-left-writable": Mutant(
+        RLNC,
+        "            payload.setflags(write=False)\n",
+        "",
+        ("tests/test_rlnc.py::TestAbsorb::test_a_payload_cannot_change_after_it_was_read",)),
     # encode casts its coefficients to uint8 itself, so 300 wraps to 44
     "encode-casts-coefficients": Mutant(
         RLNC,
@@ -276,13 +316,13 @@ MUTANTS = {
     # encode reads only the sources it scales, so one with a zero coefficient goes unchecked
     "encode-skips-unscaled-sources": Mutant(
         RLNC,
-        "sources = [field.symbols(p) for p in generation_payloads]",
-        "sources = generation_payloads",
+        "sources = [field.symbols(payloads[pid]) for pid in ids]",
+        "sources = [payloads[pid] for pid in ids]",
         (ENCODE_REFUSALS,)),
     # a packet casts its coefficients to uint8 itself, so -1 wraps to 255
     "packet-coefficients-cast": Mutant(
         RLNC,
-        "self.coefficients = GF256.symbols(coefficients)",
+        "self.coefficients = field.symbols(coefficients)",
         "self.coefficients = np.asarray(coefficients, np.uint8)",
         (PACKET_READ,)),
     # a new basis row is scaled by its pivot, not by the pivot's inverse
@@ -295,8 +335,8 @@ MUTANTS = {
     # (by zero, off the padded table)
     "mul-vec-skips-symbol-check": Mutant(
         GALOIS,
-        " or self.q < 256 and self.outside(u8.tobytes())",
-        "",
+        "\\\n                or self.q < 256 and self.outside(u8.tobytes()):",
+        ":",
         (MUL_VEC_REFUSALS,)),
     # mul_vec takes any coefficient its table indexes: -1 wraps to q - 1
     "mul-vec-skips-coefficient-check": Mutant(

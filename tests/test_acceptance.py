@@ -160,7 +160,7 @@ def test_criterion_5_full_rank_probability():
                 for r, st in decoders.items():
                     block = draws[start + r]
                     for j in range(d):
-                        st.absorb(CodedPacket(0, block[j], None))
+                        st.absorb(CodedPacket(range(d), block[j], None, field))
                     hits += st.decoded
             expect = math.prod(1 - q**-i for i in range(1, d + 1))
             sigma = math.sqrt(expect * (1 - expect) / trials)

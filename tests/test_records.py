@@ -31,6 +31,7 @@ from gencast import (
     systematic_phase,
     validate_partition,
 )
+from gencast.galois import GF16, GF256
 from gencast.sfm import PartitionReport
 
 from conftest import random_sfm
@@ -95,10 +96,17 @@ def test_construction_shapes_and_attributes():
     assert (oracle.witness, oracle.nodes_explored, oracle.heuristic) == (p, 0, p)
     assert oracle.min_generations == 2
     coeffs, payload = np.array([1, 2], np.uint8), np.zeros(3, np.uint8)
-    pkt = CodedPacket(generation_id=1, coefficients=coeffs, payload=payload, products=None)
-    assert (pkt.generation_id, pkt.coefficients, pkt.payload) == (1, coeffs, payload)
+    pkt = CodedPacket(generation_ids=[4, 1], coefficients=coeffs, payload=payload, field=GF16,
+                      products=None)
+    assert (pkt.generation_ids, pkt.field, pkt.coefficients) == ((4, 1), GF16, coeffs)
+    # a caller's writable payload is held as a read-only copy
+    assert pkt.payload is not payload and pkt.payload.tolist() == [0, 0, 0]
+    assert not pkt.payload.flags.writeable
     assert pkt.products is None and pkt.row == (b"\x01\x02", 0x0201)
-    assert CodedPacket(0, coeffs, None).payload is None
+    assert CodedPacket((0, 1), coeffs, None).payload is None
+    assert CodedPacket((0, 1), coeffs, None).field is GF256
+    assert CodedPacket.__slots__ == ("generation_ids", "field", "coefficients", "payload",
+                                     "products", "row")
 
 
 def test_attributes_the_tracer_reads():
@@ -152,9 +160,10 @@ def test_pickle_round_trip():
         assert type(copy) is type(record) and copy == record, name
         assert [getattr(copy, f) for f in FIELDS[name]] == \
             [getattr(record, f) for f in FIELDS[name]], name
-    pkt = CodedPacket(2, np.array([1, 3], np.uint8), np.arange(4, dtype=np.uint8))
+    pkt = CodedPacket((2, 5), np.array([1, 3], np.uint8), np.arange(4, dtype=np.uint8), GF16)
     copy = pickle.loads(pickle.dumps(pkt))
-    assert copy is not pkt and copy.generation_id == 2 and copy.row == (b"\x01\x03", 0x0301)
+    assert copy is not pkt and copy.generation_ids == (2, 5) and copy.field.q == 16
+    assert copy.row == (b"\x01\x03", 0x0301)
     assert copy.coefficients.tolist() == [1, 3] and copy.payload.tolist() == [0, 1, 2, 3]
 
 

@@ -109,9 +109,8 @@ def _json_partition(**doc):
 # with v next to a valid 0
 ID_ENTRY_POINTS = {
     "Generation": (lambda v: Generation((0, v)).packet_ids, (0, 3)),
-    "DecoderState.generation_ids": (lambda v: DecoderState(0, (0, v), (0,)).generation_ids,
-                                    (0, 3)),
-    "DecoderState.wanted_ids": (lambda v: DecoderState(0, (0, 3), (0, v)).unknown_ids, (0, 3)),
+    "DecoderState.generation_ids": (lambda v: DecoderState((0, v), (0,)).generation_ids, (0, 3)),
+    "DecoderState.wanted_ids": (lambda v: DecoderState((0, 3), (0, v)).unknown_ids, (0, 3)),
     # a coloring's colors, as is_valid_coloring reports them
     "Coloring": (lambda v: tuple(c for c, _ in is_valid_coloring(RULE_H, (0, 0, v, v), 1)
                                  .violations), (0, 3)),
@@ -165,7 +164,7 @@ class TestInputRule:
 
     def test_duplicate_ids_do_not_inflate_a_decoder(self):
         with pytest.raises(ValueError, match="duplicate packet ids"):
-            DecoderState(0, (1, 1, 2), (1,))
+            DecoderState((1, 1, 2), (1,))
 
     @pytest.mark.parametrize("entry", CAP_ENTRY_POINTS)
     @pytest.mark.parametrize("bad", NON_INTEGERS + [0, 0.5], ids=repr)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -486,7 +487,8 @@ class TestRunExperiment:
 
     def test_pool_no_larger_than_cell(self, monkeypatch):
         # a forked pool starts every worker at its first submit, so a 2-trial
-        # cell must not ask for 8; the fake runs the trials in this process
+        # cell must not ask for 8, nor a 2-CPU host for more than 2; the fake
+        # runs the trials in this process, and a one-worker bound needs no pool
         asked = []
 
         class RecordingPool:
@@ -503,9 +505,18 @@ class TestRunExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(gencast.sim.os, "cpu_count", lambda: 8)
         cfg = SimConfig(n_packets=6, n_receivers=3, seed=4, trials=2)
-        assert run_experiment(cfg, workers=8) == run_experiment(cfg)
+        serial = run_experiment(cfg)
+        assert run_experiment(cfg, workers=8) == serial
         assert asked == [2]
+        many = replace(cfg, trials=40)
+        for cpus, expect in ((2, [2, 2]), (3, [3, 2]), (None, []), (1, [])):
+            asked.clear()
+            monkeypatch.setattr(gencast.sim.os, "cpu_count", lambda: cpus)
+            assert run_experiment(many, workers=64) == run_experiment(many)
+            assert run_experiment(cfg, workers=64) == serial
+            assert asked == expect
 
     def test_schedulers_share_feedback_matrices(self):
         # paired cells: identical trial seeds produce identical SFMs, hence
@@ -634,15 +645,17 @@ def trial_decoder_cases(draw):
 @given(trial_decoder_cases())
 def test_trial_decoders_match_decoders_built_alone(case):
     # the decoders DecoderState.for_partition builds for a trial, one dict per
-    # generation in partition order, equal DecoderState(m, ids, wanted, field,
+    # generation in partition order, equal DecoderState(ids, wanted, field,
     # held) built one at a time, rank-only and with payloads: when built and
-    # after each of the same packets
+    # after each of the same packets; and a generation's packet fits only its
+    # own decoders: every other generation's, of equal size or not, refuse it
+    # before anything changes
     field, sfm, part, payloads, coeffs = case
     wants = sfm.wants.tolist()
     sources = dict(enumerate(payloads))
 
     def observed(states):
-        return {r: (s.generation_id, s.generation_ids, s.unknown_ids, s.needed, s.rank)
+        return {r: (s.generation_ids, s.field, s.unknown_ids, s.needed, s.rank)
                 for r, s in states.items()}
 
     for with_payloads in (False, True):
@@ -650,7 +663,7 @@ def test_trial_decoders_match_decoders_built_alone(case):
         assert len(built) == part.n_generations
         for m, g in enumerate(part.generations):
             ids = g.packet_ids
-            alone = {r: DecoderState(m, ids, [k for k in ids if row[k]], field,
+            alone = {r: DecoderState(ids, [k for k in ids if row[k]], field,
                                      {k: sources[k] for k in ids if not row[k]}
                                      if with_payloads else None)
                      for r, row in enumerate(wants) if any(row[k] for k in ids)}
@@ -661,10 +674,17 @@ def test_trial_decoders_match_decoders_built_alone(case):
                     coded = np.zeros(3, np.uint8)
                     for c, k in zip(row, ids):
                         coded ^= field.mul_vec(c, sources[k])
-                pkt = CodedPacket(m, np.array(row, np.uint8), coded)
+                pkt = CodedPacket(ids, np.array(row, np.uint8), coded, field)
                 assert ({r: s.absorb(pkt) for r, s in built[m].items()}
                         == {r: s.absorb(pkt) for r, s in alone.items()})
                 assert observed(built[m]) == observed(alone)
+                refused = rf"^a packet of {re.escape(str(ids))} over GF\({field.q}\) does not fit"
+                for others in built[:m] + built[m + 1:]:
+                    before = observed(others)
+                    for state in others.values():
+                        with pytest.raises(ValueError, match=refused):
+                            state.absorb(pkt)
+                    assert observed(others) == before
             for r, state in built[m].items():
                 if with_payloads and state.decoded:
                     got, want = state.solve(), alone[r].solve()
