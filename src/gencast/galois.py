@@ -91,6 +91,9 @@ class Field:
     def __repr__(self):
         return f"Field(GF({self.q}), poly=0x{self.poly:X})"
 
+    def __reduce__(self):  # unpickled as the shared instance of its order
+        return get_field, (self.q,)
+
 
 @lru_cache(maxsize=None)
 def get_field(q: int) -> Field:

@@ -92,7 +92,7 @@ class InstanceTooLargeError(ValueError):
 
 
 def heuristic_partition(sfm: StateFeedbackMatrix, cfg: PartitionerConfig) -> Partition:
-    return Partition(tuple(_greedy(sfm, cfg.gamma_cap)), gamma_cap=cfg.gamma_cap)
+    return Partition._of(_greedy(sfm, cfg.gamma_cap), cfg.gamma_cap, sfm.n_packets)
 
 
 def _greedy(sfm, gamma):
@@ -147,7 +147,7 @@ def blind_partition(n_packets: int, n_generations: int) -> Partition:
         )
     base, extra = divmod(n_packets, n_generations)
     starts = [m * base + min(m, extra) for m in range(n_generations + 1)]  # chunk m's first id
-    return Partition(tuple(map(range, starts, starts[1:])))
+    return Partition._of(map(range, starts, starts[1:]), None, int(n_packets))  # K as an int
 
 
 def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult:
@@ -231,7 +231,7 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
         for k, j in zip(order, best_assign):
             groups[j].append(k)
         groups = sorted(sorted(g) for g in groups)  # nonempty and disjoint: by smallest id
-        witness = Partition(tuple(groups), gamma_cap=gamma)
+        witness = Partition._of(groups, gamma, K)
     return OracleResult(witness, nodes, incumbent)
 
 

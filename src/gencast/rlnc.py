@@ -26,7 +26,8 @@ __all__ = ["CodedPacket", "DecoderState", "encode", "random_coefficients", "rand
 class CodedPacket:
     """A coded packet, equal only to itself.  Its coefficients, one an id, and its
     payload (None if rank-only) are read by field.symbols when it is made; the
-    payload is held read-only, a caller's writable array copied."""
+    payload is held read-only, a caller's writable array copied.  It pickles
+    through this constructor, its field as the shared one and without products."""
 
     __slots__ = ("generation_ids", "field", "coefficients", "payload", "products", "row")
 
@@ -45,6 +46,9 @@ class CodedPacket:
         self.products = products
         data = self.coefficients.tobytes()
         self.row = data, int.from_bytes(data, "little")
+
+    def __reduce__(self):  # products name the sender's own arrays, so they stay behind
+        return CodedPacket, (self.generation_ids, self.coefficients, self.payload, self.field)
 
 
 def random_coefficients(n, rng, field: Field = GF256) -> np.ndarray:
@@ -227,14 +231,17 @@ class DecoderState:
         fi = field.inverse[f]
         basis[pivot] = vec.to_bytes(len(coeffs), "little").translate(tables[fi])
         if residual is not None:
-            self._payloads[pivot] = residual if fi == 1 else field.mul_vec(fi, residual)
+            self._payloads[pivot] = stored = residual if fi == 1 else field.mul_vec(fi, residual)
+            stored.setflags(write=False)  # solve may hand it back
         self.needed -= 1
         return True
 
     def solve(self):
         """Recovered payloads keyed by packet id; requires full rank.
 
-        Back-substitutes through the echelon basis from the last pivot up.
+        Back-substitutes through the echelon basis from the last pivot up.  A
+        solution may be a stored row's payload, which is read-only: a write into
+        one raises or reaches a new array, never a later solve.
         """
         if self._payloads is None and self._unknowns:
             raise RuntimeError("state was built without payloads; nothing to solve")

@@ -7,13 +7,14 @@ groups the K packets into disjoint generations; the rank of a generation is
 the largest number of its packets wanted by any single receiver, which is the
 number of coded packets that receiver needs to decode the generation.
 
-A Partition is a disjoint cover of packets 0..K-1 by construction: it checks
-the cover once, when it is built, so nothing downstream checks it again.  The
-build reads every group, a Generation (a tuple of its ids) or any iterable of
-ids, the same way: all ids join one flat list, checked once, and each
-generation is built from its slice without Generation's own check, since a
-cover holds each id once.  The cover is tested without sorting: K non-negative
-ids whose largest is K-1 and which are all distinct are exactly 0..K-1.  A
+A Partition is a disjoint cover of packets 0..K-1 by construction, so nothing
+downstream checks it again.  gencast's producers make their covers from
+range(K) and build them directly (Partition._of); Partition(...) is the checked
+reader of input from outside (JSON, colourings, the CLI, tests, pickles).  It
+reads every group, a Generation or any iterable of ids, the same way: all ids
+join one flat list, checked once, and each generation is its slice, unchecked
+again since a cover holds each id once.  The cover is tested without sorting:
+K distinct non-negative ids whose largest is K-1 are exactly 0..K-1.  A
 non-cover's error prints a run of missing ids as a..b, and a negative-id error
 names at most five of them, so neither grows with the ids given.
 
@@ -175,14 +176,14 @@ class Partition:
 
     __slots__ = ("_generations", "_gamma_cap", "_n_packets")
 
-    def __init__(self, generations, gamma_cap=None):
+    def __new__(cls, generations, gamma_cap=None):
         ids, bounds = [], []  # every group's ids in one flat list, each group a slice of it
         for g in generations:
             start = len(ids)
             ids.extend(g)
             bounds.append(slice(start, len(ids)))
         ids = check_ids(ids, where="partition")
-        self._gamma_cap = None if gamma_cap is None else check_cap(gamma_cap)
+        gamma_cap = None if gamma_cap is None else check_cap(gamma_cap)
         n = len(ids)
         # ids are non-negative ints, so n distinct ones below n are exactly 0..n-1
         if n and (max(ids) != n - 1 or len(set(ids)) != n):
@@ -192,8 +193,19 @@ class Partition:
             missing = ", ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in gaps)
             raise ValueError(f"partition does not disjointly cover packets 0..{distinct[-1]}: "
                              f"duplicated ids {duplicated}, missing ids [{missing}]")
-        self._generations = tuple(tuple.__new__(Generation, ids[b]) for b in bounds)
-        self._n_packets = n
+        return cls._of(map(ids.__getitem__, bounds), gamma_cap, n)
+
+    @classmethod
+    def _of(cls, groups, gamma_cap, n_packets):
+        """The partition of groups, not read again: iterables of int ids that together
+        cover 0..n_packets-1, each id once; gamma_cap is None or passed check_cap."""
+        self = object.__new__(cls)
+        self._generations = tuple(tuple.__new__(Generation, g) for g in groups)
+        self._gamma_cap, self._n_packets = gamma_cap, n_packets
+        return self
+
+    def __reduce__(self):  # a pickle is read back through the checked constructor
+        return Partition, (self._generations, self._gamma_cap)
 
     generations = property(lambda self: self._generations)
     gamma_cap = property(lambda self: self._gamma_cap)

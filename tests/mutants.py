@@ -61,6 +61,7 @@ SINGLE_RECEIVER_DELAY = "tests/test_sim.py::TestCodedPhase::test_single_receiver
 TRIAL_DECODERS = "tests/test_sim.py::test_trial_decoders_match_decoders_built_alone"
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
+PRODUCERS = "tests/test_partition.py::test_producers_build_what_the_checked_reader_reads"
 
 MUTANTS = {
     # the packets nobody wants join the first generation after its wanted packets
@@ -116,6 +117,24 @@ MUTANTS = {
         "return (self._generations, self._gamma_cap) == (other._generations, other._gamma_cap)",
         "return self._generations == other._generations",
         ("tests/test_records.py::test_equality_and_hash",)),
+    # the greedy's partition forgets the cap it was built for
+    "greedy-built-without-its-cap": Mutant(
+        PARTITION,
+        "Partition._of(_greedy(sfm, cfg.gamma_cap), cfg.gamma_cap, sfm.n_packets)",
+        "Partition._of(_greedy(sfm, cfg.gamma_cap), None, sfm.n_packets)",
+        (PRODUCERS,)),
+    # the blind chunks claim to cover one packet fewer than they do
+    "blind-covers-one-packet-short": Mutant(
+        PARTITION,
+        "Partition._of(map(range, starts, starts[1:]), None, int(n_packets))",
+        "Partition._of(map(range, starts, starts[1:]), None, int(n_packets) - 1)",
+        (PRODUCERS,)),
+    # a witness found by the search forgets the cap it was searched at
+    "witness-built-without-its-cap": Mutant(
+        PARTITION,
+        "witness = Partition._of(groups, gamma, K)",
+        "witness = Partition._of(groups, None, K)",
+        (PRODUCERS,)),
     # the uint8 want-matrix summed to uint64, whose negation wraps
     "search-weight-sum-wraps": Mutant(
         PARTITION,
@@ -307,6 +326,21 @@ MUTANTS = {
         "            payload.setflags(write=False)\n",
         "",
         ("tests/test_rlnc.py::TestAbsorb::test_a_payload_cannot_change_after_it_was_read",)),
+    # a stored row's payload stays writable, so a write into the solution solve
+    # hands back changes what the next solve returns
+    "solve-hands-back-writable-row": Mutant(
+        RLNC,
+        "            stored.setflags(write=False)  # solve may hand it back\n",
+        "",
+        ("tests/test_rlnc.py::TestSolve::"
+         "test_a_write_into_a_solution_never_changes_a_later_solve",)),
+    # a field pickles by value, so a packet comes back over a copy of its field
+    "field-pickled-by-value": Mutant(
+        GALOIS,
+        "    def __reduce__(self):  # unpickled as the shared instance of its order\n"
+        "        return get_field, (self.q,)\n",
+        "",
+        ("tests/test_rlnc.py::test_a_pickled_packet_is_read_again_over_the_shared_field",)),
     # encode casts its coefficients to uint8 itself, so 300 wraps to 44
     "encode-casts-coefficients": Mutant(
         RLNC,

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gencast import (
+    Generation,
     Partition,
     PartitionerConfig,
     StateFeedbackMatrix,
@@ -332,6 +333,10 @@ class TestBlind:
         p = blind_partition(11, 4)
         assert [k for g in p.generations for k in g.packet_ids] == list(range(11))
 
+    def test_numpy_counts_give_the_same_partition(self):
+        p = blind_partition(np.int64(11), np.int64(4))
+        assert p == blind_partition(11, 4) and type(p.n_packets) is int
+
 
 class TestOracle:
     def test_all_zero(self):
@@ -478,6 +483,36 @@ class TestByAlgorithm:
         with pytest.raises(ValueError, match="unknown algorithm 'greedy'") as exc:
             by_algorithm(conflict_sfm, 1, "greedy")
         assert all(name in str(exc.value) for name in ALGORITHMS)
+
+
+def test_producers_build_what_the_checked_reader_reads():
+    # the greedy, the blind chunks and the oracle's searched witness build their
+    # covers directly, unread: each must equal what the checked reader builds of
+    # its generations at its cap, cover 0..K-1 and hold Generations
+    witness_was_greedy = set()  # both branches of the witness, over all examples
+
+    def same_as_checked(p, k, cap):
+        assert Partition(p.generations, gamma_cap=cap) == p
+        assert p.n_packets == k
+        assert all(type(g) is Generation for g in p.generations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 40), st.sampled_from([0.05, 0.2, 0.5, 0.8]),
+           st.integers(0, 2**32 - 1))
+    @example(6, 8, 0.5, 0)  # its oracle beats the greedy at cap 2
+    def check(n, k, p, seed):
+        sfm = random_sfm(np.random.default_rng(seed), n, k, p)
+        small = StateFeedbackMatrix(sfm.wants[:, :8])  # K <= 8 for the exact search
+        for cap in range(1, k + 1):
+            same_as_checked(heuristic_partition(sfm, PartitionerConfig(cap)), k, cap)
+            same_as_checked(blind_partition(k, cap), k, None)  # cap as M, 1..K
+            if cap <= small.n_packets:
+                res = optimal_partition(small, cap)
+                same_as_checked(res.witness, small.n_packets, cap)
+                witness_was_greedy.add(res.witness is res.heuristic)
+
+    check()
+    assert witness_was_greedy == {True, False}
 
 
 # Search-tree pin at the paper's operating point (K = N = 20, P_e = 0.2) on the

@@ -44,6 +44,7 @@ def value_records():
     return {
         "Generation": Generation((2, np.int64(0), 1)),
         "Partition": part,
+        "Partition._of": Partition._of([[0, 1, 2], range(3, 8)], 2, 8),  # a producer's build
         "PartitionReport": validate_partition(sfm, part, 1),
         "PartitionerConfig": PartitionerConfig(gamma_cap=2),
         "OracleResult": optimal_partition(sfm, 2),
@@ -55,6 +56,7 @@ def value_records():
 FIELDS = {  # each value record's fields, in constructor order
     "Generation": ("packet_ids",),
     "Partition": ("generations", "gamma_cap", "n_packets"),
+    "Partition._of": ("generations", "gamma_cap", "n_packets"),
     "PartitionReport": ("rank_violations",),
     "PartitionerConfig": ("gamma_cap",),
     "OracleResult": ("witness", "nodes_explored", "heuristic"),
@@ -122,6 +124,19 @@ def test_attributes_the_tracer_reads():
     assert oracle.min_generations == oracle.witness.n_generations
 
 
+def test_a_partition_built_by_a_producer_is_the_one_the_checked_reader_builds():
+    # Partition._of, which the producers call on covers they made, sets the same
+    # slots, Generations included, and compares, hashes and prints the same
+    groups = ((0, 1, 2), (3, 4, 5, 6, 7))
+    built, read = value_records()["Partition._of"], Partition(groups, gamma_cap=2)
+    assert type(built) is Partition and Partition.__slots__ == \
+        ("_generations", "_gamma_cap", "_n_packets")
+    assert [getattr(built, f) for f in FIELDS["Partition"]] == [groups, 2, 8]
+    assert all(type(g) is Generation for g in built.generations)
+    assert built == read and hash(built) == hash(read) and repr(built) == repr(read)
+    assert Partition._of(groups, None, 8) != read
+
+
 def test_equality_and_hash():
     a, b = value_records(), value_records()
     for name in FIELDS:
@@ -162,9 +177,10 @@ def test_pickle_round_trip():
             [getattr(record, f) for f in FIELDS[name]], name
     pkt = CodedPacket((2, 5), np.array([1, 3], np.uint8), np.arange(4, dtype=np.uint8), GF16)
     copy = pickle.loads(pickle.dumps(pkt))
-    assert copy is not pkt and copy.generation_ids == (2, 5) and copy.field.q == 16
+    assert copy is not pkt and copy.generation_ids == (2, 5) and copy.field is GF16
     assert copy.row == (b"\x01\x03", 0x0301)
     assert copy.coefficients.tolist() == [1, 3] and copy.payload.tolist() == [0, 1, 2, 3]
+    assert not copy.payload.flags.writeable  # read again by the constructor
 
 
 @pytest.mark.parametrize("build, message", [

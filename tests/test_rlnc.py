@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -580,6 +581,25 @@ class TestSolve:
             st.solve()
 
     @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+    def test_a_write_into_a_solution_never_changes_a_later_solve(self, field):
+        # the probe: after decoding the sources [1, 2] and [3, 4], writing 77 into
+        # each solution made a second GF(256) solve return [157, 2] and [77, 4]
+        payloads = {0: np.array([1, 2], np.uint8), 1: np.array([3, 4], np.uint8)}
+        st = DecoderState((0, 1), (0, 1), field, known_payloads={})
+        for coeffs in ([1, 2], [3, 4]):
+            assert st.absorb(encode(payloads, (0, 1), coeffs, field))
+        first = st.solve()
+        for sol in first.values():
+            try:
+                sol[0] = 77
+            except ValueError:  # a stored row's payload, held read-only
+                pass
+        second = st.solve()
+        assert {k: v.tolist() for k, v in second.items()} == {0: [1, 2], 1: [3, 4]}
+        for k, sol in first.items():  # read-only, or a new array of its own
+            assert not sol.flags.writeable or not np.shares_memory(sol, second[k])
+
+    @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
     def test_round_trip_property(self, field):
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -597,6 +617,32 @@ class TestSolve:
             sol = st.solve()
             for k in wanted:
                 assert (sol[k] == payloads[k]).all()
+
+
+@pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+def test_a_pickled_packet_is_read_again_over_the_shared_field(field):
+    assert pickle.loads(pickle.dumps(field)) is field
+    rng = np.random.default_rng(5)
+    payloads = dict(enumerate(random_payloads(3, 6, rng, field)))
+    packets = [encode(payloads, (0, 1, 2), random_coefficients(3, rng, field), field)
+               for _ in range(4)]
+    copies = pickle.loads(pickle.dumps(packets))
+    for pkt, copy in zip(packets, copies):
+        assert copy is not pkt and copy.field is field
+        assert (copy.generation_ids, copy.row) == (pkt.generation_ids, pkt.row)
+        assert copy.coefficients.tolist() == pkt.coefficients.tolist()
+        assert copy.payload.tolist() == pkt.payload.tolist()
+        assert not copy.payload.flags.writeable
+    rank_only = pickle.loads(pickle.dumps(CodedPacket((4, 1), [3, 0], None, field)))
+    assert (rank_only.generation_ids, rank_only.payload, rank_only.field) == ((4, 1), None, field)
+
+    def decode(pkts):
+        st = DecoderState((0, 1, 2), (0, 2), field, {1: payloads[1]})
+        innovative = [st.absorb(pkt) for pkt in pkts]
+        return innovative, {k: v.tolist() for k, v in st.solve().items()}
+
+    assert decode(copies) == decode(packets)
+    assert decode(packets)[1] == {k: payloads[k].tolist() for k in (0, 2)}
 
 
 def test_full_rank_probability_spot_check():
