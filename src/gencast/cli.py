@@ -133,9 +133,7 @@ def cmd_oracle_gap(args):
 def cmd_color(args):
     h = hypergraph.load_hypergraph(args.hypergraph)
     if args.mode == "solve":
-        # an edgeless hypergraph takes one color at any size: no search, so no size cap
-        witness = (partition.optimal_partition(h, args.gamma).witness if h.wants.any()
-                   else sfm.Partition((range(h.n_packets),), gamma_cap=args.gamma))
+        witness = partition.optimal_partition(h, args.gamma).witness
         print(json.dumps({"chromatic_number": witness.n_generations,
                           "coloring": list(hypergraph.partition_to_coloring(witness))}))
         return 0

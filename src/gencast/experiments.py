@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .partition import optimal_partition
+from .partition import InstanceTooLargeError, optimal_partition
 from .sim import (ChannelModel, SimConfig, check_seed, run_experiment, systematic_phase,
                   trial_rng)
 
@@ -200,7 +200,10 @@ def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
     rows = []
     for i in range(count):
         sfm = systematic_phase(n_packets, n_receivers, channel, trial_rng(seed, i))
-        opt = optimal_partition(sfm, gamma)
+        try:
+            opt = optimal_partition(sfm, gamma)
+        except InstanceTooLargeError as exc:  # named as the instance_seed column names it
+            raise InstanceTooLargeError(f"instance {seed}:{i}: {exc}") from None
         rows.append({
             "instance_seed": f"{seed}:{i}",
             "M_heur": opt.heuristic.n_generations,

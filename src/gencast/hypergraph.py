@@ -5,7 +5,8 @@ hypergraph is a StateFeedbackMatrix whose rows are its edges (an edgeless one
 is one all-zero row) and a coloring, a tuple of one color per vertex, is the
 Partition of its color classes.  A coloring valid at cap gamma is a partition
 of rank at most gamma, so partition.optimal_partition finds the chromatic
-number and is_valid_coloring reads its violations off sfm.generation_counts.
+number (refusing only a search past its size cap) and is_valid_coloring
+reads its violations off sfm.generation_counts.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ Three producers share the Partition output type:
   At gamma_cap = 1 every generation is instantly decodable, which makes the
   greedy output the IDNC reference partition.
 * blind_partition - consecutive equal-size chunks, the no-feedback baseline.
-* optimal_partition - exact branch-and-bound search for the minimum
-  generation count, used as a verification oracle on small instances; its
-  OracleResult also hands back the greedy partition the search started from.
+* optimal_partition - the exact minimum, a verification oracle: the greedy's
+  partition if it meets the demand lower bound, at any K, else a size-capped
+  branch-and-bound search; its OracleResult also carries the greedy partition.
 
 by_algorithm picks a producer by its name in ALGORITHMS and is the one home of
 the pairing rule: "blind" chunks into the greedy's generation count at that cap.
@@ -88,7 +88,7 @@ class OracleResult(NamedTuple):
 
 
 class InstanceTooLargeError(ValueError):
-    """Instance exceeds the exact solver's hard size cap."""
+    """An instance that needs an exact search and is past the search's size cap."""
 
 
 def heuristic_partition(sfm: StateFeedbackMatrix, cfg: PartitionerConfig) -> Partition:
@@ -158,8 +158,8 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
     packet index.  A packet may only open generation j when generation j-1
     already exists, which kills the color-relabeling symmetry.  Branches die
     when a placement would exceed the rank cap or when the open-generation
-    count reaches the incumbent.  Runtime is exponential, hence the hard
-    instance-size cap.
+    count reaches the incumbent.  Only a greedy that misses the demand lower
+    bound starts the search, so only the search is capped at max_packets.
 
     Each open generation is kept as its thermometer levels over the receiver
     bitsets (see the module docstring): a placement is feasible iff the
@@ -170,10 +170,6 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
     id, with ids ascending inside each generation.
     """
     gamma = (cfg := PartitionerConfig(gamma_cap=gamma)).gamma_cap  # the one cap check
-    if sfm.n_packets > max_packets:
-        raise InstanceTooLargeError(
-            f"K={sfm.n_packets} exceeds the exact-search cap of {max_packets} packets"
-        )
 
     K = sfm.n_packets
     # each receiver's want count, for the bound and the branching order; signed:
@@ -187,6 +183,10 @@ def optimal_partition(sfm, gamma: int, *, max_packets: int = 12) -> OracleResult
     nodes = 0
 
     if best_m > lower_bound:
+        if K > max_packets:
+            raise InstanceTooLargeError(
+                f"K={K} needs an exact search (the greedy's {best_m} generations miss the "
+                f"demand bound of {lower_bound}), which is capped at {max_packets} packets")
         order = np.argsort(-(demand @ sfm.wants), kind="stable").tolist()  # heaviest first
         bits = [sfm.receiver_bitsets[k] for k in order]
         top = gamma - 1

@@ -85,17 +85,12 @@ def _integer(value):
     return None
 
 
-_INT = frozenset({int})
-
-
 def check_ids(values, what="packet id", where="generation") -> tuple[int, ...]:
     """Ids or colours as a tuple of int: each passes _integer and is >= 0."""
-    ids = tuple(values)
-    if not _INT.issuperset(map(type, ids)):  # plain ints need no conversion
-        ints = tuple(map(_integer, ids))
-        if None in ints:
-            raise ValueError(f"{what}s must be integers, got {ids[ints.index(None)]!r}")
-        ids = ints
+    values = tuple(values)
+    ids = tuple(map(_integer, values))
+    if None in ids:
+        raise ValueError(f"{what}s must be integers, got {values[ids.index(None)]!r}")
     if ids and min(ids) < 0:
         bad = [i for i in ids if i < 0]
         shown = ", ".join(map(str, bad[:5])) + (", ..." if len(bad) > 5 else "")

@@ -62,6 +62,8 @@ TRIAL_DECODERS = "tests/test_sim.py::test_trial_decoders_match_decoders_built_al
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
 PRODUCERS = "tests/test_partition.py::test_producers_build_what_the_checked_reader_reads"
+SIZE_CAP = ("tests/test_partition.py::TestOracle::test_size_cap",
+            "tests/test_partition.py::TestOracle::test_cap_refuses_only_a_search_past_it")
 
 MUTANTS = {
     # the packets nobody wants join the first generation after its wanted packets
@@ -165,6 +167,19 @@ MUTANTS = {
         "below = level & mask",
         "below = 0",
         (SEARCH_PINS,)),
+    # the size cap checked before the demand bound: a greedy that meets the bound
+    # past the cap is refused
+    "search-cap-before-bound": Mutant(
+        PARTITION,
+        "    if best_m > lower_bound:\n        if K > max_packets:\n",
+        "    if K > max_packets or best_m > lower_bound:\n        if K > max_packets:\n",
+        SIZE_CAP),
+    # no size cap: a search past it runs instead of being refused
+    "search-cap-dropped": Mutant(
+        PARTITION,
+        "        if K > max_packets:\n",
+        "        if False:\n",
+        SIZE_CAP),
     # a decode adds its slot time once, not once per decoded packet
     "delay-adds-t-once-per-decode": Mutant(
         SIM,

@@ -11,8 +11,9 @@ from gencast import partition
 from gencast.cli import build_parser, main
 from gencast.experiments import (EXPERIMENT_NAMES, named_spec, run_oracle_gap,
                                  run_simulation_sweep, write_csv)
-from gencast.sfm import load_sfm
-from gencast.sim import DEFAULT_SEED, SCHEDULERS, SimConfig
+from gencast.sfm import format_sfm, load_sfm
+from gencast.sim import (DEFAULT_SEED, SCHEDULERS, ChannelModel, SimConfig, systematic_phase,
+                         trial_rng)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +85,18 @@ class TestPartitionCommand:
         runs = [run_cli(capsys, "partition", "--sfm", str(sfm_file), "--gamma", "2")
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_oracle_past_the_search_cap_when_the_greedy_meets_the_bound(self, capsys,
+                                                                         tmp_path):
+        # a seeded K = N = 20 SFM at P_e = 0.2 whose greedy meets the demand bound
+        # at gamma 3: the oracle answers with the greedy's partition, no search run
+        path = tmp_path / "k20.txt"
+        path.write_text(format_sfm(systematic_phase(20, 20, ChannelModel(0.2),
+                                                    trial_rng(DEFAULT_SEED, 0))))
+        heuristic, oracle = (run_cli(capsys, "partition", "--sfm", str(path), "--gamma", "3",
+                                     "--algorithm", algorithm)
+                             for algorithm in ("heuristic", "oracle"))
+        assert oracle == heuristic and oracle[0] == 0
 
     def test_blind_algorithm(self, capsys, sfm_file):
         code, out, err = run_cli(capsys, "partition", "--sfm", str(sfm_file),
@@ -349,9 +362,24 @@ class TestOracleGapCommand:
             "80a0a6157e2b3b5135888745f9c2a7e316b21a125b022fa4a8cc56f188db0124"
 
     def test_oversize_refused(self, capsys):
-        code, _, err = run_cli(capsys, "oracle-gap", "--packets", "20", "--count", "1")
-        assert code == 1
-        assert "cap" in err
+        # at the paper's point and gamma 3, instance 1's greedy misses its demand
+        # bound, so it needs a search past the cap; the refusal names that instance
+        code, out, err = run_cli(capsys, "oracle-gap", "--packets", "20", "--receivers", "20",
+                                 "--erasure-prob", "0.2", "--gamma", "3", "--count", "300")
+        assert (code, out) == (1, "")
+        assert err == (f"error: instance {DEFAULT_SEED}:1: K=20 needs an exact search (the "
+                       "greedy's 4 generations miss the demand bound of 3), which is capped "
+                       "at 12 packets\n")
+
+    def test_paper_point_answered_without_a_search(self, capsys):
+        # at gamma 5 every one of the 300 greedies meets its demand bound
+        code, out, err = run_cli(capsys, "oracle-gap", "--packets", "20", "--receivers", "20",
+                                 "--erasure-prob", "0.2", "--gamma", "5", "--count", "300")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 300
+        assert all(r["M_heur"] == r["M_opt"] and r["nodes_explored"] == "0" for r in rows)
+        assert "mean_gap=0.0000" in err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_count_refused(self, capsys, count):
@@ -495,7 +523,8 @@ class TestColorCommand:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_edgeless_solve_past_the_search_cap(self, capsys, tmp_path):
-        # one color at any size: the exact search's 12-packet cap never applies
+        # one color at any size: the greedy meets the demand bound of 1, so no
+        # search runs and the search's 12-packet cap does not apply
         path = tmp_path / "h.txt"
         path.write_text("13 0\n")
         code, out, err = run_cli(capsys, "color", "--hypergraph", str(path),
@@ -529,12 +558,15 @@ class TestColorCommand:
         assert json.loads(out)["chromatic_number"] == 3
 
     def test_oversize_solve_refused(self, capsys, tmp_path):
+        # a triangle among 13 vertices: the greedy's 3 colors miss the bound of 2,
+        # so proving 3 needs a search past the cap
         path = tmp_path / "big.txt"
-        path.write_text("13 1\n0 1 2\n")
-        code, _, err = run_cli(capsys, "color", "--hypergraph", str(path),
-                               "--gamma", "1", "--mode", "solve")
-        assert code == 1
-        assert "cap" in err
+        path.write_text("13 3\n0 1\n1 2\n0 2\n")
+        code, out, err = run_cli(capsys, "color", "--hypergraph", str(path),
+                                 "--gamma", "1", "--mode", "solve")
+        assert (code, out) == (1, "")
+        assert err == ("error: K=13 needs an exact search (the greedy's 3 generations miss "
+                       "the demand bound of 2), which is capped at 12 packets\n")
 
     def test_validate_good_and_bad(self, capsys, tmp_path):
         h = tmp_path / "h.txt"

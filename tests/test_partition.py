@@ -426,10 +426,39 @@ class TestOracle:
             assert ms[0] >= ms[1] >= ms[2]
 
     def test_size_cap(self):
-        sfm = StateFeedbackMatrix(np.zeros((1, 13), dtype=int))
-        with pytest.raises(InstanceTooLargeError):
+        # the cap bounds only the search: the conflict triangle padded with 10
+        # unwanted packets (K = 13) needs one, since its greedy's 3 generations
+        # miss the demand bound of 2
+        wants = np.zeros((3, 13), dtype=int)
+        wants[:, :3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+        sfm = StateFeedbackMatrix(wants)
+        with pytest.raises(InstanceTooLargeError) as refusal:
             optimal_partition(sfm, 1)
-        assert optimal_partition(sfm, 1, max_packets=13).min_generations == 1
+        assert str(refusal.value) == (
+            "K=13 needs an exact search (the greedy's 3 generations miss the demand bound "
+            "of 2), which is capped at 12 packets")
+        res = optimal_partition(sfm, 1, max_packets=13)
+        assert (res.min_generations, res.nodes_explored) == (3, 5)
+        # an all-zero K = 13 SFM meets its bound of 1 with the greedy: no search, no cap
+        res = optimal_partition(StateFeedbackMatrix(np.zeros((1, 13), dtype=int)), 1)
+        assert (res.min_generations, res.nodes_explored) == (1, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(range(1, 9)), st.integers(1, 12) | st.integers(13, 14),
+           st.sampled_from([0.1, 0.3]), st.integers(0, 2**32 - 1))
+    def test_cap_refuses_only_a_search_past_it(self, n, k, p, seed):
+        # at the default cap of 12 the answer is the uncapped one, or a refusal
+        # exactly when K > 12 and the greedy misses the demand bound; K is drawn
+        # past the cap about half the time, and a few percent of those are refused
+        sfm = random_sfm(np.random.default_rng(seed), n, k, p)
+        for gamma in range(1, k + 1):
+            uncapped = optimal_partition(sfm, gamma, max_packets=k)
+            bound = max(1, -(-int(sfm.wants.sum(axis=1).max()) // gamma))
+            if k > 12 and uncapped.heuristic.n_generations > bound:
+                with pytest.raises(InstanceTooLargeError, match="capped at 12 packets"):
+                    optimal_partition(sfm, gamma)
+            else:
+                assert optimal_partition(sfm, gamma) == uncapped
 
     def test_nodes_explored_reported(self):
         # receiver lower bound is 2, the true optimum is 3: the search must
