@@ -19,6 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .partition import InstanceTooLargeError, optimal_partition
@@ -135,16 +136,21 @@ def load_spec(doc, **config_overrides) -> ExperimentSpec:
 
 
 def write_csv(path, rows):
-    """Write a nonempty list of row dicts as CSV, headed by the first row's
+    """Write a nonempty iterable of row dicts as CSV, headed by the first row's
     keys, to the file at path (creating its directory), or to stdout when
-    path is None."""
+    path is None.  Nothing is made before the first row exists, and each row
+    is written as it comes, so an error raised while the rows are produced
+    leaves the rows before it written."""
+    rows = iter(rows)
+    if (first := next(rows, None)) is None:
+        raise ValueError("no rows to write")
     if path is not None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     with nullcontext(sys.stdout) if path is None else open(
             path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(rows[0])
-        writer.writerows([_fmt(value) for value in row.values()] for row in rows)
+        writer.writerow(first)
+        writer.writerows([_fmt(value) for value in row.values()] for row in chain([first], rows))
 
 
 def _fmt(value):
@@ -192,22 +198,28 @@ def headline_gaps(agg_rows):
 
 
 def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
-    """Greedy-vs-exact generation counts on seeded random instances."""
+    """Greedy-vs-exact generation counts on seeded random instances, as an
+    iterator that yields each instance's row as soon as it is answered.  A bad
+    count, seed or erasure probability is refused by the call; an instance
+    that needs a search past the cap, when it is reached, after the rows
+    before it."""
     if count < 1:
         raise ValueError(f"need at least one instance, got count={count}")
     check_seed(seed)
-    channel = ChannelModel(erasure_prob)
-    rows = []
+    return _oracle_gap_rows(n_packets, n_receivers, ChannelModel(erasure_prob), gamma,
+                            count, seed)
+
+
+def _oracle_gap_rows(n_packets, n_receivers, channel, gamma, count, seed):
     for i in range(count):
         sfm = systematic_phase(n_packets, n_receivers, channel, trial_rng(seed, i))
         try:
             opt = optimal_partition(sfm, gamma)
         except InstanceTooLargeError as exc:  # named as the instance_seed column names it
             raise InstanceTooLargeError(f"instance {seed}:{i}: {exc}") from None
-        rows.append({
+        yield {
             "instance_seed": f"{seed}:{i}",
             "M_heur": opt.heuristic.n_generations,
             "M_opt": opt.min_generations,
             "nodes_explored": opt.nodes_explored,
-        })
-    return rows
+        }

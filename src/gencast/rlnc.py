@@ -68,12 +68,19 @@ def encode(payloads, generation_ids, coefficients, field: Field = GF256) -> Code
         raise ValueError(f"no payloads for packets {missing} of {ids}") from None
     if len(lengths := {len(p) for p in sources}) != 1:
         raise ValueError(f"cannot encode packets {ids} of payload lengths {sorted(lengths)}")
-    payload = np.zeros(lengths.pop(), dtype=np.uint8)
-    products = {}
+    products, payload = {}, None
     for j, (c, src) in enumerate(zip(coeffs.tolist(), sources)):
         if c:
-            products[j] = src, field.mul_vec(c, src)
-            payload ^= products[j][1]
+            product = field.mul_vec(c, src)
+            products[j] = src, product
+            if payload is None:  # the first product is the payload until a second comes
+                payload = product
+            elif len(products) == 2:  # a new array: the first product stays as recorded
+                payload = payload ^ product
+            else:
+                payload ^= product
+    if payload is None:
+        payload = np.zeros(len(sources[0]), dtype=np.uint8)
     payload.setflags(write=False)  # the packet holds it as is
     return CodedPacket(ids, coeffs, payload, field, products)
 
@@ -159,10 +166,11 @@ class DecoderState:
         # payload length (the held payloads', else the first packet's); None if rank-only
         self._payloads = self._held = self._length = None
         if known is not None:
-            held = [(j, pid) for j, (pid, want) in enumerate(zip(ids, row)) if not want]
-            if missing := [pid for _, pid in held if pid not in known]:
-                raise ValueError(f"known payloads missing for packets {missing}")
-            self._held = [(j, known[pid]) for j, pid in held]
+            try:
+                self._held = [(j, known[pid]) for j, pid in enumerate(ids) if not row[j]]
+            except KeyError:
+                missing = [pid for pid, want in zip(ids, row) if not want and pid not in known]
+                raise ValueError(f"known payloads missing for packets {missing}") from None
             if len(lengths := {len(x) for _, x in self._held}) > 1:
                 raise ValueError(f"held payload lengths differ: {sorted(lengths)}")
             self._length = lengths.pop() if lengths else None
@@ -206,12 +214,17 @@ class DecoderState:
 
         residual = None
         if held is not None:
-            residual = payload.copy()
             records = pkt.products or {}
             for j, src in held:
                 if c := coeffs[j]:
                     made = records.get(j)
-                    residual ^= made[1] if made and made[0] is src else field.mul_vec(c, src)
+                    product = made[1] if made and made[0] is src else field.mul_vec(c, src)
+                    if residual is None:  # a new array, so no product or payload is written
+                        residual = payload ^ product
+                    else:
+                        residual ^= product
+            if residual is None:
+                residual = payload.copy()
 
         basis = self._basis
         for _ in basis:  # each step clears its pivot, so the pivots climb: one step a column
@@ -249,10 +262,14 @@ class DecoderState:
             raise RuntimeError(f"cannot solve at rank {self.rank} with {self._unknowns} unknowns")
         cols = [j for j, flag in enumerate(self._mask.to_bytes(len(self._basis), "little")) if flag]
         sol = list(self._payloads or ())  # empty when rank-only, with no unknowns
-        # sol starts as the stored rows' payloads: never update in place
-        for i, j in reversed(list(enumerate(cols))):
+        # sol starts as the stored rows' payloads: each term is added into the new
+        # array mul_vec returns, which becomes sol[j], so no stored row is written
+        for i in range(len(cols) - 1, -1, -1):
+            j = cols[i]
             row = self._basis[j]
             for c in cols[i + 1:]:
-                if row[c]:
-                    sol[j] = sol[j] ^ self.field.mul_vec(row[c], sol[c])
+                if f := row[c]:
+                    term = self.field.mul_vec(f, sol[c])
+                    term ^= sol[j]
+                    sol[j] = term
         return {self.generation_ids[j]: sol[j] for j in cols}

@@ -185,8 +185,9 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
 
     The decoders, DecoderState.for_partition's (a partition of another K is a
     ValueError), are the trial's one record of demand.  With payloads, each
-    decode is solved and checked against the sources.  rng must be a PCG64
-    generator; the slot draws leave it anywhere (run_trial reads no more of it).
+    decode is solved and checked against the sources' bytes, taken once a
+    trial.  rng must be a PCG64 generator; the slot draws leave it anywhere
+    (run_trial reads no more of it).
     """
     field = get_field(cfg.field_order)
 
@@ -196,6 +197,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                       cfg.erasure_prob if cfg.coded_phase_erasures else None)
     payloads = None if cfg.abstract_decode else dict(enumerate(random_payloads(
         sfm.n_packets, cfg.payload_len, np.random.default_rng(payload_seed), field)))
+    sources = None if payloads is None else [p.tobytes() for p in payloads.values()]
 
     gen_ids = [tuple(ids) for ids in partition.generations]  # plain: a packet keeps them as is
     pending = DecoderState.for_partition(sfm, partition, field, payloads)
@@ -216,7 +218,7 @@ def coded_phase(sfm, partition: Partition, cfg: SimConfig, rng) -> TrialResult:
                     continue
                 state.absorb(pkt)
                 if not state.needed:
-                    if payloads is not None and any(got.tobytes() != payloads[pid].tobytes()
+                    if payloads is not None and any(got.tobytes() != sources[pid]
                                                     for pid, got in state.solve().items()):
                         raise RuntimeError(f"receiver {r} decoded generation {m} wrongly")
                     delay_sum += t * state.rank

@@ -50,6 +50,7 @@ SIM = "src/gencast/sim.py"
 RLNC = "src/gencast/rlnc.py"
 GALOIS = "src/gencast/galois.py"
 HYPERGRAPH = "src/gencast/hypergraph.py"
+EXPERIMENTS = "src/gencast/experiments.py"
 GREEDY_REFERENCE = "tests/test_partition.py::TestHeuristic::test_matches_count_matrix_reference"
 RELABELLING = "tests/test_partition.py::TestOracle::test_relabelling_packets_keeps_the_optimum"
 SEARCH_PINS = "tests/test_partition.py::test_search_tree_pinned_at_paper_point"
@@ -62,6 +63,9 @@ TRIAL_DECODERS = "tests/test_sim.py::test_trial_decoders_match_decoders_built_al
 COLORING_REFERENCE = ("tests/test_hypergraph.py::"
                       "test_is_valid_coloring_matches_set_intersection_reference")
 PRODUCERS = "tests/test_partition.py::test_producers_build_what_the_checked_reader_reads"
+ZERO_FIRST_HELD = ("tests/test_rlnc.py::TestAbsorb::"
+                   "test_a_zero_first_held_coefficient_before_a_nonzero_one")
+THREE_UNKNOWNS = "tests/test_rlnc.py::TestSolve::test_back_substitution_over_three_unknowns"
 SIZE_CAP = ("tests/test_partition.py::TestOracle::test_size_cap",
             "tests/test_partition.py::TestOracle::test_cap_refuses_only_a_search_past_it")
 
@@ -294,6 +298,93 @@ MUTANTS = {
         "self.coefficients = field.symbols(coefficients)",
         "self.coefficients = GF256.symbols(coefficients)",
         (PACKET_READ,)),
+    # absorb's residual starts from the payload alone, dropping the first held product
+    "residual-without-first-held-product": Mutant(
+        RLNC,
+        "                        residual = payload ^ product\n",
+        "                        residual = payload.copy()\n",
+        (ZERO_FIRST_HELD,)),
+    # the residual is started only at the first held column, so a zero coefficient
+    # there leaves nothing to add a later held product into
+    "residual-started-at-first-held-column": Mutant(
+        RLNC,
+        "                    if residual is None:  # a new array, so no product or payload",
+        "                    if j == held[0][0]:  # a new array, so no product or payload",
+        (ZERO_FIRST_HELD,)),
+    # with no held product the residual is the packet's own read-only payload,
+    # so an elimination step writes into it
+    "residual-is-the-packet-payload": Mutant(
+        RLNC,
+        "                residual = payload.copy()\n",
+        "                residual = payload\n",
+        ("tests/test_rlnc.py::TestAbsorb::"
+         "test_no_held_product_leaves_the_packet_payload_unwritten",)),
+    # encode's payload leaves out its first product
+    "encode-drops-first-product": Mutant(
+        RLNC,
+        "                payload = product\n",
+        "                payload = np.zeros_like(product)\n",
+        ("tests/test_rlnc.py::test_encode_records_the_products_it_sums",)),
+    # encode adds the second product into the first, which its record still names
+    "encode-sums-into-first-product": Mutant(
+        RLNC,
+        "                payload = payload ^ product\n",
+        "                payload ^= product\n",
+        ("tests/test_rlnc.py::test_encode_records_the_products_it_sums",)),
+    # an all-zero coefficient vector gives a zero payload of the generation's length
+    "encode-zero-payload-of-generation-length": Mutant(
+        RLNC,
+        "payload = np.zeros(len(sources[0]), dtype=np.uint8)",
+        "payload = np.zeros(len(sources), dtype=np.uint8)",
+        ("tests/test_rlnc.py::TestEncode::"
+         "test_all_zero_coefficients_give_a_read_only_zero_payload",)),
+    # solve walks its pivots first to last, so a row reads later solutions unsubstituted
+    "solve-walks-pivots-forward": Mutant(
+        RLNC,
+        "for i in range(len(cols) - 1, -1, -1):",
+        "for i in range(len(cols)):",
+        (THREE_UNKNOWNS,)),
+    # solve adds each term into the stored row's payload it starts from
+    "solve-adds-into-the-stored-row": Mutant(
+        RLNC,
+        "                    term ^= sol[j]\n                    sol[j] = term\n",
+        "                    sol[j] ^= term\n",
+        (THREE_UNKNOWNS,)),
+    # the decode check compares every solution with source 0
+    "decode-check-against-one-source": Mutant(
+        SIM,
+        "got.tobytes() != sources[pid]",
+        "got.tobytes() != sources[0]",
+        ("tests/test_sim.py::TestSchedulers::test_modes_agree_exactly",)),
+    # oracle-gap answers every instance before it writes a row, so a refusal
+    # part-way loses the rows before it
+    "oracle-gap-rows-built-first": Mutant(
+        EXPERIMENTS,
+        "    return _oracle_gap_rows(n_packets, n_receivers, ChannelModel(erasure_prob), gamma,\n"
+        "                            count, seed)\n",
+        "    return list(_oracle_gap_rows(n_packets, n_receivers, ChannelModel(erasure_prob),\n"
+        "                                 gamma, count, seed))\n",
+        ("tests/test_cli.py::TestOracleGapCommand::test_oversize_refused",)),
+    # write_csv makes the file before it has a row, so a run refused at its
+    # first instance leaves an empty file behind
+    "csv-file-made-before-first-row": Mutant(
+        EXPERIMENTS,
+        "    rows = iter(rows)\n"
+        "    if (first := next(rows, None)) is None:\n"
+        "        raise ValueError(\"no rows to write\")\n"
+        "    if path is not None:\n"
+        "        Path(path).parent.mkdir(parents=True, exist_ok=True)\n"
+        "    with nullcontext(sys.stdout) if path is None else open(\n"
+        "            path, \"w\", newline=\"\", encoding=\"utf-8\") as fh:\n",
+        "    if path is not None:\n"
+        "        Path(path).parent.mkdir(parents=True, exist_ok=True)\n"
+        "    with nullcontext(sys.stdout) if path is None else open(\n"
+        "            path, \"w\", newline=\"\", encoding=\"utf-8\") as fh:\n"
+        "        rows = iter(rows)\n"
+        "        if (first := next(rows, None)) is None:\n"
+        "            raise ValueError(\"no rows to write\")\n",
+        ("tests/test_cli.py::TestOracleGapCommand::"
+         "test_a_run_refused_before_its_first_row_makes_no_out_file",)),
     # a packet takes its payload symbols unchecked
     "payload-symbols-unchecked": Mutant(
         RLNC,

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -361,15 +362,37 @@ class TestOracleGapCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "80a0a6157e2b3b5135888745f9c2a7e316b21a125b022fa4a8cc56f188db0124"
 
+    OVERSIZE = ("oracle-gap", "--packets", "20", "--receivers", "20", "--erasure-prob", "0.2",
+                "--gamma", "3", "--count", "300")
+    OVERSIZE_ERR = (f"error: instance {DEFAULT_SEED}:1: K=20 needs an exact search (the "
+                    "greedy's 4 generations miss the demand bound of 3), which is capped "
+                    "at 12 packets\n")
+    ANSWERED = f"instance_seed,M_heur,M_opt,nodes_explored\n{DEFAULT_SEED}:0,3,3,0\n"
+
     def test_oversize_refused(self, capsys):
         # at the paper's point and gamma 3, instance 1's greedy misses its demand
-        # bound, so it needs a search past the cap; the refusal names that instance
-        code, out, err = run_cli(capsys, "oracle-gap", "--packets", "20", "--receivers", "20",
-                                 "--erasure-prob", "0.2", "--gamma", "3", "--count", "300")
-        assert (code, out) == (1, "")
-        assert err == (f"error: instance {DEFAULT_SEED}:1: K=20 needs an exact search (the "
-                       "greedy's 4 generations miss the demand bound of 3), which is capped "
-                       "at 12 packets\n")
+        # bound, so it needs a search past the cap; the refusal names that instance,
+        # after instance 0's row, answered without a search, was written
+        code, out, err = run_cli(capsys, *self.OVERSIZE)
+        assert (code, out, err) == (1, self.ANSWERED, self.OVERSIZE_ERR)
+
+    def test_oversize_refused_keeps_the_answered_rows_in_its_out_file(self, capsys, tmp_path):
+        path = tmp_path / "sub" / "gap.csv"
+        code, out, err = run_cli(capsys, *self.OVERSIZE, "--out", str(path))
+        assert (code, out, err) == (1, "", self.OVERSIZE_ERR)
+        assert path.read_text() == self.ANSWERED
+
+    @pytest.mark.parametrize("args", [
+        ("--packets", "5", "--count", "0"), ("--packets", "5", "--seed", "-1"),
+        ("--packets", "5", "--erasure-prob", "1"),
+        ("--packets", "20", "--receivers", "20", "--erasure-prob", "0.2", "--gamma", "1"),
+    ], ids=["count", "seed", "prob", "first-instance-oversize"])
+    def test_a_run_refused_before_its_first_row_makes_no_out_file(self, capsys, tmp_path,
+                                                                   args):
+        path = tmp_path / "sub" / "gap.csv"
+        code, out, err = run_cli(capsys, "oracle-gap", *args, "--out", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: ")
+        assert not path.parent.exists()
 
     def test_paper_point_answered_without_a_search(self, capsys):
         # at gamma 5 every one of the 300 greedies meets its demand bound
@@ -463,6 +486,17 @@ def test_oracle_gap_cli_and_library_agree(capsys, tmp_path):
     assert code == 0
     write_csv(tmp_path / "lib.csv", run_oracle_gap(6, 6, 0.5, 2, 20, seed=DEFAULT_SEED))
     assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_write_csv_takes_any_nonempty_iterable(tmp_path):
+    rows = [{"a": 1, "b": Fraction(1, 4)}, {"a": 2, "b": 0.5}]
+    write_csv(tmp_path / "list.csv", rows)
+    write_csv(tmp_path / "iter.csv", iter(rows))
+    assert (tmp_path / "list.csv").read_text() == (tmp_path / "iter.csv").read_text() == \
+        "a,b\n1,0.25\n2,0.5\n"
+    with pytest.raises(ValueError, match="^no rows to write$"):
+        write_csv(tmp_path / "sub" / "empty.csv", iter(()))
+    assert not (tmp_path / "sub").exists()
 
 
 def test_dropped_fig3_d_alias_is_refused(capsys, tmp_path):

@@ -493,8 +493,11 @@ class TestOracle:
             return greedy(*args)
 
         monkeypatch.setattr(partition_module, "heuristic_partition", counting_greedy)
-        rows = run_oracle_gap(8, 6, 0.5, 2, 20, seed=7)
-        assert len(calls) == len(rows) == 20
+        rows = []
+        for row in run_oracle_gap(8, 6, 0.5, 2, 20, seed=7):  # each as soon as it is answered
+            rows.append(row)
+            assert len(calls) == len(rows)
+        assert len(rows) == 20
         for row, (sfm, cfg) in zip(rows, calls):
             assert row["M_heur"] == greedy(sfm, cfg).n_generations
 

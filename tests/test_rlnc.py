@@ -44,6 +44,16 @@ class TestEncode:
         else:
             pytest.fail("no zero coefficient draw found")
 
+    @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+    def test_all_zero_coefficients_give_a_read_only_zero_payload(self, field):
+        # no product is made, so the payload is a zero array of the sources'
+        # length (not the generation's), held read-only as any encoded payload
+        payloads = dict(enumerate(random_payloads(3, 5, np.random.default_rng(1), field)))
+        pkt = encode(payloads, [0, 1, 2], np.zeros(3, np.uint8), field)
+        assert pkt.payload.tolist() == [0] * 5 and pkt.payload.dtype == np.uint8
+        assert not pkt.payload.flags.writeable
+        assert pkt.products == {}
+
     def test_golden_packet(self):
         rng = np.random.default_rng(GOLDEN_SEED)
         payloads = random_payloads(4, 16, rng, GF256)
@@ -360,6 +370,38 @@ class TestAbsorb:
         listed = CodedPacket([0], [1], [1, 2]).payload
         assert listed.dtype == np.uint8 and not listed.flags.writeable
 
+    @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+    def test_a_zero_first_held_coefficient_before_a_nonzero_one(self, field):
+        # held columns 0, 1 and 2 with coefficients 0, then nonzero ones: the
+        # residual starts from the first nonzero held column's product, with
+        # the packet's record of it and without
+        payloads = dict(enumerate(random_payloads(4, 6, np.random.default_rng(2), field)))
+        held = {k: payloads[k] for k in (0, 1, 2)}
+        for coeffs in ([0, 5, 7, 3], [0, 0, 9, 1], [0, 11, 0, 6]):
+            for recorded in (True, False):
+                pkt = encode(payloads, range(4), np.array(coeffs, np.uint8), field)
+                if not recorded:
+                    pkt.products.clear()
+                st = DecoderState(range(4), [3], field, held)
+                assert st.absorb(pkt)
+                assert st.solve()[3].tolist() == payloads[3].tolist()
+
+    @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+    def test_no_held_product_leaves_the_packet_payload_unwritten(self, field):
+        # every held coefficient is 0, so the residual is a copy of the payload;
+        # the second packet's elimination step writes into that copy, never
+        # into the packet's read-only payload
+        payloads = dict(enumerate(random_payloads(3, 6, np.random.default_rng(3), field)))
+        packets = [encode(payloads, range(3), np.array(c, np.uint8), field)
+                   for c in ([0, 1, 1], [0, 1, 2])]
+        before = [pkt.payload.tobytes() for pkt in packets]
+        st = DecoderState(range(3), [1, 2], field, {0: payloads[0]})
+        assert all(st.absorb(pkt) for pkt in packets)
+        assert [pkt.payload.tobytes() for pkt in packets] == before
+        assert not any(pkt.payload.flags.writeable for pkt in packets)
+        assert {k: v.tolist() for k, v in st.solve().items()} == \
+            {k: payloads[k].tolist() for k in (1, 2)}
+
     def test_absorb_leaves_every_slot_of_its_packet_unchanged(self):
         # whatever a decoder does with a packet (accept, refuse, decode, have
         # nothing left to gain), it sets nothing on it
@@ -598,6 +640,25 @@ class TestSolve:
         assert {k: v.tolist() for k, v in second.items()} == {0: [1, 2], 1: [3, 4]}
         for k, sol in first.items():  # read-only, or a new array of its own
             assert not sol.flags.writeable or not np.shares_memory(sol, second[k])
+
+    @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+    def test_back_substitution_over_three_unknowns(self, field):
+        # the stored rows keep nonzero bytes right of their pivots, so the first
+        # pivot's solution needs the later ones already substituted, and sums
+        # two terms; a write into the first solve's solutions changes no later one
+        payloads = dict(enumerate(random_payloads(4, 6, np.random.default_rng(4), field)))
+        st = DecoderState(range(4), [0, 1, 3], field, {2: payloads[2]})
+        for coeffs in ([1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9]):
+            assert st.absorb(encode(payloads, range(4), np.array(coeffs, np.uint8), field))
+        want = {k: payloads[k].tolist() for k in (0, 1, 3)}
+        first = st.solve()
+        assert {k: v.tolist() for k, v in first.items()} == want
+        for sol in first.values():
+            try:
+                sol[:] = 77
+            except ValueError:  # a stored row's payload, held read-only
+                pass
+        assert {k: v.tolist() for k, v in st.solve().items()} == want
 
     @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
     def test_round_trip_property(self, field):
