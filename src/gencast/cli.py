@@ -121,16 +121,9 @@ def cmd_simulate(args):
 
 
 def cmd_oracle_gap(args):
-    rows = experiments.run_oracle_gap(args.packets, args.receivers, args.erasure_prob,
-                                      args.gamma, args.count, args.seed)
-    gaps = []
-
-    def answered():  # each row is written as it comes, so a refusal keeps the rows before it
-        for row in rows:
-            gaps.append(row["M_heur"] - row["M_opt"])
-            yield row
-
-    experiments.write_csv(args.out, answered())
+    rows = experiments.write_csv(args.out, experiments.run_oracle_gap(
+        args.packets, args.receivers, args.erasure_prob, args.gamma, args.count, args.seed))
+    gaps = [row["M_heur"] - row["M_opt"] for row in rows]
     print(f"instances={len(gaps)} mean_gap={sum(gaps) / len(gaps):.4f} max_gap={max(gaps)}",
           file=sys.stderr)
     return 0

@@ -3,11 +3,11 @@
 A spec document names one of EXPERIMENTS, themselves spec documents, and
 overrides its keys; load_spec expands it into a grid of (scheduler, gamma, N)
 cells, each one Monte-Carlo run; outputs are a per-trial and an aggregate
-CSV.  run_oracle_gap, behind ``gencast oracle-gap``, compares the greedy
-partitioner against the exact solver on seeded random instances, reading both
-counts off one OracleResult, which carries the greedy incumbent the search
-started from.  write_csv takes each CSV's header from its first row, so the
-row producers own the column order: sim.run_trial for per_trial.csv,
+CSV.  run_oracle_gap, behind ``gencast oracle-gap``, yields the greedy's and
+the exact solver's generation counts on seeded random instances, both read
+off one OracleResult.  write_csv makes each CSV, directory included, and
+returns the rows it wrote; it takes the header from the first row, so the row
+producers own the column order: sim.run_trial for per_trial.csv,
 run_simulation_sweep's (scheduler, gamma, N) prefix then sim.aggregate_rows
 for aggregate.csv, and run_oracle_gap for the oracle-gap CSV.
 """
@@ -137,20 +137,24 @@ def load_spec(doc, **config_overrides) -> ExperimentSpec:
 
 def write_csv(path, rows):
     """Write a nonempty iterable of row dicts as CSV, headed by the first row's
-    keys, to the file at path (creating its directory), or to stdout when
-    path is None.  Nothing is made before the first row exists, and each row
-    is written as it comes, so an error raised while the rows are produced
-    leaves the rows before it written."""
+    keys, to the file at path (creating its directory), or to stdout when path
+    is None, and return them as a list.  Nothing is made before the first row
+    exists, and each row is written as it comes, so an error raised while the
+    rows are produced leaves the rows before it written."""
     rows = iter(rows)
     if (first := next(rows, None)) is None:
         raise ValueError("no rows to write")
     if path is not None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
+    written = []
     with nullcontext(sys.stdout) if path is None else open(
             path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(first)
-        writer.writerows([_fmt(value) for value in row.values()] for row in chain([first], rows))
+        for row in chain([first], rows):
+            writer.writerow([_fmt(value) for value in row.values()])
+            written.append(row)
+    return written
 
 
 def _fmt(value):
@@ -166,7 +170,6 @@ def run_simulation_sweep(spec: ExperimentSpec, out_dir, workers: int = 1):
     (gamma, N) point see identical feedback matrices trial for trial.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     trial_rows = []
     agg_rows = []
     for cfg in spec.cells():
@@ -198,19 +201,15 @@ def headline_gaps(agg_rows):
 
 
 def run_oracle_gap(n_packets, n_receivers, erasure_prob, gamma, count, seed):
-    """Greedy-vs-exact generation counts on seeded random instances, as an
-    iterator that yields each instance's row as soon as it is answered.  A bad
-    count, seed or erasure probability is refused by the call; an instance
-    that needs a search past the cap, when it is reached, after the rows
-    before it."""
+    """Greedy-vs-exact generation counts on seeded random instances, yielded
+    row by row, each as soon as its instance is answered.  A bad count, seed
+    or erasure probability is refused with the first row, before any
+    instance is drawn; an instance that needs a search past the cap, when it
+    is reached, after the rows before it."""
     if count < 1:
         raise ValueError(f"need at least one instance, got count={count}")
     check_seed(seed)
-    return _oracle_gap_rows(n_packets, n_receivers, ChannelModel(erasure_prob), gamma,
-                            count, seed)
-
-
-def _oracle_gap_rows(n_packets, n_receivers, channel, gamma, count, seed):
+    channel = ChannelModel(erasure_prob)
     for i in range(count):
         sfm = systematic_phase(n_packets, n_receivers, channel, trial_rng(seed, i))
         try:

@@ -51,6 +51,7 @@ RLNC = "src/gencast/rlnc.py"
 GALOIS = "src/gencast/galois.py"
 HYPERGRAPH = "src/gencast/hypergraph.py"
 EXPERIMENTS = "src/gencast/experiments.py"
+CLI = "src/gencast/cli.py"
 GREEDY_REFERENCE = "tests/test_partition.py::TestHeuristic::test_matches_count_matrix_reference"
 RELABELLING = "tests/test_partition.py::TestOracle::test_relabelling_packets_keeps_the_optimum"
 SEARCH_PINS = "tests/test_partition.py::test_search_tree_pinned_at_paper_point"
@@ -359,11 +360,13 @@ MUTANTS = {
     # oracle-gap answers every instance before it writes a row, so a refusal
     # part-way loses the rows before it
     "oracle-gap-rows-built-first": Mutant(
-        EXPERIMENTS,
-        "    return _oracle_gap_rows(n_packets, n_receivers, ChannelModel(erasure_prob), gamma,\n"
-        "                            count, seed)\n",
-        "    return list(_oracle_gap_rows(n_packets, n_receivers, ChannelModel(erasure_prob),\n"
-        "                                 gamma, count, seed))\n",
+        CLI,
+        "    rows = experiments.write_csv(args.out, experiments.run_oracle_gap(\n"
+        "        args.packets, args.receivers, args.erasure_prob, args.gamma, args.count, "
+        "args.seed))\n",
+        "    rows = experiments.write_csv(args.out, list(experiments.run_oracle_gap(\n"
+        "        args.packets, args.receivers, args.erasure_prob, args.gamma, args.count, "
+        "args.seed)))\n",
         ("tests/test_cli.py::TestOracleGapCommand::test_oversize_refused",)),
     # write_csv makes the file before it has a row, so a run refused at its
     # first instance leaves an empty file behind
@@ -374,10 +377,12 @@ MUTANTS = {
         "        raise ValueError(\"no rows to write\")\n"
         "    if path is not None:\n"
         "        Path(path).parent.mkdir(parents=True, exist_ok=True)\n"
+        "    written = []\n"
         "    with nullcontext(sys.stdout) if path is None else open(\n"
         "            path, \"w\", newline=\"\", encoding=\"utf-8\") as fh:\n",
         "    if path is not None:\n"
         "        Path(path).parent.mkdir(parents=True, exist_ok=True)\n"
+        "    written = []\n"
         "    with nullcontext(sys.stdout) if path is None else open(\n"
         "            path, \"w\", newline=\"\", encoding=\"utf-8\") as fh:\n"
         "        rows = iter(rows)\n"
@@ -385,6 +390,29 @@ MUTANTS = {
         "            raise ValueError(\"no rows to write\")\n",
         ("tests/test_cli.py::TestOracleGapCommand::"
          "test_a_run_refused_before_its_first_row_makes_no_out_file",)),
+    # write_csv hands back every row it wrote but the first
+    "csv-returns-all-but-first-row": Mutant(
+        EXPERIMENTS,
+        "    return written\n",
+        "    return written[1:]\n",
+        ("tests/test_cli.py::test_write_csv_returns_the_rows_it_wrote",)),
+    # oracle-gap checks its count and seed after its first row, so a bad count
+    # yields nothing and a bad seed escapes as numpy's own error
+    "oracle-gap-checks-after-first-row": Mutant(
+        EXPERIMENTS,
+        "    if count < 1:\n"
+        "        raise ValueError(f\"need at least one instance, got count={count}\")\n"
+        "    check_seed(seed)\n"
+        "    channel = ChannelModel(erasure_prob)\n"
+        "    for i in range(count):\n",
+        "    channel = ChannelModel(erasure_prob)\n"
+        "    for i in range(count):\n"
+        "        if i == 1:\n"
+        "            if count < 1:\n"
+        "                raise ValueError(f\"need at least one instance, got count={count}\")\n"
+        "            check_seed(seed)\n",
+        ("tests/test_cli.py::"
+         "test_run_oracle_gap_refuses_a_bad_argument_with_its_first_row",)),
     # a packet takes its payload symbols unchecked
     "payload-symbols-unchecked": Mutant(
         RLNC,

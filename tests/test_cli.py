@@ -1,16 +1,21 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencast import partition
 from gencast.cli import build_parser, main
-from gencast.experiments import (EXPERIMENT_NAMES, named_spec, run_oracle_gap,
+from gencast.experiments import (EXPERIMENT_NAMES, load_spec, named_spec, run_oracle_gap,
                                  run_simulation_sweep, write_csv)
 from gencast.sfm import format_sfm, load_sfm
 from gencast.sim import (DEFAULT_SEED, SCHEDULERS, ChannelModel, SimConfig, systematic_phase,
@@ -497,6 +502,74 @@ def test_write_csv_takes_any_nonempty_iterable(tmp_path):
     with pytest.raises(ValueError, match="^no rows to write$"):
         write_csv(tmp_path / "sub" / "empty.csv", iter(()))
     assert not (tmp_path / "sub").exists()
+
+
+# a CSV value of each kind the row producers emit; the strings hold a
+# delimiter, a quote and a space, so some need quoting
+CSV_VALUES = st.one_of(
+    st.integers(-2**64, 2**64),
+    st.fractions(-10**6, 10**6, max_denominator=10**6),
+    st.floats(allow_nan=False),
+    st.text(alphabet='ab ,"', max_size=4),
+)
+# rows that share their keys in one order, as every row producer makes them
+CSV_ROWS = st.lists(st.text(alphabet="xyz_", min_size=1, max_size=3), min_size=1, max_size=4,
+                    unique=True).flatmap(lambda keys: st.lists(
+                        st.tuples(*[CSV_VALUES] * len(keys)).map(
+                            lambda values: dict(zip(keys, values))),
+                        min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(CSV_ROWS)
+def test_write_csv_returns_the_rows_it_wrote(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sub" / "rows.csv"
+        assert write_csv(path, iter(rows)) == rows
+        with redirect_stdout(io.StringIO()) as out:
+            assert write_csv(None, iter(rows)) == rows
+        assert path.read_bytes() == out.getvalue().encode("utf-8")
+    reader = csv.DictReader(io.StringIO(out.getvalue()))
+    assert reader.fieldnames == list(rows[0])
+    # a Fraction or float is written as its float's repr, anything else as str
+    assert list(reader) == [
+        {key: repr(float(value)) if isinstance(value, (Fraction, float)) else str(value)
+         for key, value in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("prob, count, seed, message", [
+    (0.5, 0, 1, "need at least one instance, got count=0"),
+    (0.5, 20, -1, "seed must be a non-negative integer, got -1"),
+    (1.0, 20, 1, "erasure_prob must be a real number in [0, 1), got 1.0"),
+], ids=["count", "seed", "prob"])
+def test_run_oracle_gap_refuses_a_bad_argument_with_its_first_row(prob, count, seed, message):
+    rows = run_oracle_gap(6, 6, prob, 2, count, seed=seed)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        next(rows)
+
+
+def test_sweep_makes_its_nested_out_directory(tmp_path):
+    out = tmp_path / "a" / "b"
+    spec = load_spec({"experiment": "fig3_U", "gammas": [2]}, trials=2)
+    agg = run_simulation_sweep(spec, out)
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "per_trial.csv"]
+    assert len((out / "aggregate.csv").read_text().splitlines()) == len(agg) + 1 == 3
+    assert len((out / "per_trial.csv").read_text().splitlines()) == 2 * 2 + 1
+
+
+def test_a_refused_sweep_makes_no_out_directory(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "a" / "b"
+    code, _, err = run_cli(capsys, "simulate", "--experiment", "fig3_U", "--trials", "0",
+                           "--out", str(out))
+    assert code == 1 and err.startswith("error: ")
+
+    def refused_cell(cfg, workers=1):
+        raise ValueError("cell refused")
+
+    monkeypatch.setattr("gencast.experiments.run_experiment", refused_cell)
+    with pytest.raises(ValueError, match="^cell refused$"):
+        run_simulation_sweep(named_spec("fig3_U", trials=2), out)
+    assert not (tmp_path / "a").exists()
 
 
 def test_dropped_fig3_d_alias_is_refused(capsys, tmp_path):
